@@ -83,8 +83,8 @@ def main():
     write_campaign_csv(path, records)
 
     samples, summary = records_to_samples(records, DEFAULT_BUDGET)
-    los = fit_ci([s for s in samples if s.environment is Environment.LOS])
-    nlos = fit_ci([s for s in samples if s.environment is Environment.NLOS])
+    los = fit_ci(samples[Environment.LOS])
+    nlos = fit_ci(samples[Environment.NLOS])
     print(f"wrote {path} ({summary.total} rows)")
     print(f"LOS  fit: n={los.n:.4f} sigma={los.sigma_db:.4f} ({los.count} pts)")
     print(f"NLOS fit: n={nlos.n:.4f} sigma={nlos.sigma_db:.4f} ({nlos.count} pts)")

@@ -41,12 +41,10 @@ from .simulate import (
     SIGMA_LOS_POST_BP_DB,
     SIGMA_LOS_PRE_BP_DB,
     SIGMA_NLOS_DB,
-    PathLossSample,
     SimulatedDataset,
     SimulationConfig,
     generate_3gpp_dataset,
     read_dataset_csv,
-    sample_shadow_fading,
 )
 from .fitting import (
     CiFitResult,
@@ -57,7 +55,6 @@ from .fitting import (
     fit_report_dict,
     reproduce_3gpp_ci,
     residual_stats,
-    write_fit_report,
 )
 from .campaign import (
     CAMPAIGN_CSV_HEADER,

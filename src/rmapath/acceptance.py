@@ -22,7 +22,7 @@ from .campaign import (
     pathloss_from_power,
     records_to_samples,
 )
-from .fitting import fit_ci, reproduce_3gpp_ci
+from .fitting import fit_ci, fit_ci_arrays, reproduce_3gpp_ci
 from .models import (
     RURAL_73GHZ_LOS_PLE,
     RURAL_73GHZ_NLOS_PLE,
@@ -37,8 +37,6 @@ from .models import (
     rma_los,
     rma_nlos,
 )
-from .simulate import PathLossSample
-
 SEED = 73
 
 
@@ -104,10 +102,7 @@ def check_ci_fit_round_trip() -> CriterionResult:
         count = int(rng.integers(10, 40))
         d = 10.0 ** rng.uniform(0.0, np.log10(20_000.0), count)
         fc = rng.uniform(0.5, 100.0, count)
-        pl = ci_pathloss(fc, d, ple)
-        samples = [PathLossSample(float(f), float(di), float(p), Environment.LOS)
-                   for f, di, p in zip(fc, d, pl)]
-        fit = fit_ci(samples)
+        fit = fit_ci_arrays(fc, d, ci_pathloss(fc, d, ple), Environment.LOS)
         worst_n = max(worst_n, abs(fit.n - ple))
         worst_sigma = max(worst_sigma, fit.sigma_db)
     elapsed = time.perf_counter() - t0
@@ -120,8 +115,8 @@ def check_ci_fit_round_trip() -> CriterionResult:
 def check_campaign_fixture_recovery() -> CriterionResult:
     records = load_campaign_csv(bundled_campaign_path())
     samples, _summary = records_to_samples(records, DEFAULT_BUDGET)
-    los = fit_ci([s for s in samples if s.environment is Environment.LOS])
-    nlos = fit_ci([s for s in samples if s.environment is Environment.NLOS])
+    los = fit_ci(samples[Environment.LOS])
+    nlos = fit_ci(samples[Environment.NLOS])
     ok = (abs(los.n - RURAL_73GHZ_LOS_PLE) <= 0.25
           and abs(nlos.n - RURAL_73GHZ_NLOS_PLE) <= 0.35)
     detail = (f"LOS n={los.n:.4f} (target 2.16+-0.25, {los.count} pts), "

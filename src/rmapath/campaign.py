@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .models import CI_ANCHOR_DB, Environment, distance_3d
-from .simulate import PathLossSample
+from .simulate import SimulatedDataset
 
 CAMPAIGN_CSV_HEADER = ("location_id", "environment", "d2d_m", "tx_height_m",
                        "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db", "outage")
@@ -80,6 +82,10 @@ class MeasurementRecord:
         if self.environment_tag not in CAMPAIGN_TAGS:
             raise ValueError(
                 f"environment {self.environment_tag!r} not one of {'/'.join(CAMPAIGN_TAGS)}")
+        for name in ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -92,7 +98,7 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class ConversionSummary:
-    """Counts from converting records to fit samples."""
+    """Counts from converting records to fit datasets."""
 
     total: int
     converted: int
@@ -199,34 +205,45 @@ def write_campaign_csv(path, records: list[MeasurementRecord]) -> None:
         f.write(format_campaign_csv(records))
 
 
-def records_to_samples(records: list[MeasurementRecord],
-                       budget: LinkBudget) -> tuple[list[PathLossSample], ConversionSummary]:
-    """Convert campaign records into fit samples.
+def records_to_samples(records: list[MeasurementRecord], budget: LinkBudget
+                       ) -> tuple[dict[Environment, SimulatedDataset], ConversionSummary]:
+    """Convert campaign records into one fit dataset per environment, LOS first.
 
     Outage and LOS-DIFFRACTION records are dropped (counted in the summary,
     never fitted). Path loss comes from the record directly or from its
     received power via the link budget; the fit distance is the 3D slant
-    distance from the row's heights.
+    distance from the row's heights. The datasets carry no seed or
+    sampling mode.
     """
-    samples: list[PathLossSample] = []
+    kept: list[MeasurementRecord] = []
     outage_dropped = diffraction_dropped = 0
     for r in records:
         if r.outage:
             outage_dropped += 1
-            continue
-        if r.environment_tag == DIFFRACTION_TAG:
+        elif r.environment_tag == DIFFRACTION_TAG:
             diffraction_dropped += 1
-            continue
-        pl = r.pl_db if r.pl_db is not None else pathloss_from_power(budget, r.p_rx_dbm)
-        d3d = distance_3d(r.d2d_m, r.tx_height_m, r.rx_height_m)
-        samples.append(PathLossSample(r.fc_ghz, d3d, pl, Environment(r.environment_tag)))
+        else:
+            kept.append(r)
+    tags = np.array([r.environment_tag for r in kept], dtype=str)
+    fc = np.array([r.fc_ghz for r in kept], dtype=float)
+    d2d = np.array([r.d2d_m for r in kept], dtype=float)
+    d3d = distance_3d(d2d, np.array([r.tx_height_m for r in kept], dtype=float),
+                      np.array([r.rx_height_m for r in kept], dtype=float))
+    pl = np.array([r.pl_db if r.pl_db is not None
+                   else pathloss_from_power(budget, r.p_rx_dbm) for r in kept], dtype=float)
+    datasets = {}
+    for env in Environment:
+        mask = tags == env.value
+        if mask.any():
+            datasets[env] = SimulatedDataset(env, fc[mask], d2d[mask], d3d[mask], pl[mask],
+                                             seed=None, sampling_mode=None)
     summary = ConversionSummary(
         total=len(records),
-        converted=len(samples),
+        converted=len(kept),
         outage_dropped=outage_dropped,
         diffraction_dropped=diffraction_dropped,
     )
-    return samples, summary
+    return datasets, summary
 
 
 def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:

@@ -192,8 +192,8 @@ def cmd_breakpoint_curve(args) -> int:
         fcs = np.geomspace(args.fmin, args.fmax, args.steps)
     else:
         fcs = np.linspace(args.fmin, args.fmax, args.steps)
-    rows = [(repr(float(fc)), repr(breakpoint_distance(args.hbs, args.hut, float(fc))))
-            for fc in fcs]
+    dbp = breakpoint_distance(args.hbs, args.hut, fcs)
+    rows = zip(map(repr, fcs.tolist()), map(repr, dbp.tolist()))
     _write_csv_rows(args.out, ("fc_ghz", "dbp_m"), rows)
     return 0
 
@@ -223,41 +223,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _group_by_environment(samples):
-    groups: dict[Environment, list] = {}
-    for sample in samples:
-        groups.setdefault(sample.environment, []).append(sample)
-    return [groups[env] for env in sorted(groups, key=lambda e: e.value)]
-
-
 def cmd_fit(args) -> int:
     path = Path(args.input)
     with path.open() as f:
         first_line = f.readline().strip()
     source = path.name
     if first_line == ",".join(DATASET_CSV_HEADER):
-        samples, meta = read_dataset_csv(path)
-        seed, sampling_mode = meta["seed"], meta["sampling_mode"]
+        datasets = read_dataset_csv(path)
     elif first_line == ",".join(CAMPAIGN_CSV_HEADER):
         budget = LinkBudget(args.tx_power_dbm, args.tx_gain_dbi, args.rx_gain_dbi,
                             args.max_pl_db)
         records = load_campaign_csv(path)
-        samples, summary = records_to_samples(records, budget)
+        datasets, summary = records_to_samples(records, budget)
         print(f"{summary.converted} of {summary.total} records fitted "
               f"({summary.outage_dropped} outage, "
               f"{summary.diffraction_dropped} diffraction dropped)", file=sys.stderr)
-        seed = sampling_mode = None
     else:
         raise ValueError(
             f"{path}: unrecognized input; expected a dataset CSV "
             f"({DATASET_CSV_HEADER[0]},...) or campaign CSV "
             f"({CAMPAIGN_CSV_HEADER[0]},...) header")
-    reports = [fit_report_dict(fit_ci(group), source, seed, sampling_mode)
-               for group in _group_by_environment(samples)]
+    reports = [fit_report_dict(fit_ci(ds), source, ds.seed, ds.sampling_mode)
+               for ds in datasets.values()]
     if not reports:
         raise ValueError(f"{path}: no fittable samples")
     payload = reports[0] if len(reports) == 1 else reports
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -14,19 +14,12 @@ pairwise accumulation keeps rounding far below the 1e-9 contract even at
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .models import CI_ANCHOR_DB, Environment
-from .simulate import (
-    PathLossSample,
-    SimulatedDataset,
-    SimulationConfig,
-    generate_3gpp_dataset,
-)
+from .simulate import SimulatedDataset, SimulationConfig, generate_3gpp_dataset
 
 
 class DegenerateFitError(ValueError):
@@ -68,21 +61,6 @@ def _ci_basis(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray):
     return a, b
 
 
-def _samples_to_arrays(samples: Iterable[PathLossSample]):
-    if isinstance(samples, SimulatedDataset):
-        return samples.fc_ghz, samples.d3d_m, samples.pl_db, samples.environment
-    samples = list(samples)
-    envs = {s.environment for s in samples}
-    if len(envs) > 1:
-        raise ValueError("fit is per environment; got samples from "
-                         + ", ".join(sorted(e.value for e in envs)))
-    environment = envs.pop() if envs else None
-    fc = np.array([s.fc_ghz for s in samples], dtype=float)
-    d = np.array([s.d_m for s in samples], dtype=float)
-    pl = np.array([s.pl_db for s in samples], dtype=float)
-    return fc, d, pl, environment
-
-
 def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
                   environment: Environment) -> CiFitResult:
     """Fit the CI exponent to columnar data; see ``fit_ci``."""
@@ -107,30 +85,29 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
     )
 
 
-def fit_ci(samples: Iterable[PathLossSample]) -> CiFitResult:
-    """MMSE fit of the CI model to path loss samples.
+def fit_ci(dataset: SimulatedDataset) -> CiFitResult:
+    """MMSE fit of the CI model to one environment's samples, at ``d3d_m``.
 
-    Samples may span multiple frequencies (the CI anchor absorbs the
-    frequency dependence) but must share one environment.
+    The samples may span multiple frequencies: the CI anchor absorbs the
+    frequency dependence.
 
     Raises:
         DegenerateFitError: fewer than 2 samples, or every distance equal
             to the 1 m reference so the slope cannot be identified.
     """
-    fc, d, pl, environment = _samples_to_arrays(samples)
-    return fit_ci_arrays(fc, d, pl, environment)
+    return fit_ci_arrays(dataset.fc_ghz, dataset.d3d_m, dataset.pl_db,
+                         dataset.environment)
 
 
-def residual_stats(samples: Iterable[PathLossSample], n: float) -> ResidualReport:
+def residual_stats(dataset: SimulatedDataset, n: float) -> ResidualReport:
     """Residual statistics of samples against a CI model with exponent n.
 
     Std uses the population convention, matching ``CiFitResult.sigma_db``
     when n is the fitted exponent.
     """
-    fc, d, pl, _env = _samples_to_arrays(samples)
-    if d.size == 0:
+    if len(dataset) == 0:
         raise ValueError("residual_stats requires at least one sample")
-    a, b = _ci_basis(fc, d, pl)
+    a, b = _ci_basis(dataset.fc_ghz, dataset.d3d_m, dataset.pl_db)
     r = a - n * b
     mean = float(np.mean(r))
     return ResidualReport(
@@ -152,9 +129,7 @@ def reproduce_3gpp_ci(environment: Environment, seed: int = 0) -> CiFitResult:
     n close to 3.04 with sigma close to 8.3 dB in NLOS.
     """
     config = SimulationConfig(environment=Environment(environment), seed=seed)
-    dataset = generate_3gpp_dataset(config)
-    return fit_ci_arrays(dataset.fc_ghz, dataset.d3d_m, dataset.pl_db,
-                         dataset.environment)
+    return fit_ci(generate_3gpp_dataset(config))
 
 
 def fit_report_dict(result: CiFitResult, source: str, seed: int | None = None,
@@ -171,10 +146,3 @@ def fit_report_dict(result: CiFitResult, source: str, seed: int | None = None,
         "sampling_mode": sampling_mode,
     }
 
-
-def write_fit_report(path, result: CiFitResult, source: str,
-                     seed: int | None = None,
-                     sampling_mode: str | None = None) -> None:
-    with open(path, "w") as f:
-        json.dump(fit_report_dict(result, source, seed, sampling_mode), f, indent=2)
-        f.write("\n")

@@ -137,7 +137,7 @@ def ci_pathloss(fc_ghz, d_m, ple):
 
     Returns:
         32.4 + 10*n*log10(d) + 20*log10(fc). Shadow fading is not included;
-        draw it separately with ``rmapath.simulate.sample_shadow_fading``.
+        add a zero-mean Gaussian draw in dB, e.g. ``rng.normal(0.0, sigma_db)``.
     """
     _require_positive("fc_ghz", fc_ghz)
     _require_positive("ple", ple)
@@ -198,13 +198,15 @@ def _los_pl1(params: RmaParams, d3d, fc_ghz):
 
 def _los_mean(params: RmaParams, d3d, fc_ghz):
     """RMa LOS mean path loss without the hard distance-span check."""
-    dbp = float(breakpoint_distance(params.h_bs, params.h_ut, fc_ghz))
+    dbp = breakpoint_distance(params.h_bs, params.h_ut, fc_ghz)
     pl1 = _los_pl1(params, d3d, fc_ghz)
-    if dbp >= RMA_LOS_D2D_RANGE_M[1]:
-        # Breakpoint beyond the model ceiling: single slope everywhere.
-        return pl1
+    # Breakpoint at or beyond the model ceiling: first slope everywhere,
+    # even at a 3D distance just past a breakpoint that sits on the ceiling.
+    single_slope = dbp >= RMA_LOS_D2D_RANGE_M[1]
+    if np.all(single_slope):
+        return pl1  # skips the second slope, which costs as much as the first
     pl2 = _los_pl1(params, dbp, fc_ghz) + 40.0 * np.log10(np.asarray(d3d, dtype=float) / dbp)
-    return np.where(np.asarray(d3d) <= dbp, pl1, pl2)
+    return np.where(single_slope | (np.asarray(d3d) <= dbp), pl1, pl2)
 
 
 def _nlos_mean(params: RmaParams, d3d, fc_ghz):
@@ -233,7 +235,7 @@ def _check_span(d3d, span, label: str) -> None:
         )
 
 
-def rma_los(params: RmaParams, d3d_m, fc_ghz: float):
+def rma_los(params: RmaParams, d3d_m, fc_ghz):
     """Mean LOS path loss in dB from the TR 38.900 RMa dual-slope model.
 
     The first slope applies up to the breakpoint distance, the second
@@ -255,11 +257,11 @@ def rma_los(params: RmaParams, d3d_m, fc_ghz: float):
     """
     _require_positive("fc_ghz", fc_ghz)
     _check_span(d3d_m, RMA_LOS_D2D_RANGE_M, "RMa LOS")
-    scalar = np.ndim(d3d_m) == 0
+    scalar = np.ndim(d3d_m) == 0 and np.ndim(fc_ghz) == 0
     return _scalar_or_array(_los_mean(params, d3d_m, fc_ghz), scalar)
 
 
-def rma_nlos(params: RmaParams, d3d_m, fc_ghz: float):
+def rma_nlos(params: RmaParams, d3d_m, fc_ghz):
     """Mean NLOS path loss in dB from the TR 38.900 RMa model.
 
     Returns max(LOS, raw NLOS): the raw expression underestimates loss close
@@ -270,7 +272,7 @@ def rma_nlos(params: RmaParams, d3d_m, fc_ghz: float):
     """
     _require_positive("fc_ghz", fc_ghz)
     _check_span(d3d_m, RMA_NLOS_D2D_RANGE_M, "RMa NLOS")
-    scalar = np.ndim(d3d_m) == 0
+    scalar = np.ndim(d3d_m) == 0 and np.ndim(fc_ghz) == 0
     return _scalar_or_array(_nlos_mean(params, d3d_m, fc_ghz), scalar)
 
 

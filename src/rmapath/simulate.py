@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -41,20 +42,8 @@ SIGMA_NLOS_DB = 8.0
 SAMPLING_MODES = ("linear", "log")
 
 DATASET_CSV_HEADER = ("fc_ghz", "d2d_m", "d3d_m", "env", "pl_db", "seed", "sampling_mode")
-
-
-@dataclass(frozen=True)
-class PathLossSample:
-    """One (frequency, distance, path loss) observation.
-
-    ``d_m`` is the distance the CI fit runs against; datasets generated here
-    store the 3D distance, matching the distance the RMa formulas use.
-    """
-
-    fc_ghz: float
-    d_m: float
-    pl_db: float
-    environment: Environment
+_ENVIRONMENT_VALUES = tuple(env.value for env in Environment)
+_DATASET_FLOAT_FIELDS = ("fc_ghz", "d2d_m", "d3d_m", "pl_db")
 
 
 @dataclass(frozen=True)
@@ -107,31 +96,26 @@ class SimulationConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulatedDataset:
-    """Columnar Monte Carlo dataset; iterates as PathLossSample records."""
+    """Path loss samples of one environment, held as parallel columns.
+
+    The one sample type of the package: generated, read back from a
+    dataset CSV, or converted from campaign records. CI fits run against
+    ``d3d_m``. ``seed`` and ``sampling_mode`` are None when not known
+    (campaign data) or not constant across the rows of a dataset CSV.
+    """
 
     environment: Environment
     fc_ghz: np.ndarray
     d2d_m: np.ndarray
     d3d_m: np.ndarray
     pl_db: np.ndarray
-    seed: int
-    sampling_mode: str
+    seed: int | None
+    sampling_mode: str | None
 
     def __len__(self) -> int:
         return self.pl_db.size
-
-    def __getitem__(self, i: int) -> PathLossSample:
-        return PathLossSample(float(self.fc_ghz[i]), float(self.d3d_m[i]),
-                              float(self.pl_db[i]), self.environment)
-
-    def __iter__(self) -> Iterator[PathLossSample]:
-        for fc, d3d, pl in zip(self.fc_ghz, self.d3d_m, self.pl_db):
-            yield PathLossSample(float(fc), float(d3d), float(pl), self.environment)
-
-    def to_samples(self) -> list[PathLossSample]:
-        return list(self)
 
     def write_csv(self, path) -> None:
         """Write the dataset with full float precision (repr round-trip)."""
@@ -143,22 +127,12 @@ class SimulatedDataset:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(DATASET_CSV_HEADER)
         env = self.environment.value
-        seed = str(self.seed)
+        seed = self.seed  # the writer turns None into an empty field
         mode = self.sampling_mode
         for fc, d2d, d3d, pl in zip(self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db):
             writer.writerow([repr(float(fc)), repr(float(d2d)), repr(float(d3d)),
                              env, repr(float(pl)), seed, mode])
         return buf.getvalue()
-
-
-def sample_shadow_fading(sigma_db: float, rng: np.random.Generator) -> float:
-    """One zero-mean Gaussian shadow fading draw in dB.
-
-    Deterministic given the generator state; sigma_db=0 returns exactly 0.
-    """
-    if sigma_db < 0:
-        raise ValueError("sigma_db must be non-negative")
-    return float(rng.normal(0.0, sigma_db))
 
 
 def _frequency_rng(seed: int, freq_index: int) -> np.random.Generator:
@@ -220,11 +194,33 @@ def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
     )
 
 
-def read_dataset_csv(path) -> tuple[list[PathLossSample], dict]:
-    """Read a dataset CSV back into samples plus {seed, sampling_mode} meta.
+def _parse_dataset_row(row: list[str]):
+    """(env, (fc, d2d, d3d, pl), seed, mode) of one dataset CSV row."""
+    if len(row) != len(DATASET_CSV_HEADER):
+        raise ValueError(f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
+    fc, d2d, d3d, env, pl, seed, mode = row
+    if env not in _ENVIRONMENT_VALUES:
+        raise ValueError(f"env must be LOS or NLOS, got {env!r}")
+    values = (float(fc), float(d2d), float(d3d), float(pl))
+    if not all(map(math.isfinite, values)):  # cheap test first; find the field on failure
+        for name, value in zip(_DATASET_FLOAT_FIELDS, values):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+    return env, values, seed, mode
 
-    Meta values are None when the column is not constant across rows.
+
+def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
+    """Read a dataset CSV back into one dataset per environment, LOS first.
+
+    Rows stream into growable float columns, so no per-row object is kept.
+    Each dataset carries the file's seed and sampling mode, or None where
+    that column is not constant across rows. Raises ValueError on a wrong
+    header, and with one line-numbered message per malformed row (the
+    header is line 1).
     """
+    columns = {env: tuple(array("d") for _ in range(4)) for env in _ENVIRONMENT_VALUES}
+    seeds, modes = set(), set()
+    errors: list[str] = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -232,18 +228,26 @@ def read_dataset_csv(path) -> tuple[list[PathLossSample], dict]:
             raise ValueError(
                 f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}"
             )
-        samples: list[PathLossSample] = []
-        seeds, modes = set(), set()
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            fc, _d2d, d3d, env, pl, seed, mode = row
-            samples.append(PathLossSample(float(fc), float(d3d), float(pl),
-                                          Environment(env)))
+            try:
+                env, values, seed, mode = _parse_dataset_row(row)
+            except ValueError as exc:
+                errors.append(f"line {line}: {exc}")
+                continue
+            fc, d2d, d3d, pl = columns[env]
+            fc.append(values[0])
+            d2d.append(values[1])
+            d3d.append(values[2])
+            pl.append(values[3])
             seeds.add(seed)
             modes.add(mode)
-    meta = {
-        "seed": int(next(iter(seeds))) if len(seeds) == 1 else None,
-        "sampling_mode": next(iter(modes)) if len(modes) == 1 else None,
-    }
-    return samples, meta
+    if errors:
+        raise ValueError("\n".join(errors))
+    # An empty field is a dataset written without a seed or sampling mode.
+    seed = next(iter(seeds)) if len(seeds) == 1 else ""
+    mode = next(iter(modes)) if len(modes) == 1 else ""
+    return {env: SimulatedDataset(env, *map(np.frombuffer, columns[env.value]),
+                                  int(seed) if seed else None, mode or None)
+            for env in Environment if columns[env.value][0]}

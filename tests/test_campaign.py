@@ -14,6 +14,7 @@ from rmapath import (
     NoCoverageError,
     bundled_campaign_path,
     ci_pathloss,
+    distance_3d,
     format_campaign_csv,
     load_campaign_csv,
     max_range,
@@ -79,6 +80,16 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError):
             make_record(environment_tag="FOO")
 
+    @pytest.mark.parametrize("field", ["d2d_m", "tx_height_m", "rx_height_m", "fc_ghz",
+                                       "p_rx_dbm", "pl_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        overrides = {field: value}
+        if field == "p_rx_dbm":
+            overrides["pl_db"] = None
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_record(**overrides)
+
 
 class TestParseCampaignCsv:
     def test_bundled_fixture_counts(self):
@@ -109,6 +120,15 @@ class TestParseCampaignCsv:
         with pytest.raises(CampaignFormatError, match="line 2"):
             parse_campaign_csv(text)
 
+    @pytest.mark.parametrize("row,field", [
+        ("A,LOS,100,110,1.8,73.5,,nan,false", "pl_db"),
+        ("A,LOS,inf,110,1.8,73.5,,120.0,false", "d2d_m"),
+    ])
+    def test_non_finite_names_line(self, row, field):
+        text = HEADER + "\n" + "B,LOS,100,110,1.8,73.5,,120.0,false\n" + row + "\n"
+        with pytest.raises(CampaignFormatError, match=f"line 3: {field} must be finite"):
+            parse_campaign_csv(text)
+
     def test_collects_every_bad_row(self):
         text = (HEADER + "\n"
                 + "A,FOO,100,110,1.8,73.5,,120.0,false\n"
@@ -130,18 +150,20 @@ class TestRecordsToSamples:
     def test_bundled_fixture_yields_31_samples(self):
         records = load_campaign_csv(bundled_campaign_path())
         samples, summary = records_to_samples(records, DEFAULT_BUDGET)
-        assert len(samples) == 31
+        assert list(samples) == [Environment.LOS, Environment.NLOS]
+        assert [len(ds) for ds in samples.values()] == [14, 17]
         assert summary.total == 38
         assert summary.converted == 31
         assert summary.outage_dropped == 5
         assert summary.diffraction_dropped == 2
-        assert {s.environment for s in samples} == {Environment.LOS, Environment.NLOS}
+        assert all(ds.environment is env and ds.seed is None and ds.sampling_mode is None
+                   for env, ds in samples.items())
 
     def test_all_outage_input(self):
         records = [make_record(location_id=f"O{i}", pl_db=None, outage=True)
                    for i in range(5)]
         samples, summary = records_to_samples(records, DEFAULT_BUDGET)
-        assert samples == []
+        assert samples == {}
         assert summary.outage_dropped == 5
 
     def test_pl_and_prx_twins_agree(self):
@@ -149,19 +171,33 @@ class TestRecordsToSamples:
         via_power = make_record(pl_db=None,
                                 p_rx_dbm=received_power(DEFAULT_BUDGET, 156.8))
         samples, _ = records_to_samples([direct, via_power], DEFAULT_BUDGET)
-        assert samples[0].pl_db == pytest.approx(156.8, abs=1e-12)
-        assert samples[0].pl_db == pytest.approx(samples[1].pl_db, abs=1e-12)
-        assert samples[0].d_m == samples[1].d_m
+        los = samples[Environment.LOS]
+        assert los.pl_db[0] == pytest.approx(156.8, abs=1e-12)
+        assert los.pl_db[0] == pytest.approx(los.pl_db[1], abs=1e-12)
+        assert los.d3d_m[0] == los.d3d_m[1]
 
     def test_uses_3d_distance(self):
         samples, _ = records_to_samples([make_record()], DEFAULT_BUDGET)
-        assert samples[0].d_m == pytest.approx(math.hypot(100.0, 108.2), rel=1e-12)
+        los = samples[Environment.LOS]
+        assert los.d2d_m[0] == 100.0
+        assert los.d3d_m[0] == pytest.approx(math.hypot(100.0, 108.2), rel=1e-12)
+
+    def test_keeps_record_order_within_environment(self):
+        records = [make_record(location_id=f"R{i}", environment_tag=tag, d2d_m=d,
+                               tx_height_m=h)
+                   for i, (tag, d, h) in enumerate([("NLOS", 300.0, 50.0), ("LOS", 200.0, 110.0),
+                                                    ("NLOS", 100.0, 20.0), ("LOS", 400.0, 30.0)])]
+        samples, _ = records_to_samples(records, DEFAULT_BUDGET)
+        assert samples[Environment.LOS].d2d_m.tolist() == [200.0, 400.0]
+        assert samples[Environment.NLOS].d2d_m.tolist() == [300.0, 100.0]
+        assert samples[Environment.NLOS].d3d_m.tolist() == [
+            distance_3d(300.0, 50.0, 1.8), distance_3d(100.0, 20.0, 1.8)]
 
     def test_never_emits_excluded_records(self):
         records = [make_record(environment_tag="LOS-DIFFRACTION", pl_db=170.0),
                    make_record(location_id="O1", pl_db=None, outage=True)]
         samples, summary = records_to_samples(records, DEFAULT_BUDGET)
-        assert samples == []
+        assert samples == {}
         assert (summary.diffraction_dropped, summary.outage_dropped) == (1, 1)
 
 

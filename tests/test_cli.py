@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, env var overrides."""
 
 import json
+import math
 
 import pytest
 
@@ -78,12 +79,17 @@ class TestBreakpointCurve:
     def test_strictly_increasing(self, capsys, tmp_path):
         out_file = tmp_path / "curve.csv"
         status, _, _ = run(capsys, "breakpoint-curve", "--fmin", "0.5",
-                           "--fmax", "100", "--steps", "50", "--out", str(out_file))
+                           "--fmax", "100", "--steps", "50", "--hbs", "25",
+                           "--hut", "3", "--out", str(out_file))
         assert status == 0
-        rows = out_file.read_text().splitlines()[1:]
-        dbp = [float(r.split(",")[1]) for r in rows]
+        rows = [r.split(",") for r in out_file.read_text().splitlines()[1:]]
+        fc = [float(f) for f, _ in rows]
+        dbp = [float(d) for _, d in rows]
         assert len(dbp) == 50
         assert all(a < b for a, b in zip(dbp, dbp[1:]))
+        assert fc[0] == 0.5 and fc[-1] == pytest.approx(100.0, rel=1e-12)
+        # per-point oracle: each row's value is the scalar formula at its frequency
+        assert dbp == [2 * math.pi * 25.0 * 3.0 * f * 1e9 / 3e8 for f in fc]
 
     def test_bad_steps_is_domain_error(self, capsys):
         status, _, _ = run(capsys, "breakpoint-curve", "--steps", "0")
@@ -166,6 +172,47 @@ class TestFit:
         assert nlos["n"] == pytest.approx(2.75, abs=0.35)
         assert los["count"] == 14 and nlos["count"] == 17
         assert los["seed"] is None
+
+    def test_dataset_with_both_environments_gives_los_then_nlos(self, capsys, tmp_path):
+        los, nlos, data = tmp_path / "los.csv", tmp_path / "nlos.csv", tmp_path / "both.csv"
+        for env, path in (("los", los), ("nlos", nlos)):
+            assert main(["simulate", "--env", env, "--seed", "6",
+                         "--samples", "30", "--out", str(path)]) == 0
+        capsys.readouterr()
+        data.write_text(nlos.read_text() + los.read_text().split("\n", 1)[1])
+        status, out, _ = run(capsys, "fit", "--input", str(data))
+        assert status == 0
+        reports = json.loads(out)
+        assert [r["environment"] for r in reports] == ["LOS", "NLOS"]
+        assert [r["count"] for r in reports] == [270, 270]
+        assert all(r["seed"] == 6 and r["sampling_mode"] == "linear" for r in reports)
+
+    def test_short_dataset_row_names_its_line(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--env", "los", "--seed", "1",
+                     "--samples", "2", "--out", str(data)]) == 0
+        capsys.readouterr()
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        data.write_text("\n".join(lines) + "\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert status == 1
+        assert out == ""
+        assert err == "error: line 4: expected 7 fields, got 6\n"
+
+    @pytest.mark.parametrize("field,value", [("pl_db", "nan"), ("d2d_m", "inf")])
+    def test_non_finite_campaign_row_is_domain_error(self, capsys, tmp_path, field, value):
+        lines = bundled_campaign_path().read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        row[header.index(field)] = value
+        lines[1] = ",".join(row)
+        data = tmp_path / "campaign.csv"
+        data.write_text("\n".join(lines) + "\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert status == 1
+        assert "NaN" not in out and "Infinity" not in out
+        assert f"line 2: {field} must be finite" in err
 
     def test_unrecognized_file_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -9,10 +9,11 @@ from rmapath import (
     CiFitResult,
     DegenerateFitError,
     Environment,
-    PathLossSample,
+    SimulatedDataset,
     SimulationConfig,
     ci_pathloss,
     fit_ci,
+    fit_ci_arrays,
     fit_report_dict,
     generate_3gpp_dataset,
     reproduce_3gpp_ci,
@@ -20,19 +21,23 @@ from rmapath import (
 )
 
 
+def dataset(fc, d, pl, environment=Environment.LOS):
+    fc, d, pl = (np.asarray(x, dtype=float) for x in (fc, d, pl))
+    return SimulatedDataset(environment, fc, d, d, pl, seed=None, sampling_mode=None)
+
+
 def ci_samples(ple, d_values, fc_values, environment=Environment.LOS, sigma=0.0, seed=0):
     rng = np.random.default_rng(seed)
-    samples = []
-    for d, fc in zip(d_values, fc_values):
-        pl = ci_pathloss(fc, d, ple) + (rng.normal(0.0, sigma) if sigma else 0.0)
-        samples.append(PathLossSample(fc, d, pl, environment))
-    return samples
+    pl = [ci_pathloss(fc, d, ple) + (rng.normal(0.0, sigma) if sigma else 0.0)
+          for d, fc in zip(d_values, fc_values)]
+    return dataset(fc_values, d_values, pl, environment)
 
 
 def excess_and_basis(samples):
     # direct transcription of the fitted quantities, as the test-side oracle
-    a = np.array([s.pl_db - 32.4 - 20 * math.log10(s.fc_ghz) for s in samples])
-    b = np.array([10 * math.log10(s.d_m) for s in samples])
+    a = np.array([pl - 32.4 - 20 * math.log10(fc)
+                  for fc, pl in zip(samples.fc_ghz, samples.pl_db)])
+    b = np.array([10 * math.log10(d) for d in samples.d3d_m])
     return a, b
 
 
@@ -55,16 +60,8 @@ class TestFitCi:
             fit_ci(ci_samples(2.0, [1.0, 1.0, 1.0], [1.0, 28.0, 73.5]))
 
     def test_sub_reference_distance_rejected(self):
-        samples = [PathLossSample(28.0, 0.5, 60.0, Environment.LOS),
-                   PathLossSample(28.0, 5.0, 80.0, Environment.LOS)]
         with pytest.raises(ValueError):
-            fit_ci(samples)
-
-    def test_mixed_environments_rejected(self):
-        samples = (ci_samples(2.0, [10.0, 100.0], [28.0, 28.0], Environment.LOS)
-                   + ci_samples(3.0, [10.0, 100.0], [28.0, 28.0], Environment.NLOS))
-        with pytest.raises(ValueError, match="per environment"):
-            fit_ci(samples)
+            fit_ci(dataset([28.0, 28.0], [0.5, 5.0], [60.0, 80.0]))
 
     def test_frequency_shift_absorbed_by_anchor(self):
         # scaling every frequency by k and adding 20*log10(k) to every loss
@@ -73,9 +70,7 @@ class TestFitCi:
         fc = np.linspace(1.0, 73.5, 40)
         base = ci_samples(2.75, d, fc, sigma=6.0, seed=3)
         k = 3.7
-        shifted = [PathLossSample(s.fc_ghz * k, s.d_m,
-                                  s.pl_db + 20 * math.log10(k), s.environment)
-                   for s in base]
+        shifted = dataset(base.fc_ghz * k, base.d3d_m, base.pl_db + 20 * math.log10(k))
         fit_a, fit_b = fit_ci(base), fit_ci(shifted)
         assert fit_a.n == pytest.approx(fit_b.n, abs=1e-9)
         assert fit_a.sigma_db == pytest.approx(fit_b.sigma_db, abs=1e-9)
@@ -102,16 +97,19 @@ class TestFitCi:
     def test_order_invariant(self):
         samples = ci_samples(2.5, np.geomspace(2.0, 8_000.0, 100),
                              np.full(100, 38.0), sigma=4.0, seed=6)
-        shuffled = list(samples)
-        np.random.default_rng(0).shuffle(shuffled)
+        order = np.random.default_rng(0).permutation(len(samples))
+        shuffled = dataset(samples.fc_ghz[order], samples.d3d_m[order], samples.pl_db[order])
         assert fit_ci(samples).n == pytest.approx(fit_ci(shuffled).n, rel=1e-12)
 
-    def test_dataset_and_sample_list_agree(self):
+    def test_fits_on_3d_distance(self):
         config = SimulationConfig(environment=Environment.NLOS,
                                   frequencies_ghz=(1.0, 73.0),
                                   samples_per_frequency=500, seed=8)
-        dataset = generate_3gpp_dataset(config)
-        assert fit_ci(dataset) == fit_ci(dataset.to_samples())
+        generated = generate_3gpp_dataset(config)
+        assert fit_ci(generated) == fit_ci_arrays(generated.fc_ghz, generated.d3d_m,
+                                                  generated.pl_db, Environment.NLOS)
+        assert fit_ci(generated) != fit_ci_arrays(generated.fc_ghz, generated.d2d_m,
+                                                  generated.pl_db, Environment.NLOS)
 
 
 class TestResidualStats:
@@ -128,8 +126,7 @@ class TestResidualStats:
         assert report.min_db <= report.mean_db <= report.max_db
 
     def test_zero_exponent_at_reference_distance(self):
-        samples = [PathLossSample(28.0, 1.0, pl, Environment.LOS)
-                   for pl in (60.0, 62.0, 64.0)]
+        samples = dataset([28.0] * 3, [1.0] * 3, [60.0, 62.0, 64.0])
         report = residual_stats(samples, 0.0)
         a, _ = excess_and_basis(samples)
         assert report.std_db == pytest.approx(float(np.std(a)), abs=1e-12)
@@ -137,7 +134,7 @@ class TestResidualStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            residual_stats([], 2.0)
+            residual_stats(dataset([], [], []), 2.0)
 
 
 class TestReproduce3gppCi:

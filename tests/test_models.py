@@ -22,6 +22,7 @@ from rmapath import (
     rma_nlos,
     validate_applicability,
 )
+from rmapath.models import _los_mean
 
 DEFAULTS = RmaParams()
 
@@ -170,6 +171,26 @@ class TestRmaLos:
                      + 0.002 * math.log10(h) * dbp)
         expected = pl1_at_bp + 40 * math.log10(d / dbp)
         assert rma_los(DEFAULTS, d, fc) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [rma_los, rma_nlos])
+    def test_array_frequency_matches_scalar(self, model):
+        # frequencies on both sides of the 9.1 GHz ceiling crossing, with
+        # distances before and after each finite breakpoint
+        fc = np.array([1.0, 2.0, 6.0, 9.0, 9.1, 28.0, 73.5])
+        d = np.array([500.0, 4000.0, 100.0, 4999.0, 4999.0, 50.0, 1000.0])
+        expected = [model(DEFAULTS, float(x), float(f)) for x, f in zip(d, fc)]
+        assert np.array_equal(model(DEFAULTS, d, fc), expected)
+        at_100m = [model(DEFAULTS, 100.0, float(f)) for f in fc]
+        assert np.array_equal(model(DEFAULTS, 100.0, fc), at_100m)
+
+    def test_breakpoint_on_the_ceiling_keeps_first_slope_with_array_frequency(self):
+        # the generator evaluates the mean model at 3D distances up to about
+        # 10 000.06 m; past a breakpoint at 10 000.03 m the first slope holds
+        fc = np.array([1.0, 9.0945955])
+        d = np.full(2, distance_3d(10_000.0, DEFAULTS.h_bs, DEFAULTS.h_ut))
+        assert 10_000.0 <= breakpoint_distance(DEFAULTS.h_bs, DEFAULTS.h_ut, fc[1]) < d[1]
+        expected = [_los_mean(DEFAULTS, float(x), float(f)) for x, f in zip(d, fc)]
+        assert np.array_equal(_los_mean(DEFAULTS, d, fc), expected)
 
     @pytest.mark.parametrize("d", [9.0, 10_001.0])
     def test_out_of_span_rejected(self, d):

@@ -1,5 +1,6 @@
 """Monte Carlo dataset generation: determinism, substreams, oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,10 @@ from rmapath import (
     Environment,
     RmaParams,
     SimulationConfig,
+    breakpoint_distance,
     generate_3gpp_dataset,
     read_dataset_csv,
     rma_nlos,
-    sample_shadow_fading,
 )
 
 PARAMS = RmaParams()
@@ -28,29 +29,6 @@ def small_config(environment=Environment.NLOS, **overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
-
-
-class TestSampleShadowFading:
-    def test_zero_sigma_is_exactly_zero(self):
-        rng = np.random.default_rng(0)
-        assert sample_shadow_fading(0.0, rng) == 0.0
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sample_shadow_fading(-1.0, np.random.default_rng(0))
-
-    def test_same_state_same_draw(self):
-        a = sample_shadow_fading(8.0, np.random.default_rng(123))
-        b = sample_shadow_fading(8.0, np.random.default_rng(123))
-        assert a == b
-
-    def test_moments_at_sigma_8(self):
-        # seeded, so these large-sample bounds are deterministic
-        rng = np.random.default_rng(7)
-        draws = np.array([sample_shadow_fading(8.0, rng) for _ in range(10_000)])
-        big = rng.normal(0.0, 8.0, 1_000_000)
-        assert abs(draws.mean()) < 0.25 and abs(draws.std() - 8.0) < 0.25
-        assert abs(big.mean()) < 0.03 and abs(big.std() - 8.0) < 0.03
 
 
 class TestSimulationConfig:
@@ -107,8 +85,8 @@ class TestGenerate:
         # keep d2d below 4 km so d3d stays inside the public NLOS span
         config = small_config(d2d_max_m=4_000.0, include_shadow_fading=False)
         dataset = generate_3gpp_dataset(config)
-        for sample in dataset:
-            assert sample.pl_db == rma_nlos(PARAMS, sample.d_m, sample.fc_ghz)
+        for fc, d3d, pl in zip(dataset.fc_ghz, dataset.d3d_m, dataset.pl_db):
+            assert pl == rma_nlos(PARAMS, float(d3d), float(fc))
 
     def test_deterministic_for_equal_config(self):
         a = generate_3gpp_dataset(small_config())
@@ -146,6 +124,14 @@ class TestGenerate:
         assert before.std() == pytest.approx(4.0, abs=0.15)
         assert after.std() == pytest.approx(6.0, abs=0.15)
 
+    def test_nlos_shadow_fading_moments_at_sigma_8(self):
+        # seeded, so these large-sample bounds are deterministic
+        noisy = generate_3gpp_dataset(small_config(samples_per_frequency=40_000, seed=7))
+        clean = generate_3gpp_dataset(small_config(samples_per_frequency=40_000, seed=7,
+                                                   include_shadow_fading=False))
+        chi = noisy.pl_db - clean.pl_db
+        assert abs(chi.mean()) < 0.1 and abs(chi.std() - 8.0) < 0.1
+
     def test_high_frequency_los_is_single_log_distance_line(self):
         # shadow fading off, above 9.1 GHz: removing the small linear-in-d
         # term leaves an exact line in log10(d)
@@ -162,6 +148,23 @@ class TestGenerate:
             residual = y - (slope * x + intercept)
             assert np.max(np.abs(residual)) < 0.5
 
+    def test_first_slope_past_a_breakpoint_on_the_ceiling(self):
+        # the breakpoint sits just above 10 km, and the 3D distance of a
+        # 10 km ground distance just above the breakpoint: still one slope
+        fc = 9.0945955
+        dbp = breakpoint_distance(PARAMS.h_bs, PARAMS.h_ut, fc)
+        config = SimulationConfig(environment=Environment.LOS, frequencies_ghz=(fc,),
+                                  samples_per_frequency=200, d2d_min_m=9_990.0,
+                                  seed=3, include_shadow_fading=False)
+        dataset = generate_3gpp_dataset(config)
+        d, h = dataset.d3d_m, PARAMS.h
+        assert 10_000.0 <= dbp < d.max()
+        pl1 = (20 * np.log10(40 * math.pi * d * fc / 3)
+               + min(0.03 * h**1.72, 10) * np.log10(d)
+               - min(0.044 * h**1.72, 14.77)
+               + 0.002 * math.log10(h) * d)
+        assert np.allclose(dataset.pl_db, pl1, rtol=0.0, atol=1e-9)
+
 
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
@@ -169,11 +172,37 @@ class TestDatasetCsv:
         dataset = generate_3gpp_dataset(config)
         path = tmp_path / "dataset.csv"
         dataset.write_csv(path)
-        samples, meta = read_dataset_csv(path)
-        assert meta == {"seed": 99, "sampling_mode": "linear"}
-        assert len(samples) == len(dataset)
-        for original, parsed in zip(dataset, samples):
-            assert parsed == original
+        datasets = read_dataset_csv(path)
+        assert list(datasets) == [Environment.NLOS]
+        parsed = datasets[Environment.NLOS]
+        assert (parsed.seed, parsed.sampling_mode) == (99, "linear")
+        assert len(parsed) == len(dataset)
+        for field in ("fc_ghz", "d2d_m", "d3d_m", "pl_db"):
+            assert np.array_equal(getattr(parsed, field), getattr(dataset, field))
+
+    def test_one_dataset_per_environment_los_first(self, tmp_path):
+        los = generate_3gpp_dataset(small_config(Environment.LOS, samples_per_frequency=4))
+        nlos = generate_3gpp_dataset(small_config(samples_per_frequency=3, seed=5))
+        path = tmp_path / "mixed.csv"
+        # NLOS rows first in the file; the reader still returns LOS first
+        text = nlos.to_csv() + "".join(los.to_csv().splitlines(keepends=True)[1:])
+        path.write_text(text)
+        datasets = read_dataset_csv(path)
+        assert list(datasets) == [Environment.LOS, Environment.NLOS]
+        assert [len(ds) for ds in datasets.values()] == [12, 9]
+        assert np.array_equal(datasets[Environment.LOS].pl_db, los.pl_db)
+        # the seed column is not constant across the file
+        assert all(ds.seed is None and ds.sampling_mode == "linear"
+                   for ds in datasets.values())
+
+    def test_round_trip_without_seed_or_mode(self, tmp_path):
+        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=5))
+        unseeded = dataclasses.replace(dataset, seed=None, sampling_mode=None)
+        path = tmp_path / "dataset.csv"
+        unseeded.write_csv(path)
+        parsed = read_dataset_csv(path)[Environment.NLOS]
+        assert (parsed.seed, parsed.sampling_mode) == (None, None)
+        assert np.array_equal(parsed.pl_db, dataset.pl_db)
 
     def test_header(self, tmp_path):
         path = tmp_path / "dataset.csv"
@@ -191,4 +220,18 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("1.0,100.0,105.0,LOS,80.0,7", "line 3: expected 7 fields, got 6"),
+        ("1.0,100.0,105.0,FOO,80.0,7,linear", "line 3: env must be LOS or NLOS, got 'FOO'"),
+        ("1.0,100.0,105.0,LOS,abc,7,linear", "line 3: could not convert string to float"),
+        ("1.0,100.0,105.0,LOS,nan,7,linear", "line 3: pl_db must be finite, got nan"),
+        ("1.0,inf,105.0,LOS,80.0,7,linear", "line 3: d2d_m must be finite, got inf"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("fc_ghz,d2d_m,d3d_m,env,pl_db,seed,sampling_mode\n"
+                        "1.0,100.0,105.0,LOS,80.0,7,linear\n" + row + "\n")
+        with pytest.raises(ValueError, match=message):
             read_dataset_csv(path)
