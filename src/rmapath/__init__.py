@@ -30,6 +30,7 @@ from .models import (
     ci_pathloss,
     distance_3d,
     fspl,
+    los_second_slope,
     rma_los,
     rma_nlos,
     validate_applicability,

@@ -176,7 +176,3 @@ ALL_CHECKS = (
     check_link_budget_ceiling,
     check_simulate_determinism,
 )
-
-
-def run_all() -> list[CriterionResult]:
-    return [check() for check in ALL_CHECKS]

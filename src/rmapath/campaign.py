@@ -253,16 +253,22 @@ def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:
     atmospheric/rain attenuation, so mmWave results at hundreds of km are
     free-space-like upper bounds, not link predictions.
     """
-    if fc_ghz <= 0:
-        raise ValueError("fc_ghz must be positive")
-    if ple <= 0:
-        raise ValueError("ple must be positive")
+    if not 0 < fc_ghz < math.inf:
+        raise ValueError("fc_ghz must be finite and positive")
+    if not 0 < ple < math.inf:
+        raise ValueError("ple must be finite and positive")
+    if not math.isfinite(max_pl_db):
+        raise ValueError("max_pl_db must be finite")
     anchor = CI_ANCHOR_DB + 20.0 * math.log10(fc_ghz)
     if max_pl_db <= anchor:
         raise NoCoverageError(
             f"max path loss {max_pl_db:g} dB does not exceed the "
             f"{anchor:.2f} dB anchor loss at 1 m")
-    return 10.0 ** ((max_pl_db - anchor) / (10.0 * ple))
+    try:
+        return 10.0 ** ((max_pl_db - anchor) / (10.0 * ple))
+    except OverflowError:
+        raise OverflowError(f"the range at {max_pl_db:g} dB and n = {ple:g} "
+                            "overflows a float") from None
 
 
 def bundled_campaign_path() -> Path:

@@ -4,7 +4,8 @@ Subcommands: predict, breakpoint-curve, simulate, fit, coverage, validate.
 Exit status is 0 on success, 1 on a domain error (bad value, unreadable
 file, failed validation), 2 on a usage error. Every flag can also be set
 through an environment variable named RMA_<FLAG> (dashes as underscores,
-e.g. --freq-ghz -> RMA_FREQ_GHZ); an explicit flag wins.
+e.g. --freq-ghz -> RMA_FREQ_GHZ); an explicit flag wins. A variable is read
+only when its subcommand runs.
 
 Numeric output on stdout uses fixed 2-decimal formatting; files written by
 simulate/fit/breakpoint-curve keep full float precision.
@@ -13,8 +14,10 @@ simulate/fit/breakpoint-curve keep full float precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,9 +42,9 @@ from .models import (
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
+    rma_los,
+    rma_nlos,
     validate_applicability,
-    _los_mean,
-    _nlos_mean,
 )
 from .simulate import (
     DATASET_CSV_HEADER,
@@ -56,25 +59,29 @@ class _EnvVarError(Exception):
     """An RMA_* environment variable held an unusable value."""
 
 
-def _env_override(flag: str, cast, choices=None):
-    key = "RMA_" + flag.lstrip("-").upper().replace("-", "_")
-    raw = os.environ.get(key)
-    if raw is None:
-        return None
-    try:
-        value = cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise _EnvVarError(f"invalid value for {key}: {raw!r}") from exc
-    if choices is not None and value not in choices:
-        raise _EnvVarError(f"invalid value for {key}: {raw!r} (choose from {choices})")
-    return value
+class _EnvDefault:
+    """A flag's set RMA_* variable; ``main`` casts it for the chosen subcommand only."""
+
+    def __init__(self, key: str, cast, choices):
+        self.key, self.cast, self.choices = key, cast, choices
+
+    def resolve(self):
+        raw = os.environ[self.key]
+        try:
+            value = self.cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise _EnvVarError(f"invalid value for {self.key}: {raw!r}") from exc
+        if self.choices is not None and value not in self.choices:
+            raise _EnvVarError(
+                f"invalid value for {self.key}: {raw!r} (choose from {self.choices})")
+        return value
 
 
 def _add(parser, flag: str, *, cast=str, default=None, required=False,
          choices=None, help=None):
-    env_value = _env_override(flag, cast, choices)
-    if env_value is not None:
-        default = env_value
+    key = "RMA_" + flag.lstrip("-").upper().replace("-", "_")
+    if key in os.environ:
+        default = _EnvDefault(key, cast, choices)
         required = False
     parser.add_argument(flag, type=cast, default=default, required=required,
                         choices=choices, help=help)
@@ -170,22 +177,21 @@ def cmd_predict(args) -> int:
         hard = [f for f in findings if f.severity == "hard"]
         if hard:
             raise ApplicabilityError("; ".join(f.message for f in hard))
+        d3d = distance_3d(args.dist_m, params.h_bs, params.h_ut)
+        model = rma_los if environment is Environment.LOS else rma_nlos
+        pl = model(params, d3d, args.freq_ghz)
+        # Warn only once the model has evaluated, so a bad value is one error line.
         for finding in findings:
             print(f"warning: {finding.message}", file=sys.stderr)
-        # The span was checked on the 2D distance above; evaluate the mean
-        # model at the 3D distance without re-checking.
-        d3d = distance_3d(args.dist_m, params.h_bs, params.h_ut)
-        mean = _los_mean if environment is Environment.LOS else _nlos_mean
-        pl = float(mean(params, d3d, args.freq_ghz))
     print(f"{pl:.2f} dB")
     return 0
 
 
 def cmd_breakpoint_curve(args) -> int:
-    if args.fmin <= 0:
-        raise ValueError("--fmin must be positive")
-    if args.fmax < args.fmin:
-        raise ValueError("--fmax must be >= --fmin")
+    if not 0 < args.fmin < math.inf:
+        raise ValueError("--fmin must be finite and positive")
+    if not args.fmin <= args.fmax < math.inf:
+        raise ValueError("--fmax must be finite and >= --fmin")
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     if args.spacing == "log":
@@ -193,21 +199,11 @@ def cmd_breakpoint_curve(args) -> int:
     else:
         fcs = np.linspace(args.fmin, args.fmax, args.steps)
     dbp = breakpoint_distance(args.hbs, args.hut, fcs)
-    rows = zip(map(repr, fcs.tolist()), map(repr, dbp.tolist()))
-    _write_csv_rows(args.out, ("fc_ghz", "dbp_m"), rows)
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(("fc_ghz", "dbp_m"))
+        writer.writerows(zip(map(repr, fcs.tolist()), map(repr, dbp.tolist())))
     return 0
-
-
-def _write_csv_rows(out, header, rows) -> None:
-    if out:
-        with open(out, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_simulate(args) -> int:
@@ -248,11 +244,8 @@ def cmd_fit(args) -> int:
     if not reports:
         raise ValueError(f"{path}: no fittable samples")
     payload = reports[0] if len(reports) == 1 else reports
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as f:
+        f.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -277,8 +270,10 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, _EnvDefault):
+                setattr(args, name, value.resolve())
     except _EnvVarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -286,7 +281,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

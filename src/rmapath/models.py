@@ -11,6 +11,8 @@ classic failure mode here, so every argument name carries its unit.
 
 All functions accept scalars or numpy arrays (broadcast elementwise) for
 their frequency/distance arguments and return a float for scalar input.
+Frequencies, distances, heights and exponents must be finite and positive;
+anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -81,9 +83,7 @@ class RmaParams:
 
     def __post_init__(self):
         for name in ("h_bs", "h_ut", "w", "h"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            _positive(name, getattr(self, name))
 
 
 # Table of soft applicability ranges for RmaParams fields.
@@ -104,13 +104,17 @@ class Finding:
     message: str
 
 
-def _require_positive(name: str, value) -> None:
-    if np.any(np.asarray(value, dtype=float) <= 0.0):
-        raise ValueError(f"{name} must be positive")
+def _positive(name: str, value) -> np.ndarray:
+    """The argument gate: ``value`` as a float array, all finite and > 0."""
+    a = np.asarray(value, dtype=float)
+    if a.size and not (a.min() > 0.0 and a.max() < np.inf):  # NaN fails both tests
+        raise ValueError(f"{name} must be finite and positive")
+    return a
 
 
-def _scalar_or_array(value, scalar_input: bool):
-    return float(value) if scalar_input else value
+def _result(x):
+    """A float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def fspl(fc_ghz, d_m):
@@ -119,12 +123,9 @@ def fspl(fc_ghz, d_m):
     This is the exact free space loss; the CI model instead uses the 32.4 dB
     rounded 1 m anchor (the two differ by a constant 0.042 dB at n=2).
     """
-    _require_positive("fc_ghz", fc_ghz)
-    _require_positive("d_m", d_m)
-    scalar = np.ndim(fc_ghz) == 0 and np.ndim(d_m) == 0
-    pl = 20.0 * np.log10(4.0 * np.pi * np.asarray(fc_ghz, dtype=float)
-                         * np.asarray(d_m, dtype=float) * 1e9 / SPEED_OF_LIGHT_M_S)
-    return _scalar_or_array(pl, scalar)
+    fc = _positive("fc_ghz", fc_ghz)
+    d = _positive("d_m", d_m)
+    return _result(20.0 * np.log10(4.0 * np.pi * fc * d * 1e9 / SPEED_OF_LIGHT_M_S))
 
 
 def ci_pathloss(fc_ghz, d_m, ple):
@@ -139,13 +140,12 @@ def ci_pathloss(fc_ghz, d_m, ple):
         32.4 + 10*n*log10(d) + 20*log10(fc). Shadow fading is not included;
         add a zero-mean Gaussian draw in dB, e.g. ``rng.normal(0.0, sigma_db)``.
     """
-    _require_positive("fc_ghz", fc_ghz)
-    _require_positive("ple", ple)
-    d = np.asarray(d_m, dtype=float)
+    fc = _positive("fc_ghz", fc_ghz)
+    d = _positive("d_m", d_m)
+    n = _positive("ple", ple)
     if np.any(d < CI_REFERENCE_DISTANCE_M):
         raise ValueError(f"CI model is defined for d >= {CI_REFERENCE_DISTANCE_M:g} m")
     lo, hi = CI_FREQ_RANGE_GHZ
-    fc = np.asarray(fc_ghz, dtype=float)
     if np.any(fc < lo) or np.any(fc > hi):
         warnings.warn(
             f"frequency outside the {lo:g}-{hi:g} GHz span the CI RMa "
@@ -153,9 +153,11 @@ def ci_pathloss(fc_ghz, d_m, ple):
             ModelRangeWarning,
             stacklevel=2,
         )
-    scalar = np.ndim(fc_ghz) == 0 and np.ndim(d_m) == 0 and np.ndim(ple) == 0
-    pl = CI_ANCHOR_DB + 10.0 * np.asarray(ple, dtype=float) * np.log10(d) + 20.0 * np.log10(fc)
-    return _scalar_or_array(pl, scalar)
+    return _result(CI_ANCHOR_DB + 10.0 * n * np.log10(d) + 20.0 * np.log10(fc))
+
+
+def _breakpoint(h_bs, h_ut, fc):
+    return 2.0 * np.pi * h_bs * h_ut * fc * 1e9 / SPEED_OF_LIGHT_M_S
 
 
 def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
@@ -165,24 +167,31 @@ def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
     heights it passes the 10 km LOS distance ceiling at 9.1 GHz, beyond
     which the dual-slope model degenerates to its first slope.
     """
-    _require_positive("h_bs_m", h_bs_m)
-    _require_positive("h_ut_m", h_ut_m)
-    _require_positive("fc_ghz", fc_ghz)
-    scalar = np.ndim(h_bs_m) == 0 and np.ndim(h_ut_m) == 0 and np.ndim(fc_ghz) == 0
-    dbp = (2.0 * np.pi * np.asarray(h_bs_m, dtype=float) * np.asarray(h_ut_m, dtype=float)
-           * np.asarray(fc_ghz, dtype=float) * 1e9 / SPEED_OF_LIGHT_M_S)
-    return _scalar_or_array(dbp, scalar)
+    return _result(_breakpoint(_positive("h_bs_m", h_bs_m), _positive("h_ut_m", h_ut_m),
+                               _positive("fc_ghz", fc_ghz)))
+
+
+def _slant(d2d, h_bs, h_ut):
+    dh = h_bs - h_ut
+    return np.sqrt(d2d * d2d + dh * dh)
 
 
 def distance_3d(d2d_m, h_bs_m, h_ut_m):
     """Slant (3D) T-R distance from ground distance and antenna heights."""
-    _require_positive("d2d_m", d2d_m)
-    _require_positive("h_bs_m", h_bs_m)
-    _require_positive("h_ut_m", h_ut_m)
-    scalar = np.ndim(d2d_m) == 0 and np.ndim(h_bs_m) == 0 and np.ndim(h_ut_m) == 0
-    d2d = np.asarray(d2d_m, dtype=float)
-    dh = np.asarray(h_bs_m, dtype=float) - np.asarray(h_ut_m, dtype=float)
-    return _scalar_or_array(np.sqrt(d2d * d2d + dh * dh), scalar)
+    return _result(_slant(_positive("d2d_m", d2d_m), _positive("h_bs_m", h_bs_m),
+                          _positive("h_ut_m", h_ut_m)))
+
+
+def _second_slope(d3d, dbp):
+    # Breakpoint at or beyond the model ceiling: first slope everywhere,
+    # even at a 3D distance just past a breakpoint that sits on the ceiling.
+    return (dbp < RMA_LOS_D2D_RANGE_M[1]) & (d3d > dbp)
+
+
+def los_second_slope(params: RmaParams, d3d_m, fc_ghz):
+    """Mask of the 3D distances where the RMa LOS model takes its second slope."""
+    fc = _positive("fc_ghz", fc_ghz)
+    return _second_slope(_positive("d3d_m", d3d_m), _breakpoint(params.h_bs, params.h_ut, fc))
 
 
 def _los_pl1(params: RmaParams, d3d, fc_ghz):
@@ -196,21 +205,19 @@ def _los_pl1(params: RmaParams, d3d, fc_ghz):
             + 0.002 * np.log10(h) * d3d)
 
 
-def _los_mean(params: RmaParams, d3d, fc_ghz):
-    """RMa LOS mean path loss without the hard distance-span check."""
-    dbp = breakpoint_distance(params.h_bs, params.h_ut, fc_ghz)
-    pl1 = _los_pl1(params, d3d, fc_ghz)
-    # Breakpoint at or beyond the model ceiling: first slope everywhere,
-    # even at a 3D distance just past a breakpoint that sits on the ceiling.
-    single_slope = dbp >= RMA_LOS_D2D_RANGE_M[1]
-    if np.all(single_slope):
+def _los_mean(params: RmaParams, d3d, fc):
+    """RMa LOS mean path loss of checked float arrays."""
+    dbp = _breakpoint(params.h_bs, params.h_ut, fc)
+    pl1 = _los_pl1(params, d3d, fc)
+    second = _second_slope(d3d, dbp)
+    if not second.any():
         return pl1  # skips the second slope, which costs as much as the first
-    pl2 = _los_pl1(params, dbp, fc_ghz) + 40.0 * np.log10(np.asarray(d3d, dtype=float) / dbp)
-    return np.where(single_slope | (np.asarray(d3d) <= dbp), pl1, pl2)
+    pl2 = _los_pl1(params, dbp, fc) + 40.0 * np.log10(d3d / dbp)
+    return np.where(second, pl2, pl1)
 
 
-def _nlos_mean(params: RmaParams, d3d, fc_ghz):
-    """RMa NLOS mean path loss without the hard distance-span check."""
+def _nlos_mean(params: RmaParams, d3d, fc):
+    """RMa NLOS mean path loss of checked float arrays."""
     h, w, h_bs, h_ut = params.h, params.w, params.h_bs, params.h_ut
     # The distance term below enters additively; some transcriptions of the
     # model omit the "+" before (43.42 - 3.1*log10(h_bs)).
@@ -219,20 +226,24 @@ def _nlos_mean(params: RmaParams, d3d, fc_ghz):
            + 7.5 * np.log10(h)
            - (24.37 - 3.7 * (h / h_bs) ** 2) * np.log10(h_bs)
            + (43.42 - 3.1 * np.log10(h_bs)) * (np.log10(d3d) - 3.0)
-           + 20.0 * np.log10(fc_ghz)
+           + 20.0 * np.log10(fc)
            - (3.2 * np.log10(11.75 * h_ut) ** 2 - 4.97))
     # Lower bound: close in, the raw expression dips below the LOS model,
     # which is unphysical, so the LOS value applies.
-    return np.maximum(_los_mean(params, d3d, fc_ghz), raw)
+    return np.maximum(_los_mean(params, d3d, fc), raw)
 
 
-def _check_span(d3d, span, label: str) -> None:
-    lo, hi = span
-    d = np.asarray(d3d, dtype=float)
-    if np.any(d < lo) or np.any(d > hi):
+def _checked(params: RmaParams, d3d_m, fc_ghz, span, label: str):
+    """Gated (d3d, fc) arrays, with d3d inside the 3D image of a 2D span."""
+    d3d = _positive("d3d_m", d3d_m)
+    fc = _positive("fc_ghz", fc_ghz)
+    lo, hi = span[0], _slant(span[1], params.h_bs, params.h_ut)
+    if np.any(d3d < lo) or np.any(d3d > hi):
         raise ApplicabilityError(
-            f"distance outside the [{lo:g} m, {hi:g} m] span of the {label} model"
+            f"3D distance outside the [{lo:g} m, {hi:.3f} m] span of the {label} "
+            f"model (2D distance up to {span[1]:g} m)"
         )
+    return d3d, fc
 
 
 def rma_los(params: RmaParams, d3d_m, fc_ghz):
@@ -240,40 +251,39 @@ def rma_los(params: RmaParams, d3d_m, fc_ghz):
 
     The first slope applies up to the breakpoint distance, the second
     (40 dB/decade) beyond it; the two meet continuously at the breakpoint.
-    When the breakpoint falls beyond the 10 km model ceiling (frequencies
-    >= 9.1 GHz at default heights) the first slope applies at every
-    admissible distance.
+    When the breakpoint falls at or beyond the 10 km model ceiling
+    (frequencies >= 9.1 GHz at default heights) the first slope applies at
+    every admissible distance (see ``los_second_slope``).
 
     Args:
         params: environment geometry.
-        d3d_m: 3D T-R separation in meters, within [10 m, 10 km]. The
-            standard states its span on the 2D ground distance; convert
-            with ``distance_3d`` and range check d2d before calling if you
-            hold ground distances.
+        d3d_m: 3D T-R separation in meters. The standard states its span on
+            the 2D ground distance, [10 m, 10 km]; the 3D distances it maps
+            to are admitted, i.e. [10 m, sqrt(10 km^2 + (h_bs - h_ut)^2)].
+            Convert ground distances with ``distance_3d``.
         fc_ghz: carrier frequency in GHz.
 
     Raises:
-        ApplicabilityError: distance outside [10 m, 10 km].
+        ValueError: a distance or frequency that is not finite and positive.
+        ApplicabilityError: distance outside the 3D span.
     """
-    _require_positive("fc_ghz", fc_ghz)
-    _check_span(d3d_m, RMA_LOS_D2D_RANGE_M, "RMa LOS")
-    scalar = np.ndim(d3d_m) == 0 and np.ndim(fc_ghz) == 0
-    return _scalar_or_array(_los_mean(params, d3d_m, fc_ghz), scalar)
+    d3d, fc = _checked(params, d3d_m, fc_ghz, RMA_LOS_D2D_RANGE_M, "RMa LOS")
+    return _result(_los_mean(params, d3d, fc))
 
 
 def rma_nlos(params: RmaParams, d3d_m, fc_ghz):
     """Mean NLOS path loss in dB from the TR 38.900 RMa model.
 
     Returns max(LOS, raw NLOS): the raw expression underestimates loss close
-    in, so the LOS model acts as a lower bound.
+    in, so the LOS model acts as a lower bound. ``d3d_m`` is the 3D distance
+    of a 2D distance in [10 m, 5 km]: [10 m, sqrt(5 km^2 + (h_bs - h_ut)^2)].
 
     Raises:
-        ApplicabilityError: distance outside [10 m, 5 km].
+        ValueError: a distance or frequency that is not finite and positive.
+        ApplicabilityError: distance outside the 3D span.
     """
-    _require_positive("fc_ghz", fc_ghz)
-    _check_span(d3d_m, RMA_NLOS_D2D_RANGE_M, "RMa NLOS")
-    scalar = np.ndim(d3d_m) == 0 and np.ndim(fc_ghz) == 0
-    return _scalar_or_array(_nlos_mean(params, d3d_m, fc_ghz), scalar)
+    d3d, fc = _checked(params, d3d_m, fc_ghz, RMA_NLOS_D2D_RANGE_M, "RMa NLOS")
+    return _result(_nlos_mean(params, d3d, fc))
 
 
 def validate_applicability(params: RmaParams, d2d_m: float, fc_ghz: float,
@@ -288,10 +298,10 @@ def validate_applicability(params: RmaParams, d2d_m: float, fc_ghz: float,
     findings: list[Finding] = []
     lo, hi = (RMA_LOS_D2D_RANGE_M if environment is Environment.LOS
               else RMA_NLOS_D2D_RANGE_M)
-    if not (lo < d2d_m < hi):
+    if not (lo <= d2d_m <= hi):
         findings.append(Finding(
             "hard", "d2d_m",
-            f"2D distance {d2d_m:g} m outside the ({lo:g} m, {hi:g} m) "
+            f"2D distance {d2d_m:g} m outside the [{lo:g} m, {hi:g} m] "
             f"RMa {environment.value} span",
         ))
     for name, (plo, phi) in _PARAM_RANGES_M.items():

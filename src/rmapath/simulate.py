@@ -10,7 +10,6 @@ a substream distances are drawn before shadow fading.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -23,10 +22,10 @@ from .models import (
     ApplicabilityError,
     RMA_LOS_D2D_RANGE_M,
     RMA_NLOS_D2D_RANGE_M,
-    breakpoint_distance,
     distance_3d,
-    _los_mean,
-    _nlos_mean,
+    los_second_slope,
+    rma_los,
+    rma_nlos,
 )
 
 # Recalibration defaults: nine carrier frequencies spanning 1-100 GHz with
@@ -44,6 +43,7 @@ SAMPLING_MODES = ("linear", "log")
 DATASET_CSV_HEADER = ("fc_ghz", "d2d_m", "d3d_m", "env", "pl_db", "seed", "sampling_mode")
 _ENVIRONMENT_VALUES = tuple(env.value for env in Environment)
 _DATASET_FLOAT_FIELDS = ("fc_ghz", "d2d_m", "d3d_m", "pl_db")
+_WRITE_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,19 @@ class SimulatedDataset:
 
     def write_csv(self, path) -> None:
         """Write the dataset with full float precision (repr round-trip)."""
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(DATASET_CSV_HEADER)
         env = self.environment.value
         seed = self.seed  # the writer turns None into an empty field
         mode = self.sampling_mode
-        for fc, d2d, d3d, pl in zip(self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db):
-            writer.writerow([repr(float(fc)), repr(float(d2d)), repr(float(d3d)),
-                             env, repr(float(pl)), seed, mode])
-        return buf.getvalue()
+        columns = (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db)
+        # Rows stream to the file, converted to Python floats a block at a time.
+        rows = ((repr(fc), repr(d2d), repr(d3d), env, repr(pl), seed, mode)
+                for start in range(0, len(self), _WRITE_BLOCK_ROWS)
+                for fc, d2d, d3d, pl in zip(*(c[start:start + _WRITE_BLOCK_ROWS].tolist()
+                                              for c in columns)))
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(DATASET_CSV_HEADER)
+            writer.writerows(rows)
 
 
 def _frequency_rng(seed: int, freq_index: int) -> np.random.Generator:
@@ -148,15 +147,15 @@ def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
     model, then add a shadow fading draw (LOS: 4 dB before the breakpoint,
     6 dB after, 4 dB throughout when the breakpoint exceeds the 10 km
     ceiling; NLOS: 8 dB). The 2D span was validated against the model's
-    applicability range at config construction; the mean model is evaluated
-    at the 3D distance, which may exceed the 2D span by the height offset.
+    applicability range at config construction; ``rma_los``/``rma_nlos``
+    admit the 3D distances that span maps to.
     """
     params = config.params
     n = config.samples_per_frequency
     log_bounds = (np.log10(config.d2d_min_m), np.log10(config.d2d_max_m))
     los = config.environment is Environment.LOS
 
-    fc_cols, d2d_cols, d3d_cols, pl_cols = [], [], [], []
+    blocks = []  # (fc, d2d, d3d, pl) columns of each frequency
     for index, fc in enumerate(config.frequencies_ghz):
         rng = _frequency_rng(config.seed, index)
         if config.distance_sampling == "linear":
@@ -165,33 +164,16 @@ def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
             d2d = 10.0 ** rng.uniform(log_bounds[0], log_bounds[1], n)
         d3d = distance_3d(d2d, params.h_bs, params.h_ut)
         if los:
-            mean_pl = _los_mean(params, d3d, fc)
-            dbp = breakpoint_distance(params.h_bs, params.h_ut, fc)
-            if dbp >= RMA_LOS_D2D_RANGE_M[1]:
-                sigma = np.full(n, SIGMA_LOS_PRE_BP_DB)
-            else:
-                sigma = np.where(d3d <= dbp, SIGMA_LOS_PRE_BP_DB, SIGMA_LOS_POST_BP_DB)
+            mean_pl = rma_los(params, d3d, fc)
+            sigma = np.where(los_second_slope(params, d3d, fc),
+                             SIGMA_LOS_POST_BP_DB, SIGMA_LOS_PRE_BP_DB)
         else:
-            mean_pl = _nlos_mean(params, d3d, fc)
-            sigma = np.full(n, SIGMA_NLOS_DB)
-        if config.include_shadow_fading:
-            pl = mean_pl + rng.normal(0.0, sigma)
-        else:
-            pl = mean_pl
-        fc_cols.append(np.full(n, float(fc)))
-        d2d_cols.append(d2d)
-        d3d_cols.append(d3d)
-        pl_cols.append(np.asarray(pl, dtype=float))
-
-    return SimulatedDataset(
-        environment=config.environment,
-        fc_ghz=np.concatenate(fc_cols),
-        d2d_m=np.concatenate(d2d_cols),
-        d3d_m=np.concatenate(d3d_cols),
-        pl_db=np.concatenate(pl_cols),
-        seed=config.seed,
-        sampling_mode=config.distance_sampling,
-    )
+            mean_pl = rma_nlos(params, d3d, fc)
+            sigma = SIGMA_NLOS_DB
+        pl = mean_pl + rng.normal(0.0, sigma, n) if config.include_shadow_fading else mean_pl
+        blocks.append((np.full(n, float(fc)), d2d, d3d, pl))
+    return SimulatedDataset(config.environment, *map(np.concatenate, zip(*blocks)),
+                            seed=config.seed, sampling_mode=config.distance_sampling)
 
 
 def _parse_dataset_row(row: list[str]):
@@ -219,7 +201,8 @@ def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
     header is line 1).
     """
     columns = {env: tuple(array("d") for _ in range(4)) for env in _ENVIRONMENT_VALUES}
-    seeds, modes = set(), set()
+    seeds: dict[str, int] = {}  # each distinct seed field and its first line
+    modes = set()
     errors: list[str] = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -241,8 +224,13 @@ def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
             d2d.append(values[1])
             d3d.append(values[2])
             pl.append(values[3])
-            seeds.add(seed)
+            seeds.setdefault(seed, line)
             modes.add(mode)
+    for seed, line in seeds.items():
+        try:
+            int(seed or 0)
+        except ValueError:
+            errors.append(f"line {line}: seed must be an integer, got {seed!r}")
     if errors:
         raise ValueError("\n".join(errors))
     # An empty field is a dataset written without a seed or sampling mode.

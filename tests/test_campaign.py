@@ -222,6 +222,18 @@ class TestMaxRange:
                 d = max_range(73.5, ple, budget)
                 assert ci_pathloss(73.5, d, ple) == pytest.approx(budget, abs=1e-9)
 
+    @pytest.mark.parametrize("fc,ple,budget", [
+        (math.nan, 2.16, 190.0), (math.inf, 2.16, 190.0), (73.5, math.nan, 190.0),
+        (73.5, math.inf, 190.0), (73.5, 2.16, math.nan), (73.5, 2.16, math.inf),
+    ])
+    def test_non_finite_rejected(self, fc, ple, budget):
+        with pytest.raises(ValueError, match="must be finite"):
+            max_range(fc, ple, budget)
+
+    def test_overflow_is_one_overflow_error(self):
+        with pytest.raises(OverflowError, match="overflows a float"):
+            max_range(28.0, 0.01, 1e6)
+
     def test_monotonicity(self):
         assert max_range(73.5, 2.16, 180.0) < max_range(73.5, 2.16, 190.0)
         assert max_range(73.5, 2.75, 190.0) < max_range(73.5, 2.16, 190.0)

@@ -11,6 +11,7 @@ from rmapath import (
     bundled_campaign_path,
     distance_3d,
     pathloss_from_power,
+    rma_los,
     rma_nlos,
 )
 from rmapath.cli import main
@@ -58,11 +59,52 @@ class TestPredict:
         assert status == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("env,dist", [("los", 10.0), ("nlos", 10.0),
+                                          ("los", 10_000.0), ("nlos", 5_000.0)])
+    def test_3gpp_closed_span_endpoints(self, capsys, env, dist):
+        status, out, err = run(capsys, "predict", "--model", "3gpp-rma", "--env", env,
+                               "--freq-ghz", "2", "--dist-m", str(dist))
+        model = rma_los if env == "los" else rma_nlos
+        expected = model(RmaParams(), distance_3d(dist, 35.0, 1.5), 2.0)
+        assert (status, out, err) == (0, f"{expected:.2f} dB\n", "")
+
     def test_ci_domain_error(self, capsys):
         status, _, err = run(capsys, "predict", "--model", "ci", "--env", "los",
                              "--freq-ghz", "73.5", "--dist-m", "0.5")
         assert status == 1
         assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("predict", "--model", "ci", "--env", "los", "--freq-ghz", "nan", "--dist-m", "100"),
+    ("predict", "--model", "ci", "--env", "los", "--freq-ghz", "28", "--dist-m", "inf"),
+    ("predict", "--model", "ci", "--env", "los", "--freq-ghz", "28", "--dist-m", "100",
+     "--ple", "nan"),
+    ("predict", "--model", "3gpp-rma", "--env", "los", "--freq-ghz", "nan", "--dist-m", "100"),
+    ("predict", "--model", "3gpp-rma", "--env", "nlos", "--freq-ghz", "inf", "--dist-m", "100"),
+    ("predict", "--model", "3gpp-rma", "--env", "los", "--freq-ghz", "2", "--dist-m", "inf"),
+    ("predict", "--model", "3gpp-rma", "--env", "los", "--freq-ghz", "2", "--dist-m", "nan"),
+    ("predict", "--model", "3gpp-rma", "--env", "los", "--freq-ghz", "2", "--dist-m", "100",
+     "--hbs", "inf"),
+    ("breakpoint-curve", "--fmin", "nan"),
+    ("breakpoint-curve", "--fmax", "inf"),
+    ("breakpoint-curve", "--hbs", "nan"),
+    ("coverage", "--max-pl", "nan", "--ple", "2.16", "--freq-ghz", "73.5"),
+    ("coverage", "--max-pl", "190", "--ple", "inf", "--freq-ghz", "73.5"),
+    ("coverage", "--max-pl", "190", "--ple", "2.16", "--freq-ghz", "nan"),
+])
+def test_non_finite_input_is_one_line_domain_error(capsys, argv):
+    status, out, err = run(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overflowing_coverage_is_one_line_domain_error(capsys):
+    status, out, err = run(capsys, "coverage", "--max-pl", "1e6", "--ple", "0.01",
+                           "--freq-ghz", "28")
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBreakpointCurve:
@@ -136,6 +178,15 @@ class TestSimulate:
         capsys.readouterr()
         assert by_flag.read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("key,value", [("RMA_SEED", "abc"), ("RMA_ENV", "bogus"),
+                                           ("RMA_SAMPLES", "1.5")])
+    def test_env_var_of_another_subcommand_is_not_read(self, capsys, monkeypatch,
+                                                       key, value):
+        monkeypatch.setenv(key, value)
+        status, out, _ = run(capsys, "coverage", "--max-pl", "190", "--ple", "2.16",
+                             "--freq-ghz", "73.5")
+        assert (status, out) == (0, "370043.23 m\n")
+
     def test_invalid_env_var_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("RMA_SEED", "not-a-number")
         status, _, err = run(capsys, "simulate", "--env", "los",
@@ -199,6 +250,16 @@ class TestFit:
         assert status == 1
         assert out == ""
         assert err == "error: line 4: expected 7 fields, got 6\n"
+
+    def test_non_integer_dataset_seed_names_its_line(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("fc_ghz,d2d_m,d3d_m,env,pl_db,seed,sampling_mode\n"
+                        "1.0,100.0,105.0,LOS,80.0,7,linear\n"
+                        "2.0,200.0,203.0,LOS,90.0,x,linear\n"
+                        "3.0,300.0,302.0,LOS,95.0,x,linear\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err == "error: line 3: seed must be an integer, got 'x'\n"
 
     @pytest.mark.parametrize("field,value", [("pl_db", "nan"), ("d2d_m", "inf")])
     def test_non_finite_campaign_row_is_domain_error(self, capsys, tmp_path, field, value):

@@ -18,11 +18,11 @@ from rmapath import (
     ci_pathloss,
     distance_3d,
     fspl,
+    los_second_slope,
     rma_los,
     rma_nlos,
     validate_applicability,
 )
-from rmapath.models import _los_mean
 
 DEFAULTS = RmaParams()
 
@@ -184,13 +184,14 @@ class TestRmaLos:
         assert np.array_equal(model(DEFAULTS, 100.0, fc), at_100m)
 
     def test_breakpoint_on_the_ceiling_keeps_first_slope_with_array_frequency(self):
-        # the generator evaluates the mean model at 3D distances up to about
-        # 10 000.06 m; past a breakpoint at 10 000.03 m the first slope holds
+        # the 3D distance of a 10 km ground distance is about 10 000.06 m;
+        # past a breakpoint at 10 000.03 m the first slope holds
         fc = np.array([1.0, 9.0945955])
         d = np.full(2, distance_3d(10_000.0, DEFAULTS.h_bs, DEFAULTS.h_ut))
         assert 10_000.0 <= breakpoint_distance(DEFAULTS.h_bs, DEFAULTS.h_ut, fc[1]) < d[1]
-        expected = [_los_mean(DEFAULTS, float(x), float(f)) for x, f in zip(d, fc)]
-        assert np.array_equal(_los_mean(DEFAULTS, d, fc), expected)
+        expected = [rma_los(DEFAULTS, float(x), float(f)) for x, f in zip(d, fc)]
+        assert np.array_equal(rma_los(DEFAULTS, d, fc), expected)
+        assert los_second_slope(DEFAULTS, d, fc).tolist() == [True, False]
 
     @pytest.mark.parametrize("d", [9.0, 10_001.0])
     def test_out_of_span_rejected(self, d):
@@ -200,6 +201,76 @@ class TestRmaLos:
     def test_span_endpoints_evaluate(self):
         rma_los(DEFAULTS, 10.0, 1.0)
         rma_los(DEFAULTS, 10_000.0, 1.0)
+
+    def test_second_slope_mask(self):
+        dbp = breakpoint_distance(DEFAULTS.h_bs, DEFAULTS.h_ut, 1.0)
+        d = np.array([10.0, dbp, np.nextafter(dbp, np.inf), 10_000.0])
+        assert los_second_slope(DEFAULTS, d, 1.0).tolist() == [False, False, True, True]
+        # breakpoint past the 10 km ceiling: the first slope everywhere
+        assert not los_second_slope(DEFAULTS, d, 9.1).any()
+
+
+@pytest.mark.parametrize("model,span_2d", [(rma_los, 10_000.0), (rma_nlos, 5_000.0)])
+class TestThreeDimensionalSpan:
+    @pytest.mark.parametrize("h_bs,h_ut", [(35.0, 1.5), (10.0, 10.0), (150.0, 1.0), (25.0, 8.0)])
+    def test_every_closed_span_ground_distance_evaluates(self, model, span_2d, h_bs, h_ut):
+        params = RmaParams(h_bs=h_bs, h_ut=h_ut)
+        d2d = np.array([10.0, np.nextafter(span_2d, 0.0), span_2d])
+        d3d = distance_3d(d2d, h_bs, h_ut)
+        assert np.array_equal(model(params, d3d, 2.0),
+                              [model(params, float(x), 2.0) for x in d3d])
+
+    def test_just_past_the_mapped_span_end_rejected(self, model, span_2d):
+        end = distance_3d(span_2d, DEFAULTS.h_bs, DEFAULTS.h_ut)
+        model(DEFAULTS, end, 2.0)
+        with pytest.raises(ApplicabilityError):
+            model(DEFAULTS, np.nextafter(end, np.inf), 2.0)
+
+    def test_floor_stays_at_10m(self, model, span_2d):
+        model(DEFAULTS, 10.0, 2.0)
+        with pytest.raises(ApplicabilityError):
+            model(DEFAULTS, np.nextafter(10.0, 0.0), 2.0)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+    @pytest.mark.parametrize("call", [
+        lambda x: fspl(x, 100.0),
+        lambda x: fspl(28.0, x),
+        lambda x: ci_pathloss(x, 100.0, 2.0),
+        lambda x: ci_pathloss(28.0, x, 2.0),
+        lambda x: ci_pathloss(28.0, 100.0, x),
+        lambda x: breakpoint_distance(x, 1.5, 2.0),
+        lambda x: breakpoint_distance(35.0, 1.5, x),
+        lambda x: distance_3d(x, 35.0, 1.5),
+        lambda x: distance_3d(100.0, 35.0, x),
+        lambda x: rma_los(DEFAULTS, x, 2.0),
+        lambda x: rma_los(DEFAULTS, 100.0, x),
+        lambda x: rma_nlos(DEFAULTS, x, 2.0),
+        lambda x: rma_nlos(DEFAULTS, 100.0, x),
+        lambda x: los_second_slope(DEFAULTS, x, 2.0),
+        lambda x: los_second_slope(DEFAULTS, 100.0, x),
+    ])
+    def test_rejected_with_value_error(self, call, bad):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            call(bad)
+
+    @pytest.mark.parametrize("field", ["h_bs", "h_ut", "w", "h"])
+    def test_rma_params_rejects_infinite_height(self, field):
+        with pytest.raises(ValueError, match=field):
+            RmaParams(**{field: math.inf})
+
+
+class TestOutputType:
+    @pytest.mark.parametrize("d", [100.0, np.float64(100.0), np.array(100.0)])
+    def test_scalar_inputs_give_a_float(self, d):
+        for value in (rma_los(DEFAULTS, d, 2.0), rma_nlos(DEFAULTS, d, 2.0),
+                      ci_pathloss(2.0, d, 2.0), fspl(2.0, d), distance_3d(d, 35.0, 1.5)):
+            assert type(value) is float
+
+    def test_array_input_gives_an_array(self):
+        assert rma_los(DEFAULTS, np.array([100.0]), 2.0).shape == (1,)
+        assert breakpoint_distance(35.0, 1.5, np.array([2.0, 3.0])).shape == (2,)
 
 
 class TestRmaNlos:
@@ -249,6 +320,13 @@ class TestValidateApplicability:
     def test_all_in_range_is_clean(self):
         findings = validate_applicability(DEFAULTS, 1000.0, 28.0, Environment.LOS)
         assert findings == []
+
+    @pytest.mark.parametrize("environment,d2d", [
+        (Environment.LOS, 10.0), (Environment.LOS, 10_000.0),
+        (Environment.NLOS, 10.0), (Environment.NLOS, 5_000.0),
+    ])
+    def test_span_endpoints_are_inside(self, environment, d2d):
+        assert validate_applicability(DEFAULTS, d2d, 2.0, environment) == []
 
     def test_distance_beyond_los_ceiling_is_hard(self):
         findings = validate_applicability(DEFAULTS, 20_000.0, 1.0, Environment.LOS)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rmapath import (
+    DATASET_CSV_HEADER,
     ApplicabilityError,
     Environment,
     RmaParams,
@@ -14,6 +15,7 @@ from rmapath import (
     breakpoint_distance,
     generate_3gpp_dataset,
     read_dataset_csv,
+    rma_los,
     rma_nlos,
 )
 
@@ -82,11 +84,24 @@ class TestGenerate:
         assert np.array_equal(dataset.d3d_m, np.sqrt(dataset.d2d_m**2 + dh**2))
 
     def test_no_shadowing_equals_mean_model_exactly(self):
-        # keep d2d below 4 km so d3d stays inside the public NLOS span
-        config = small_config(d2d_max_m=4_000.0, include_shadow_fading=False)
+        # ground distances over the whole closed NLOS span: the public model
+        # admits every 3D distance they map to
+        config = small_config(include_shadow_fading=False)
+        assert config.d2d_max_m == 5_000.0
         dataset = generate_3gpp_dataset(config)
         for fc, d3d, pl in zip(dataset.fc_ghz, dataset.d3d_m, dataset.pl_db):
             assert pl == rma_nlos(PARAMS, float(d3d), float(fc))
+
+    @pytest.mark.parametrize("environment", list(Environment))
+    def test_generates_at_the_span_end(self, environment):
+        span_end = 10_000.0 if environment is Environment.LOS else 5_000.0
+        config = small_config(environment, d2d_min_m=span_end - 1.0,
+                              include_shadow_fading=False)
+        assert config.d2d_max_m == span_end
+        dataset = generate_3gpp_dataset(config)
+        assert dataset.d3d_m.max() > span_end
+        model = rma_los if environment is Environment.LOS else rma_nlos
+        assert np.array_equal(dataset.pl_db, model(PARAMS, dataset.d3d_m, dataset.fc_ghz))
 
     def test_deterministic_for_equal_config(self):
         a = generate_3gpp_dataset(small_config())
@@ -183,10 +198,12 @@ class TestDatasetCsv:
     def test_one_dataset_per_environment_los_first(self, tmp_path):
         los = generate_3gpp_dataset(small_config(Environment.LOS, samples_per_frequency=4))
         nlos = generate_3gpp_dataset(small_config(samples_per_frequency=3, seed=5))
-        path = tmp_path / "mixed.csv"
+        los_path, nlos_path, path = (tmp_path / name for name in ("los.csv", "nlos.csv",
+                                                                   "mixed.csv"))
+        los.write_csv(los_path)
+        nlos.write_csv(nlos_path)
         # NLOS rows first in the file; the reader still returns LOS first
-        text = nlos.to_csv() + "".join(los.to_csv().splitlines(keepends=True)[1:])
-        path.write_text(text)
+        path.write_text(nlos_path.read_text() + los_path.read_text().split("\n", 1)[1])
         datasets = read_dataset_csv(path)
         assert list(datasets) == [Environment.LOS, Environment.NLOS]
         assert [len(ds) for ds in datasets.values()] == [12, 9]
@@ -216,6 +233,19 @@ class TestDatasetCsv:
         generate_3gpp_dataset(small_config()).write_csv(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_write_streams_blocks_in_row_order(self, tmp_path):
+        # more rows than one write block, and a None seed: still the same bytes
+        # as formatting each row on its own
+        dataset = dataclasses.replace(
+            generate_3gpp_dataset(small_config(samples_per_frequency=3_000)), seed=None)
+        path = tmp_path / "dataset.csv"
+        dataset.write_csv(path)
+        rows = [f"{fc!r},{d2d!r},{d3d!r},NLOS,{pl!r},,linear\n" for fc, d2d, d3d, pl in zip(
+            dataset.fc_ghz.tolist(), dataset.d2d_m.tolist(), dataset.d3d_m.tolist(),
+            dataset.pl_db.tolist())]
+        assert len(rows) == 9_000
+        assert path.read_text() == ",".join(DATASET_CSV_HEADER) + "\n" + "".join(rows)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -228,6 +258,7 @@ class TestDatasetCsv:
         ("1.0,100.0,105.0,LOS,abc,7,linear", "line 3: could not convert string to float"),
         ("1.0,100.0,105.0,LOS,nan,7,linear", "line 3: pl_db must be finite, got nan"),
         ("1.0,inf,105.0,LOS,80.0,7,linear", "line 3: d2d_m must be finite, got inf"),
+        ("1.0,100.0,105.0,LOS,80.0,x,linear", "line 3: seed must be an integer, got 'x'"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
