@@ -68,12 +68,11 @@ from .campaign import (
     NoCoverageError,
     bundled_campaign_path,
     format_campaign_csv,
-    load_campaign_csv,
     max_range,
     parse_campaign_csv,
     pathloss_from_power,
+    read_campaign_csv,
     received_power,
-    records_to_samples,
     write_campaign_csv,
 )
 

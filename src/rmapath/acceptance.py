@@ -18,9 +18,8 @@ import numpy as np
 from .campaign import (
     DEFAULT_BUDGET,
     bundled_campaign_path,
-    load_campaign_csv,
     pathloss_from_power,
-    records_to_samples,
+    read_campaign_csv,
 )
 from .fitting import fit_ci, fit_ci_arrays, reproduce_3gpp_ci
 from .models import (
@@ -38,6 +37,10 @@ from .models import (
     rma_nlos,
 )
 SEED = 73
+# Timed checks keep the best of a few repeats: load from other processes
+# only ever adds time, so the fastest repeat is the least disturbed one.
+RECALIBRATION_REPEATS = 3
+BREAKPOINT_REPEATS = 5
 
 
 @dataclass(frozen=True)
@@ -47,17 +50,29 @@ class CriterionResult:
     detail: str
 
 
+def _best_of(repeats: int, fn):
+    """(shortest wall time, results) of ``repeats`` calls of ``fn``."""
+    times, results = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        results.append(fn())
+        times.append(time.perf_counter() - t0)
+    return min(times), results
+
+
 def _recalibration(environment: Environment, target_n: float,
                    target_sigma: float) -> CriterionResult:
-    t0 = time.perf_counter()
-    fit = reproduce_3gpp_ci(environment, seed=SEED)
-    elapsed = time.perf_counter() - t0
+    elapsed, fits = _best_of(RECALIBRATION_REPEATS,
+                             lambda: reproduce_3gpp_ci(environment, seed=SEED))
+    fit = fits[0]
+    repeatable = all(f == fit for f in fits)
     ok = (abs(fit.n - target_n) <= 0.10
           and abs(fit.sigma_db - target_sigma) <= 0.6
-          and elapsed < 5.0)
+          and elapsed < 5.0 and repeatable)
     detail = (f"n={fit.n:.4f} (target {target_n}+-0.10), "
               f"sigma={fit.sigma_db:.4f} dB (target {target_sigma}+-0.6), "
-              f"{fit.count} samples in {elapsed:.2f} s (limit 5 s)")
+              f"{fit.count} samples in {elapsed:.2f} s (best of {RECALIBRATION_REPEATS}, "
+              f"limit 5 s), repeats identical: {repeatable}")
     return CriterionResult(f"recalibration-{environment.value.lower()}", ok, detail)
 
 
@@ -70,13 +85,13 @@ def check_recalibration_nlos() -> CriterionResult:
 
 
 def check_breakpoint_degeneracy() -> CriterionResult:
-    t0 = time.perf_counter()
-    above = breakpoint_distance(35.0, 1.5, 9.1)
-    below = breakpoint_distance(35.0, 1.5, 9.0)
-    elapsed = time.perf_counter() - t0
+    elapsed, results = _best_of(BREAKPOINT_REPEATS, lambda: (
+        breakpoint_distance(35.0, 1.5, 9.1), breakpoint_distance(35.0, 1.5, 9.0)))
+    above, below = results[0]
     ok = above >= 10_000.0 and below < 10_000.0 and elapsed < 1e-3
     detail = (f"d_bp(9.1 GHz)={above:.1f} m >= 10 km, "
-              f"d_bp(9.0 GHz)={below:.1f} m < 10 km, {elapsed*1e6:.0f} us")
+              f"d_bp(9.0 GHz)={below:.1f} m < 10 km, "
+              f"{elapsed*1e6:.0f} us (best of {BREAKPOINT_REPEATS}, limit 1 ms)")
     return CriterionResult("breakpoint-degeneracy", ok, detail)
 
 
@@ -113,8 +128,7 @@ def check_ci_fit_round_trip() -> CriterionResult:
 
 
 def check_campaign_fixture_recovery() -> CriterionResult:
-    records = load_campaign_csv(bundled_campaign_path())
-    samples, _summary = records_to_samples(records, DEFAULT_BUDGET)
+    samples, _summary = read_campaign_csv(bundled_campaign_path(), DEFAULT_BUDGET)
     los = fit_ci(samples[Environment.LOS])
     nlos = fit_ci(samples[Environment.NLOS])
     ok = (abs(los.n - RURAL_73GHZ_LOS_PLE) <= 0.25

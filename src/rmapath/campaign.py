@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -64,6 +65,39 @@ DEFAULT_BUDGET = LinkBudget(tx_power_dbm=14.7, tx_gain_dbi=27.0,
                             rx_gain_dbi=27.0, max_measurable_pl_db=190.0)
 
 
+_RECORD_NUMBERS = ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db")
+
+
+def _check_measurement(environment_tag, d2d_m, tx_height_m, rx_height_m, fc_ghz,
+                       p_rx_dbm, pl_db, outage) -> None:
+    """The rules on one campaign row's values, checked in the order they are reported.
+
+    Raises ValueError naming the first rule broken: the tag, then a
+    non-finite number, then a non-positive distance/height/frequency, then
+    the count of powers on a non-outage row.
+    """
+    if environment_tag not in CAMPAIGN_TAGS:
+        raise ValueError(
+            f"environment {environment_tag!r} not one of {'/'.join(CAMPAIGN_TAGS)}")
+    inf = math.inf
+    # Cheap test first; walk the fields in report order only on failure.
+    if not (0.0 < d2d_m < inf and 0.0 < tx_height_m < inf and 0.0 < rx_height_m < inf
+            and 0.0 < fc_ghz < inf and (p_rx_dbm is None or -inf < p_rx_dbm < inf)
+            and (pl_db is None or -inf < pl_db < inf)):
+        numbers = (d2d_m, tx_height_m, rx_height_m, fc_ghz, p_rx_dbm, pl_db)
+        for name, value in zip(_RECORD_NUMBERS, numbers):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, value in zip(_RECORD_NUMBERS[:4], numbers):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
+    present = (p_rx_dbm is not None) + (pl_db is not None)
+    if not outage and present != 1:
+        raise ValueError(
+            "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
+            f"got {present}")
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One campaign row, validated on construction."""
@@ -79,26 +113,14 @@ class MeasurementRecord:
     outage: bool = False
 
     def __post_init__(self):
-        if self.environment_tag not in CAMPAIGN_TAGS:
-            raise ValueError(
-                f"environment {self.environment_tag!r} not one of {'/'.join(CAMPAIGN_TAGS)}")
-        for name in ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        present = (self.p_rx_dbm is not None) + (self.pl_db is not None)
-        if not self.outage and present != 1:
-            raise ValueError(
-                "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
-                f"got {present}")
+        _check_measurement(self.environment_tag, self.d2d_m, self.tx_height_m,
+                           self.rx_height_m, self.fc_ghz, self.p_rx_dbm, self.pl_db,
+                           self.outage)
 
 
 @dataclass(frozen=True)
 class ConversionSummary:
-    """Counts from converting records to fit datasets."""
+    """Counts from converting campaign rows to fit datasets."""
 
     total: int
     converted: int
@@ -128,27 +150,42 @@ def received_power(budget: LinkBudget, pl_db: float) -> float:
     return budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl_db
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return None if text == "" else float(text)
-
-
-def _parse_row(row: list[str]) -> MeasurementRecord:
+def _parse_row(row: list[str]) -> tuple:
+    """The checked field values of one campaign CSV row, in header order."""
     if len(row) != len(CAMPAIGN_CSV_HEADER):
         raise ValueError(f"expected {len(CAMPAIGN_CSV_HEADER)} fields, got {len(row)}")
     (location_id, environment, d2d, tx_h, rx_h, fc, p_rx, pl, outage) = row
     if outage not in ("true", "false"):
         raise ValueError(f"outage must be 'true' or 'false', got {outage!r}")
-    return MeasurementRecord(
-        location_id=location_id,
-        environment_tag=environment,
-        d2d_m=float(d2d),
-        tx_height_m=float(tx_h),
-        rx_height_m=float(rx_h),
-        fc_ghz=float(fc),
-        p_rx_dbm=_parse_optional_float(p_rx),
-        pl_db=_parse_optional_float(pl),
-        outage=outage == "true",
-    )
+    values = (environment, float(d2d), float(tx_h), float(rx_h), float(fc),
+              None if p_rx == "" else float(p_rx), None if pl == "" else float(pl),
+              outage == "true")
+    _check_measurement(*values)
+    return (location_id, *values)
+
+
+def _checked_rows(lines):
+    """Yield the checked values of each campaign CSV row (the header is line 1).
+
+    Blank lines are skipped but counted. Raises CampaignFormatError on a
+    missing/incorrect header, and, once every row has been read, with one
+    line-numbered message per row that failed.
+    """
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or tuple(header) != CAMPAIGN_CSV_HEADER:
+        raise CampaignFormatError(
+            "missing or invalid header; expected " + ",".join(CAMPAIGN_CSV_HEADER))
+    errors: list[str] = []
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            yield _parse_row(row)
+        except ValueError as exc:
+            errors.append(f"line {line}: {exc}")
+    if errors:
+        raise CampaignFormatError("\n".join(errors))
 
 
 def parse_campaign_csv(data: bytes | str) -> list[MeasurementRecord]:
@@ -159,27 +196,58 @@ def parse_campaign_csv(data: bytes | str) -> list[MeasurementRecord]:
     (the header is line 1).
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != CAMPAIGN_CSV_HEADER:
-        raise CampaignFormatError(
-            "missing or invalid header; expected " + ",".join(CAMPAIGN_CSV_HEADER))
-    records: list[MeasurementRecord] = []
-    errors: list[str] = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            records.append(_parse_row(row))
-        except ValueError as exc:
-            errors.append(f"line {line}: {exc}")
-    if errors:
-        raise CampaignFormatError("\n".join(errors))
-    return records
+    return [MeasurementRecord(*values) for values in _checked_rows(io.StringIO(text))]
 
 
-def load_campaign_csv(path) -> list[MeasurementRecord]:
-    return parse_campaign_csv(Path(path).read_bytes())
+def read_campaign_csv(path, budget: LinkBudget
+                      ) -> tuple[dict[Environment, SimulatedDataset], ConversionSummary]:
+    """Read a campaign CSV into one fit dataset per environment, LOS first.
+
+    Rows stream into growable float columns, so no per-row object is kept.
+    Outage and LOS-DIFFRACTION rows are dropped (counted in the summary,
+    never fitted). Path loss comes from the row directly or from its
+    received power via the link budget; the fit distance is the 3D slant
+    distance from the row's heights. The datasets carry no seed or
+    sampling mode. Raises CampaignFormatError as ``parse_campaign_csv``.
+    """
+    fc, d2d, tx_h, rx_h, pl = (array("d") for _ in range(5))
+    nlos = bytearray()
+    from_power = array("q")  # rows whose path loss is still a received power
+    outage_dropped = diffraction_dropped = 0
+    with open(path, encoding="utf-8", newline="") as f:
+        for _, tag, d, tx, rx, f_ghz, p_rx, loss, outage in _checked_rows(f):
+            if outage:
+                outage_dropped += 1
+            elif tag == DIFFRACTION_TAG:
+                diffraction_dropped += 1
+            else:
+                if loss is None:
+                    from_power.append(len(pl))
+                    loss = p_rx
+                fc.append(f_ghz)
+                d2d.append(d)
+                tx_h.append(tx)
+                rx_h.append(rx)
+                pl.append(loss)
+                nlos.append(tag == "NLOS")
+    # Converted only once every row has passed, so a rejected file warns of nothing.
+    for i in from_power:
+        pl[i] = pathloss_from_power(budget, pl[i])
+    fc, d2d, tx_h, rx_h, pl = map(np.frombuffer, (fc, d2d, tx_h, rx_h, pl))
+    d3d = distance_3d(d2d, tx_h, rx_h)
+    is_nlos = np.frombuffer(nlos, dtype=bool)
+    datasets = {}
+    for env, mask in ((Environment.LOS, ~is_nlos), (Environment.NLOS, is_nlos)):
+        if mask.any():
+            datasets[env] = SimulatedDataset(env, fc[mask], d2d[mask], d3d[mask], pl[mask],
+                                             seed=None, sampling_mode=None)
+    summary = ConversionSummary(
+        total=len(pl) + outage_dropped + diffraction_dropped,
+        converted=len(pl),
+        outage_dropped=outage_dropped,
+        diffraction_dropped=diffraction_dropped,
+    )
+    return datasets, summary
 
 
 def _format_optional(value: float | None) -> str:
@@ -203,47 +271,6 @@ def format_campaign_csv(records: list[MeasurementRecord]) -> str:
 def write_campaign_csv(path, records: list[MeasurementRecord]) -> None:
     with open(path, "w", newline="") as f:
         f.write(format_campaign_csv(records))
-
-
-def records_to_samples(records: list[MeasurementRecord], budget: LinkBudget
-                       ) -> tuple[dict[Environment, SimulatedDataset], ConversionSummary]:
-    """Convert campaign records into one fit dataset per environment, LOS first.
-
-    Outage and LOS-DIFFRACTION records are dropped (counted in the summary,
-    never fitted). Path loss comes from the record directly or from its
-    received power via the link budget; the fit distance is the 3D slant
-    distance from the row's heights. The datasets carry no seed or
-    sampling mode.
-    """
-    kept: list[MeasurementRecord] = []
-    outage_dropped = diffraction_dropped = 0
-    for r in records:
-        if r.outage:
-            outage_dropped += 1
-        elif r.environment_tag == DIFFRACTION_TAG:
-            diffraction_dropped += 1
-        else:
-            kept.append(r)
-    tags = np.array([r.environment_tag for r in kept], dtype=str)
-    fc = np.array([r.fc_ghz for r in kept], dtype=float)
-    d2d = np.array([r.d2d_m for r in kept], dtype=float)
-    d3d = distance_3d(d2d, np.array([r.tx_height_m for r in kept], dtype=float),
-                      np.array([r.rx_height_m for r in kept], dtype=float))
-    pl = np.array([r.pl_db if r.pl_db is not None
-                   else pathloss_from_power(budget, r.p_rx_dbm) for r in kept], dtype=float)
-    datasets = {}
-    for env in Environment:
-        mask = tags == env.value
-        if mask.any():
-            datasets[env] = SimulatedDataset(env, fc[mask], d2d[mask], d3d[mask], pl[mask],
-                                             seed=None, sampling_mode=None)
-    summary = ConversionSummary(
-        total=len(records),
-        converted=len(kept),
-        outage_dropped=outage_dropped,
-        diffraction_dropped=diffraction_dropped,
-    )
-    return datasets, summary
 
 
 def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:

@@ -28,9 +28,8 @@ from .campaign import (
     CAMPAIGN_CSV_HEADER,
     DEFAULT_BUDGET,
     LinkBudget,
-    load_campaign_csv,
     max_range,
-    records_to_samples,
+    read_campaign_csv,
 )
 from .fitting import fit_ci, fit_report_dict
 from .models import (
@@ -229,8 +228,7 @@ def cmd_fit(args) -> int:
     elif first_line == ",".join(CAMPAIGN_CSV_HEADER):
         budget = LinkBudget(args.tx_power_dbm, args.tx_gain_dbi, args.rx_gain_dbi,
                             args.max_pl_db)
-        records = load_campaign_csv(path)
-        datasets, summary = records_to_samples(records, budget)
+        datasets, summary = read_campaign_csv(path, budget)
         print(f"{summary.converted} of {summary.total} records fitted "
               f"({summary.outage_dropped} outage, "
               f"{summary.diffraction_dropped} diffraction dropped)", file=sys.stderr)

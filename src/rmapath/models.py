@@ -314,10 +314,10 @@ def validate_applicability(params: RmaParams, d2d_m: float, fc_ghz: float,
                 "applicability range",
             ))
     flo, fhi = RMA_FREQ_RANGE_GHZ
-    if not (flo < fc_ghz < fhi):
+    if not (flo <= fc_ghz <= fhi):
         findings.append(Finding(
             "soft", "fc_ghz",
-            f"frequency {fc_ghz:g} GHz outside the ({flo:g}, {fhi:g}) GHz "
+            f"frequency {fc_ghz:g} GHz outside the [{flo:g}, {fhi:g}] GHz "
             "range the TR 38.900 RMa model is specified for",
         ))
     clo, chi = CI_FREQ_RANGE_GHZ

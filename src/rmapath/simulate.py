@@ -79,8 +79,8 @@ class SimulationConfig:
             object.__setattr__(self, "d2d_max_m", span[1])
         if not self.frequencies_ghz:
             raise ValueError("frequencies_ghz must not be empty")
-        if any(fc <= 0 for fc in self.frequencies_ghz):
-            raise ValueError("frequencies must be positive")
+        if not all(0 < fc < math.inf for fc in self.frequencies_ghz):  # NaN fails too
+            raise ValueError("frequencies must be finite and positive")
         if self.samples_per_frequency <= 0:
             raise ValueError("samples_per_frequency must be positive")
         if not 0 <= self.seed < 2**64:

@@ -18,8 +18,11 @@ Criteria:
   9. simulate is byte-identical for a repeated seed
 """
 
+import itertools
+
 import pytest
 
+from rmapath import Environment, acceptance, reproduce_3gpp_ci
 from rmapath.acceptance import ALL_CHECKS
 
 
@@ -28,3 +31,12 @@ def test_acceptance(check):
     result = check()
     print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+def test_recalibration_fails_when_repeats_disagree(monkeypatch):
+    fits = itertools.cycle([reproduce_3gpp_ci(Environment.LOS, seed=1),
+                            reproduce_3gpp_ci(Environment.LOS, seed=2)])
+    monkeypatch.setattr(acceptance, "reproduce_3gpp_ci", lambda *args, **kwargs: next(fits))
+    result = acceptance.check_recalibration_los()
+    assert not result.passed
+    assert "repeats identical: False" in result.detail

@@ -1,6 +1,9 @@
 """Campaign ingestion, link budget arithmetic, and coverage inversion."""
 
+import importlib.util
 import math
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +19,11 @@ from rmapath import (
     ci_pathloss,
     distance_3d,
     format_campaign_csv,
-    load_campaign_csv,
     max_range,
     parse_campaign_csv,
     pathloss_from_power,
+    read_campaign_csv,
     received_power,
-    records_to_samples,
 )
 
 HEADER = ("location_id,environment,d2d_m,tx_height_m,rx_height_m,"
@@ -33,6 +35,42 @@ def make_record(**overrides):
                   tx_height_m=110.0, rx_height_m=1.8, fc_ghz=73.5, pl_db=120.0)
     fields.update(overrides)
     return MeasurementRecord(**fields)
+
+
+def read_records(tmp_path, records):
+    """``read_campaign_csv`` on a file holding ``records``."""
+    path = tmp_path / "campaign.csv"
+    path.write_text(format_campaign_csv(records))
+    return read_campaign_csv(path, DEFAULT_BUDGET)
+
+
+# Rows with several faults each; the first rule in report order names the row.
+BAD_ROWS = [
+    "A,LOS,100,110,1.8,73.5,,120.0",              # field count
+    "",                                            # blank: skipped, still counted
+    "B,LOS,x,110,1.8,73.5,,120.0,maybe",           # outage literal before float parse
+    "C,FOO,x,110,1.8,73.5,,120.0,false",           # float parse before tag
+    "D,FOO,100,110,1.8,73.5,,nan,false",           # tag before finite
+    "E,LOS,-1,110,1.8,73.5,,nan,false",            # finite before positive
+    "F,LOS,-1,110,1.8,73.5,-90.0,120.0,false",     # positive before power count
+    "G,LOS,100,110,1.8,73.5,-90.0,120.0,false",    # two powers
+    "H,NLOS,100,110,1.8,73.5,,,false",             # no power
+    "I,LOS,100,110,1.8,73.5,abc,x,false",          # floats parse in header order
+    "J,LOS,100,110,1.8,73.5,,120.0,false",         # good
+    "K,NLOS,100,0,1.8,73.5,,,true",                # outage rows are checked too
+]
+BAD_ROWS_ERROR = "\n".join([
+    "line 2: expected 9 fields, got 8",
+    "line 4: outage must be 'true' or 'false', got 'maybe'",
+    "line 5: could not convert string to float: 'x'",
+    "line 6: environment 'FOO' not one of LOS/NLOS/LOS-DIFFRACTION",
+    "line 7: pl_db must be finite, got nan",
+    "line 8: d2d_m must be positive",
+    "line 9: exactly one of p_rx_dbm/pl_db required on a non-outage row, got 2",
+    "line 10: exactly one of p_rx_dbm/pl_db required on a non-outage row, got 0",
+    "line 11: could not convert string to float: 'abc'",
+    "line 13: tx_height_m must be positive",
+])
 
 
 class TestLinkBudget:
@@ -93,7 +131,7 @@ class TestMeasurementRecord:
 
 class TestParseCampaignCsv:
     def test_bundled_fixture_counts(self):
-        records = load_campaign_csv(bundled_campaign_path())
+        records = parse_campaign_csv(bundled_campaign_path().read_text())
         assert len(records) == 38
         tags = [r.environment_tag for r in records if not r.outage]
         assert tags.count("LOS") == 14
@@ -142,14 +180,33 @@ class TestParseCampaignCsv:
         assert len(records) == 38
 
     def test_parse_format_round_trip(self):
-        records = load_campaign_csv(bundled_campaign_path())
+        records = parse_campaign_csv(bundled_campaign_path().read_text())
         assert parse_campaign_csv(format_campaign_csv(records)) == records
+
+    def test_every_bad_row_reported_by_its_first_fault(self, tmp_path):
+        text = HEADER + "\n" + "\n".join(BAD_ROWS) + "\n"
+        with pytest.raises(CampaignFormatError) as parsed:
+            parse_campaign_csv(text)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CampaignFormatError) as read:
+            read_campaign_csv(path, DEFAULT_BUDGET)
+        assert str(parsed.value) == str(read.value) == BAD_ROWS_ERROR
+
+    @pytest.mark.parametrize("text", ["", "a,b,c\n", HEADER + ",extra\n"])
+    def test_reader_rejects_a_bad_header(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CampaignFormatError) as read:
+            read_campaign_csv(path, DEFAULT_BUDGET)
+        assert str(read.value) == "missing or invalid header; expected " + HEADER
 
 
 class TestRecordsToSamples:
+    """Campaign rows to fit datasets, through ``read_campaign_csv``."""
+
     def test_bundled_fixture_yields_31_samples(self):
-        records = load_campaign_csv(bundled_campaign_path())
-        samples, summary = records_to_samples(records, DEFAULT_BUDGET)
+        samples, summary = read_campaign_csv(bundled_campaign_path(), DEFAULT_BUDGET)
         assert list(samples) == [Environment.LOS, Environment.NLOS]
         assert [len(ds) for ds in samples.values()] == [14, 17]
         assert summary.total == 38
@@ -159,46 +216,77 @@ class TestRecordsToSamples:
         assert all(ds.environment is env and ds.seed is None and ds.sampling_mode is None
                    for env, ds in samples.items())
 
-    def test_all_outage_input(self):
+    def test_all_outage_input(self, tmp_path):
         records = [make_record(location_id=f"O{i}", pl_db=None, outage=True)
                    for i in range(5)]
-        samples, summary = records_to_samples(records, DEFAULT_BUDGET)
+        samples, summary = read_records(tmp_path, records)
         assert samples == {}
         assert summary.outage_dropped == 5
 
-    def test_pl_and_prx_twins_agree(self):
+    def test_pl_and_prx_twins_agree(self, tmp_path):
         direct = make_record(pl_db=156.8)
         via_power = make_record(pl_db=None,
                                 p_rx_dbm=received_power(DEFAULT_BUDGET, 156.8))
-        samples, _ = records_to_samples([direct, via_power], DEFAULT_BUDGET)
+        samples, _ = read_records(tmp_path, [direct, via_power])
         los = samples[Environment.LOS]
         assert los.pl_db[0] == pytest.approx(156.8, abs=1e-12)
         assert los.pl_db[0] == pytest.approx(los.pl_db[1], abs=1e-12)
         assert los.d3d_m[0] == los.d3d_m[1]
 
-    def test_uses_3d_distance(self):
-        samples, _ = records_to_samples([make_record()], DEFAULT_BUDGET)
+    def test_uses_3d_distance(self, tmp_path):
+        samples, _ = read_records(tmp_path, [make_record()])
         los = samples[Environment.LOS]
         assert los.d2d_m[0] == 100.0
         assert los.d3d_m[0] == pytest.approx(math.hypot(100.0, 108.2), rel=1e-12)
 
-    def test_keeps_record_order_within_environment(self):
+    def test_keeps_record_order_within_environment(self, tmp_path):
         records = [make_record(location_id=f"R{i}", environment_tag=tag, d2d_m=d,
                                tx_height_m=h)
                    for i, (tag, d, h) in enumerate([("NLOS", 300.0, 50.0), ("LOS", 200.0, 110.0),
                                                     ("NLOS", 100.0, 20.0), ("LOS", 400.0, 30.0)])]
-        samples, _ = records_to_samples(records, DEFAULT_BUDGET)
+        samples, _ = read_records(tmp_path, records)
         assert samples[Environment.LOS].d2d_m.tolist() == [200.0, 400.0]
         assert samples[Environment.NLOS].d2d_m.tolist() == [300.0, 100.0]
         assert samples[Environment.NLOS].d3d_m.tolist() == [
             distance_3d(300.0, 50.0, 1.8), distance_3d(100.0, 20.0, 1.8)]
 
-    def test_never_emits_excluded_records(self):
+    def test_never_emits_excluded_records(self, tmp_path):
         records = [make_record(environment_tag="LOS-DIFFRACTION", pl_db=170.0),
                    make_record(location_id="O1", pl_db=None, outage=True)]
-        samples, summary = records_to_samples(records, DEFAULT_BUDGET)
+        samples, summary = read_records(tmp_path, records)
         assert samples == {}
         assert (summary.diffraction_dropped, summary.outage_dropped) == (1, 1)
+
+    def test_warns_once_per_row_over_the_ceiling(self, tmp_path):
+        records = [make_record(location_id=f"W{i}", pl_db=None, p_rx_dbm=p_rx)
+                   for i, p_rx in enumerate([-130.0, -100.0, -140.0])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            samples, _ = read_records(tmp_path, records)
+        assert [str(w.message)[:19] for w in caught] == ["path loss 198.7 dB ",
+                                                         "path loss 208.7 dB "]
+        assert all(w.category is BelowSensitivityWarning for w in caught)
+        assert samples[Environment.LOS].pl_db.tolist() == pytest.approx([198.7, 168.7, 208.7])
+
+    def test_rejected_file_warns_of_nothing(self, tmp_path):
+        path = tmp_path / "campaign.csv"
+        path.write_text(HEADER + "\n" + "A,LOS,100,110,1.8,73.5,-130.0,,false\n"
+                        + "B,FOO,100,110,1.8,73.5,,120.0,false\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CampaignFormatError, match="line 3"):
+                read_campaign_csv(path, DEFAULT_BUDGET)
+        assert caught == []
+
+
+class TestFixtureScript:
+    def test_regenerates_the_bundled_fixture_byte_for_byte(self):
+        script = Path(__file__).parents[1] / "scripts" / "generate_campaign_fixture.py"
+        spec = importlib.util.spec_from_file_location("generate_campaign_fixture", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        text = format_campaign_csv(module.build_records())
+        assert text.encode() == bundled_campaign_path().read_bytes()
 
 
 class TestMaxRange:

@@ -53,6 +53,12 @@ class TestPredict:
         assert status == 0
         assert err == ""
 
+    @pytest.mark.parametrize("fc", ["0.8", "30"])
+    def test_3gpp_at_footnote_range_ends_has_no_warning(self, capsys, fc):
+        status, _, err = run(capsys, "predict", "--model", "3gpp-rma", "--env",
+                             "los", "--freq-ghz", fc, "--dist-m", "500")
+        assert (status, err) == (0, "")
+
     def test_3gpp_hard_violation_is_domain_error(self, capsys):
         status, _, err = run(capsys, "predict", "--model", "3gpp-rma", "--env",
                              "los", "--freq-ghz", "2", "--dist-m", "20000")
@@ -274,6 +280,26 @@ class TestFit:
         assert status == 1
         assert "NaN" not in out and "Infinity" not in out
         assert f"line 2: {field} must be finite" in err
+
+    def test_non_utf8_campaign_is_one_line_domain_error(self, capsys, tmp_path):
+        lines = bundled_campaign_path().read_bytes().split(b"\n")
+        lines[20] = b"\xff" + lines[20]
+        data = tmp_path / "campaign.csv"
+        data.write_bytes(b"\n".join(lines))
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_all_outage_campaign_has_nothing_to_fit(self, capsys, tmp_path):
+        lines = bundled_campaign_path().read_text().splitlines()
+        data = tmp_path / "campaign.csv"
+        data.write_text("\n".join([lines[0]] + [line for line in lines
+                                                 if line.endswith(",true")]) + "\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err == ("0 of 5 records fitted (5 outage, 0 diffraction dropped)\n"
+                       f"error: {data}: no fittable samples\n")
 
     def test_unrecognized_file_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

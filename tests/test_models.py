@@ -337,6 +337,16 @@ class TestValidateApplicability:
         assert validate_applicability(DEFAULTS, 7000.0, 1.0, Environment.NLOS)
         assert not validate_applicability(DEFAULTS, 7000.0, 1.0, Environment.LOS)
 
+    @pytest.mark.parametrize("fc", [0.8, 30.0])
+    def test_footnote_frequency_endpoints_are_inside(self, fc):
+        assert validate_applicability(DEFAULTS, 1000.0, fc, Environment.LOS) == []
+
+    @pytest.mark.parametrize("fc", [math.nextafter(0.8, 0.0), math.nextafter(30.0, math.inf)])
+    def test_frequency_just_past_the_footnote_range_is_soft(self, fc):
+        findings = validate_applicability(DEFAULTS, 1000.0, fc, Environment.LOS)
+        assert [(f.severity, f.field) for f in findings] == [("soft", "fc_ghz")]
+        assert "[0.8, 30] GHz" in findings[0].message
+
     def test_mmwave_frequency_is_soft_warning_only(self):
         findings = validate_applicability(DEFAULTS, 1000.0, 73.5, Environment.LOS)
         assert len(findings) == 1

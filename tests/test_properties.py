@@ -1,17 +1,29 @@
-"""Property-based invariants of the models, the coverage inverse and the fit."""
+"""Property-based invariants of the models, the coverage inverse, the fit and
+the campaign reader."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from rmapath import (
+    DEFAULT_BUDGET,
+    BelowSensitivityWarning,
+    ConversionSummary,
     Environment,
+    MeasurementRecord,
     RmaParams,
     breakpoint_distance,
     ci_pathloss,
+    distance_3d,
     fit_ci_arrays,
+    format_campaign_csv,
     los_second_slope,
     max_range,
+    parse_campaign_csv,
+    read_campaign_csv,
     rma_los,
     rma_nlos,
 )
@@ -64,3 +76,51 @@ def test_ci_fit_round_trip(ple, links):
     assert abs(fit.n - ple) < 1e-9
     assert fit.sigma_db < 1e-9
     assert fit.count == len(links)
+
+
+finite_db = st.floats(-300.0, 300.0)
+positive = st.floats(1e-3, 1e5)
+campaign_records = st.lists(st.builds(
+    lambda fields, powers, outage: MeasurementRecord(*fields, *powers, outage),
+    st.tuples(st.text("AZ09 ,\"", max_size=4), st.sampled_from(["LOS", "NLOS", "LOS-DIFFRACTION"]),
+              positive, positive, positive, positive),
+    st.one_of(st.tuples(finite_db, st.none()), st.tuples(st.none(), finite_db)),
+    st.booleans(),
+), max_size=30)
+
+
+# No explain phase: on a failing example it traces every line the reader
+# runs, which took minutes and over 1 GB of memory for this test.
+@pytest.mark.filterwarnings("ignore", category=BelowSensitivityWarning)
+@settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(records=campaign_records)
+def test_read_campaign_csv_matches_the_records(records):
+    text = format_campaign_csv(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "campaign.csv"
+        path.write_text(text)
+        datasets, summary = read_campaign_csv(path, DEFAULT_BUDGET)
+
+    parsed = parse_campaign_csv(text)
+    outage = sum(r.outage for r in parsed)
+    kept = [r for r in parsed if not r.outage and r.environment_tag != "LOS-DIFFRACTION"]
+    assert summary == ConversionSummary(len(parsed), len(kept), outage,
+                                        len(parsed) - len(kept) - outage)
+    budget = DEFAULT_BUDGET
+    eirp_and_gain = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi
+    expected = {}
+    for env in Environment:
+        rows = [r for r in kept if r.environment_tag == env.value]
+        if rows:
+            column = {name: np.array([getattr(r, name) for r in rows], dtype=float)
+                      for name in ("fc_ghz", "d2d_m", "tx_height_m", "rx_height_m")}
+            pl = np.array([eirp_and_gain - r.p_rx_dbm if r.pl_db is None else r.pl_db
+                           for r in rows])
+            d3d = distance_3d(column["d2d_m"], column["tx_height_m"], column["rx_height_m"])
+            expected[env] = (column["fc_ghz"], column["d2d_m"], d3d, pl)
+    assert list(datasets) == list(expected)
+    for env, (fc, d2d, d3d, pl) in expected.items():
+        ds = datasets[env]
+        assert ds.environment is env and ds.seed is None and ds.sampling_mode is None
+        for got, want in ((ds.fc_ghz, fc), (ds.d2d_m, d2d), (ds.d3d_m, d3d), (ds.pl_db, pl)):
+            assert np.array_equal(got, want)

@@ -54,6 +54,11 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(environment=Environment.LOS, d2d_min_m=100.0, d2d_max_m=50.0)
 
+    @pytest.mark.parametrize("fc", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_frequency_rejected(self, fc):
+        with pytest.raises(ValueError, match="^frequencies must be finite and positive$"):
+            SimulationConfig(environment=Environment.LOS, frequencies_ghz=(1.0, fc))
+
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(environment=Environment.LOS, samples_per_frequency=0)
