@@ -14,23 +14,23 @@ Usage: python scripts/generate_campaign_fixture.py
 The script checks what it wrote by reading the file back and fitting it.
 """
 
+import csv
+
 import numpy as np
 
 from rmapath import (
+    CAMPAIGN_CSV_HEADER,
     DEFAULT_BUDGET,
     RURAL_73GHZ_LOS_PLE,
     RURAL_73GHZ_LOS_SIGMA_DB,
     RURAL_73GHZ_NLOS_PLE,
     RURAL_73GHZ_NLOS_SIGMA_DB,
     Environment,
-    MeasurementRecord,
     bundled_campaign_path,
     ci_pathloss,
     distance_3d,
     fit_ci,
     read_campaign_csv,
-    received_power,
-    write_campaign_csv,
 )
 
 SEED = 7524
@@ -47,26 +47,27 @@ DIFFRACTION_D2D_M = [9500.0, 10300.0]
 OUTAGE_D2D_M = [5600.0, 7200.0, 8800.0, 10100.0, 11400.0]
 
 
-def build_records() -> list[MeasurementRecord]:
-    """The fixture's rows, in file order."""
+def build_rows() -> list[tuple]:
+    """The fixture's rows in file order, as campaign CSV fields (None is empty)."""
     rng = np.random.default_rng(SEED)
-    records = []
+    rows = []
 
     for i, d2d in enumerate(LOS_D2D_M, start=1):
         d3d = distance_3d(d2d, TX_HEIGHT_M, RX_HEIGHT_M)
         pl = ci_pathloss(FC_GHZ, d3d, RURAL_73GHZ_LOS_PLE) \
             + rng.normal(0.0, RURAL_73GHZ_LOS_SIGMA_DB)
-        records.append(MeasurementRecord(f"L{i:02d}", "LOS", d2d, TX_HEIGHT_M,
-                                         RX_HEIGHT_M, FC_GHZ, pl_db=round(pl, 2)))
+        rows.append((f"L{i:02d}", "LOS", d2d, TX_HEIGHT_M, RX_HEIGHT_M, FC_GHZ,
+                     None, round(pl, 2), "false"))
 
+    budget = DEFAULT_BUDGET
     for i, d2d in enumerate(NLOS_D2D_M, start=1):
         d3d = distance_3d(d2d, TX_HEIGHT_M, RX_HEIGHT_M)
         pl = ci_pathloss(FC_GHZ, d3d, RURAL_73GHZ_NLOS_PLE) \
             + rng.normal(0.0, RURAL_73GHZ_NLOS_SIGMA_DB)
-        assert pl < DEFAULT_BUDGET.max_measurable_pl_db - 1.0, (d2d, pl)
-        records.append(MeasurementRecord(
-            f"N{i:02d}", "NLOS", d2d, TX_HEIGHT_M, RX_HEIGHT_M, FC_GHZ,
-            p_rx_dbm=round(received_power(DEFAULT_BUDGET, pl), 2)))
+        assert pl < budget.max_measurable_pl_db - 1.0, (d2d, pl)
+        p_rx = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl
+        rows.append((f"N{i:02d}", "NLOS", d2d, TX_HEIGHT_M, RX_HEIGHT_M, FC_GHZ,
+                     round(p_rx, 2), None, "false"))
 
     # Diffraction over the terrain edge adds tens of dB on top of the LOS
     # trend; these rows are parsed but never fitted.
@@ -74,19 +75,26 @@ def build_records() -> list[MeasurementRecord]:
         d3d = distance_3d(d2d, TX_HEIGHT_M, RX_HEIGHT_M)
         pl = ci_pathloss(FC_GHZ, d3d, RURAL_73GHZ_LOS_PLE) \
             + rng.uniform(15.0, 25.0)
-        records.append(MeasurementRecord(f"D{i:02d}", "LOS-DIFFRACTION", d2d,
-                                         TX_HEIGHT_M, RX_HEIGHT_M, FC_GHZ,
-                                         pl_db=round(pl, 2)))
+        rows.append((f"D{i:02d}", "LOS-DIFFRACTION", d2d, TX_HEIGHT_M, RX_HEIGHT_M,
+                     FC_GHZ, None, round(pl, 2), "false"))
 
     for i, d2d in enumerate(OUTAGE_D2D_M, start=1):
-        records.append(MeasurementRecord(f"O{i:02d}", "NLOS", d2d, TX_HEIGHT_M,
-                                         RX_HEIGHT_M, FC_GHZ, outage=True))
-    return records
+        rows.append((f"O{i:02d}", "NLOS", d2d, TX_HEIGHT_M, RX_HEIGHT_M, FC_GHZ,
+                     None, None, "true"))
+    return rows
+
+
+def write_fixture(path) -> None:
+    """Write the fixture's header and rows to ``path``."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(CAMPAIGN_CSV_HEADER)
+        writer.writerows(build_rows())
 
 
 def main():
     path = bundled_campaign_path()
-    write_campaign_csv(path, build_records())
+    write_fixture(path)
 
     samples, summary = read_campaign_csv(path, DEFAULT_BUDGET)
     los = fit_ci(samples[Environment.LOS])

@@ -67,13 +67,10 @@ from .campaign import (
     MeasurementRecord,
     NoCoverageError,
     bundled_campaign_path,
-    format_campaign_csv,
     max_range,
     parse_campaign_csv,
     pathloss_from_power,
     read_campaign_csv,
-    received_power,
-    write_campaign_csv,
 )
 
 __version__ = "0.1.0"

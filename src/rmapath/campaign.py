@@ -9,7 +9,6 @@ does not represent.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import warnings
@@ -21,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .models import CI_ANCHOR_DB, Environment, distance_3d
-from .simulate import SimulatedDataset
+from .simulate import SimulatedDataset, checked_csv_rows
 
 CAMPAIGN_CSV_HEADER = ("location_id", "environment", "d2d_m", "tx_height_m",
                        "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db", "outage")
 CAMPAIGN_TAGS = ("LOS", "NLOS", "LOS-DIFFRACTION")
 DIFFRACTION_TAG = "LOS-DIFFRACTION"
+_HEADER_MESSAGE = "missing or invalid header; expected " + ",".join(CAMPAIGN_CSV_HEADER)
 
 
 class CampaignFormatError(ValueError):
@@ -51,6 +51,9 @@ class LinkBudget:
     max_measurable_pl_db: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.max_measurable_pl_db > 0:
             raise ValueError("max_measurable_pl_db must be positive")
 
@@ -145,11 +148,6 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm: float) -> float:
     return pl
 
 
-def received_power(budget: LinkBudget, pl_db: float) -> float:
-    """Inverse of ``pathloss_from_power``: received power at a given loss."""
-    return budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl_db
-
-
 def _parse_row(row: list[str]) -> tuple:
     """The checked field values of one campaign CSV row, in header order."""
     if len(row) != len(CAMPAIGN_CSV_HEADER):
@@ -164,39 +162,21 @@ def _parse_row(row: list[str]) -> tuple:
     return (location_id, *values)
 
 
-def _checked_rows(lines):
-    """Yield the checked values of each campaign CSV row (the header is line 1).
-
-    Blank lines are skipped but counted. Raises CampaignFormatError on a
-    missing/incorrect header, and, once every row has been read, with one
-    line-numbered message per row that failed.
-    """
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or tuple(header) != CAMPAIGN_CSV_HEADER:
-        raise CampaignFormatError(
-            "missing or invalid header; expected " + ",".join(CAMPAIGN_CSV_HEADER))
-    errors: list[str] = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            yield _parse_row(row)
-        except ValueError as exc:
-            errors.append(f"line {line}: {exc}")
-    if errors:
-        raise CampaignFormatError("\n".join(errors))
-
-
 def parse_campaign_csv(data: bytes | str) -> list[MeasurementRecord]:
     """Parse campaign CSV content into validated records.
 
     Raises CampaignFormatError on a missing/incorrect header, and with one
-    line-numbered message per offending row when any row fails validation
-    (the header is line 1).
+    message per offending row, naming the physical line it starts on (the
+    header is line 1), when any row fails validation.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return [MeasurementRecord(*values) for values in _checked_rows(io.StringIO(text))]
+    errors: list[str] = []
+    rows = checked_csv_rows(io.StringIO(text), CAMPAIGN_CSV_HEADER,
+                            CampaignFormatError(_HEADER_MESSAGE), _parse_row, errors)
+    records = [MeasurementRecord(*values) for _, values in rows]
+    if errors:
+        raise CampaignFormatError("\n".join(errors))
+    return records
 
 
 def read_campaign_csv(path, budget: LinkBudget
@@ -214,8 +194,11 @@ def read_campaign_csv(path, budget: LinkBudget
     nlos = bytearray()
     from_power = array("q")  # rows whose path loss is still a received power
     outage_dropped = diffraction_dropped = 0
+    errors: list[str] = []
     with open(path, encoding="utf-8", newline="") as f:
-        for _, tag, d, tx, rx, f_ghz, p_rx, loss, outage in _checked_rows(f):
+        rows = checked_csv_rows(f, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
+                                _parse_row, errors)
+        for _, (_, tag, d, tx, rx, f_ghz, p_rx, loss, outage) in rows:
             if outage:
                 outage_dropped += 1
             elif tag == DIFFRACTION_TAG:
@@ -230,6 +213,8 @@ def read_campaign_csv(path, budget: LinkBudget
                 rx_h.append(rx)
                 pl.append(loss)
                 nlos.append(tag == "NLOS")
+    if errors:
+        raise CampaignFormatError("\n".join(errors))
     # Converted only once every row has passed, so a rejected file warns of nothing.
     for i in from_power:
         pl[i] = pathloss_from_power(budget, pl[i])
@@ -248,29 +233,6 @@ def read_campaign_csv(path, budget: LinkBudget
         diffraction_dropped=diffraction_dropped,
     )
     return datasets, summary
-
-
-def _format_optional(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def format_campaign_csv(records: list[MeasurementRecord]) -> str:
-    """Serialize records back to campaign CSV (parse/format round-trips)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CAMPAIGN_CSV_HEADER)
-    for r in records:
-        writer.writerow([
-            r.location_id, r.environment_tag, repr(r.d2d_m), repr(r.tx_height_m),
-            repr(r.rx_height_m), repr(r.fc_ghz), _format_optional(r.p_rx_dbm),
-            _format_optional(r.pl_db), "true" if r.outage else "false",
-        ])
-    return buf.getvalue()
-
-
-def write_campaign_csv(path, records: list[MeasurementRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(format_campaign_csv(records))
 
 
 def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:

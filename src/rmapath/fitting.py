@@ -54,7 +54,13 @@ class ResidualReport:
 
 
 def _ci_basis(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray):
-    if np.any(d_m < 1.0):
+    # min and max propagate NaN, so a NaN element fails these comparisons
+    if not (fc_ghz.min() > 0.0 and fc_ghz.max() < np.inf):
+        raise ValueError("CI fit requires finite, positive frequencies")
+    for name, x in (("distances", d_m), ("path losses", pl_db)):
+        if not -np.inf < x.min() <= x.max() < np.inf:
+            raise ValueError(f"CI fit requires finite {name}")
+    if d_m.min() < 1.0:
         raise ValueError("CI fit requires all distances >= 1 m")
     a = pl_db - CI_ANCHOR_DB - 20.0 * np.log10(fc_ghz)
     b = 10.0 * np.log10(d_m)

@@ -191,34 +191,45 @@ def _parse_dataset_row(row: list[str]):
     return env, values, seed, mode
 
 
+def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_row,
+                     errors: list[str]):
+    """Yield ``(line, parse_row(row))`` for each non-blank row after ``header``.
+
+    ``line`` is the physical line the row starts on (the header is line 1).
+    A row ``parse_row`` rejects with ValueError goes on ``errors`` as
+    ``line N: <message>``, for the caller to raise once the file is read.
+    """
+    reader = csv.reader(f)
+    if tuple(next(reader, ())) != header:
+        raise header_error
+    line = reader.line_num + 1
+    for row in reader:
+        if row:
+            try:
+                yield line, parse_row(row)
+            except ValueError as exc:
+                errors.append(f"line {line}: {exc}")
+        line = reader.line_num + 1
+
+
 def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
     """Read a dataset CSV back into one dataset per environment, LOS first.
 
     Rows stream into growable float columns, so no per-row object is kept.
     Each dataset carries the file's seed and sampling mode, or None where
     that column is not constant across rows. Raises ValueError on a wrong
-    header, and with one line-numbered message per malformed row (the
-    header is line 1).
+    header, and with one message per malformed row naming the physical
+    line it starts on (the header is line 1).
     """
     columns = {env: tuple(array("d") for _ in range(4)) for env in _ENVIRONMENT_VALUES}
     seeds: dict[str, int] = {}  # each distinct seed field and its first line
     modes = set()
     errors: list[str] = []
+    header_error = ValueError(
+        f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}")
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or tuple(header) != DATASET_CSV_HEADER:
-            raise ValueError(
-                f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}"
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                env, values, seed, mode = _parse_dataset_row(row)
-            except ValueError as exc:
-                errors.append(f"line {line}: {exc}")
-                continue
+        for line, (env, values, seed, mode) in checked_csv_rows(
+                f, DATASET_CSV_HEADER, header_error, _parse_dataset_row, errors):
             fc, d2d, d3d, pl = columns[env]
             fc.append(values[0])
             d2d.append(values[1])

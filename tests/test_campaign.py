@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rmapath import (
+    CAMPAIGN_CSV_HEADER,
     DEFAULT_BUDGET,
     BelowSensitivityWarning,
     CampaignFormatError,
@@ -18,30 +19,51 @@ from rmapath import (
     bundled_campaign_path,
     ci_pathloss,
     distance_3d,
-    format_campaign_csv,
     max_range,
     parse_campaign_csv,
     pathloss_from_power,
     read_campaign_csv,
-    received_power,
 )
 
 HEADER = ("location_id,environment,d2d_m,tx_height_m,rx_height_m,"
           "fc_ghz,p_rx_dbm,pl_db,outage")
 
 
+ROW = dict(location_id="X01", environment="LOS", d2d_m=100.0, tx_height_m=110.0,
+           rx_height_m=1.8, fc_ghz=73.5, p_rx_dbm=None, pl_db=120.0, outage=False)
+
+
+def make_row(**overrides):
+    """One campaign row in header order: ``ROW`` with ``overrides``."""
+    fields = {**ROW, **overrides}
+    return tuple(fields[name] for name in CAMPAIGN_CSV_HEADER)
+
+
 def make_record(**overrides):
-    fields = dict(location_id="X01", environment_tag="LOS", d2d_m=100.0,
-                  tx_height_m=110.0, rx_height_m=1.8, fc_ghz=73.5, pl_db=120.0)
-    fields.update(overrides)
-    return MeasurementRecord(**fields)
+    return MeasurementRecord(*make_row(**overrides))
 
 
-def read_records(tmp_path, records):
-    """``read_campaign_csv`` on a file holding ``records``."""
-    path = tmp_path / "campaign.csv"
-    path.write_text(format_campaign_csv(records))
-    return read_campaign_csv(path, DEFAULT_BUDGET)
+@pytest.fixture
+def read_rows(tmp_path, campaign_text):
+    """``read_campaign_csv`` on a file holding the given rows."""
+    def read(rows):
+        path = tmp_path / "campaign.csv"
+        path.write_text(campaign_text(rows))
+        return read_campaign_csv(path, DEFAULT_BUDGET)
+    return read
+
+
+def parse_and_read(tmp_path, text):
+    """The CampaignFormatError text of ``parse_campaign_csv`` and of
+    ``read_campaign_csv`` on ``text``, which must agree."""
+    with pytest.raises(CampaignFormatError) as parsed:
+        parse_campaign_csv(text)
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CampaignFormatError) as read:
+        read_campaign_csv(path, DEFAULT_BUDGET)
+    assert str(parsed.value) == str(read.value)
+    return str(read.value)
 
 
 # Rows with several faults each; the first rule in report order names the row.
@@ -92,14 +114,19 @@ class TestLinkBudget:
             pl = pathloss_from_power(DEFAULT_BUDGET, -130.0)
         assert pl == pytest.approx(198.7, abs=1e-9)
 
-    def test_round_trip_with_received_power(self):
-        for pl in (0.0, 98.7, 156.8, 189.99):
-            assert pathloss_from_power(
-                DEFAULT_BUDGET, received_power(DEFAULT_BUDGET, pl)) == pytest.approx(pl, abs=1e-12)
-
     def test_non_positive_ceiling_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_measurable_pl_db must be positive"):
             LinkBudget(14.7, 27.0, 27.0, 0.0)
+
+    @pytest.mark.parametrize("index,field", enumerate(
+        ["tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "max_measurable_pl_db"]))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, index, field, value):
+        values = [14.7, 27.0, 27.0, 190.0]
+        values[index] = value
+        with pytest.raises(ValueError) as err:
+            LinkBudget(*values)
+        assert str(err.value) == f"{field} must be finite, got {value!r}"
 
 
 class TestMeasurementRecord:
@@ -116,7 +143,7 @@ class TestMeasurementRecord:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
-            make_record(environment_tag="FOO")
+            make_record(environment="FOO")
 
     @pytest.mark.parametrize("field", ["d2d_m", "tx_height_m", "rx_height_m", "fc_ghz",
                                        "p_rx_dbm", "pl_db"])
@@ -179,27 +206,26 @@ class TestParseCampaignCsv:
         records = parse_campaign_csv(bundled_campaign_path().read_bytes())
         assert len(records) == 38
 
-    def test_parse_format_round_trip(self):
-        records = parse_campaign_csv(bundled_campaign_path().read_text())
-        assert parse_campaign_csv(format_campaign_csv(records)) == records
-
     def test_every_bad_row_reported_by_its_first_fault(self, tmp_path):
         text = HEADER + "\n" + "\n".join(BAD_ROWS) + "\n"
-        with pytest.raises(CampaignFormatError) as parsed:
-            parse_campaign_csv(text)
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(CampaignFormatError) as read:
-            read_campaign_csv(path, DEFAULT_BUDGET)
-        assert str(parsed.value) == str(read.value) == BAD_ROWS_ERROR
+        assert parse_and_read(tmp_path, text) == BAD_ROWS_ERROR
+
+    def test_rows_are_numbered_by_the_physical_line_they_start_on(self, tmp_path):
+        text = (HEADER + "\n"
+                + '"A\nB",LOS,100,110,1.8,73.5,,120.0,false\n'     # lines 2-3, good
+                + "C,FOO,100,110,1.8,73.5,,120.0,false\n"          # line 4
+                + '"D\n\nE",LOS,100,110,1.8,73.5,,120.0,maybe\n'  # lines 5-7
+                + "\n"                                              # line 8
+                + 'F,LOS,"1\n00",110,1.8,73.5,,120.0,false\n')     # lines 9-10
+        assert parse_and_read(tmp_path, text) == "\n".join([
+            "line 4: environment 'FOO' not one of LOS/NLOS/LOS-DIFFRACTION",
+            "line 5: outage must be 'true' or 'false', got 'maybe'",
+            "line 9: could not convert string to float: '1\\n00'",
+        ])
 
     @pytest.mark.parametrize("text", ["", "a,b,c\n", HEADER + ",extra\n"])
     def test_reader_rejects_a_bad_header(self, tmp_path, text):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(CampaignFormatError) as read:
-            read_campaign_csv(path, DEFAULT_BUDGET)
-        assert str(read.value) == "missing or invalid header; expected " + HEADER
+        assert parse_and_read(tmp_path, text) == "missing or invalid header; expected " + HEADER
 
 
 class TestRecordsToSamples:
@@ -216,53 +242,51 @@ class TestRecordsToSamples:
         assert all(ds.environment is env and ds.seed is None and ds.sampling_mode is None
                    for env, ds in samples.items())
 
-    def test_all_outage_input(self, tmp_path):
-        records = [make_record(location_id=f"O{i}", pl_db=None, outage=True)
-                   for i in range(5)]
-        samples, summary = read_records(tmp_path, records)
+    def test_all_outage_input(self, read_rows):
+        rows = [make_row(location_id=f"O{i}", pl_db=None, outage=True) for i in range(5)]
+        samples, summary = read_rows(rows)
         assert samples == {}
         assert summary.outage_dropped == 5
 
-    def test_pl_and_prx_twins_agree(self, tmp_path):
-        direct = make_record(pl_db=156.8)
-        via_power = make_record(pl_db=None,
-                                p_rx_dbm=received_power(DEFAULT_BUDGET, 156.8))
-        samples, _ = read_records(tmp_path, [direct, via_power])
+    def test_pl_and_prx_twins_agree(self, read_rows):
+        direct = make_row(pl_db=156.8)
+        p_rx = DEFAULT_BUDGET.eirp_dbm + DEFAULT_BUDGET.rx_gain_dbi - 156.8
+        via_power = make_row(pl_db=None, p_rx_dbm=p_rx)
+        samples, _ = read_rows([direct, via_power])
         los = samples[Environment.LOS]
         assert los.pl_db[0] == pytest.approx(156.8, abs=1e-12)
         assert los.pl_db[0] == pytest.approx(los.pl_db[1], abs=1e-12)
         assert los.d3d_m[0] == los.d3d_m[1]
 
-    def test_uses_3d_distance(self, tmp_path):
-        samples, _ = read_records(tmp_path, [make_record()])
+    def test_uses_3d_distance(self, read_rows):
+        samples, _ = read_rows([make_row()])
         los = samples[Environment.LOS]
         assert los.d2d_m[0] == 100.0
         assert los.d3d_m[0] == pytest.approx(math.hypot(100.0, 108.2), rel=1e-12)
 
-    def test_keeps_record_order_within_environment(self, tmp_path):
-        records = [make_record(location_id=f"R{i}", environment_tag=tag, d2d_m=d,
-                               tx_height_m=h)
-                   for i, (tag, d, h) in enumerate([("NLOS", 300.0, 50.0), ("LOS", 200.0, 110.0),
-                                                    ("NLOS", 100.0, 20.0), ("LOS", 400.0, 30.0)])]
-        samples, _ = read_records(tmp_path, records)
+    def test_keeps_record_order_within_environment(self, read_rows):
+        rows = [make_row(location_id=f"R{i}", environment=tag, d2d_m=d, tx_height_m=h)
+                for i, (tag, d, h) in enumerate([("NLOS", 300.0, 50.0), ("LOS", 200.0, 110.0),
+                                                 ("NLOS", 100.0, 20.0), ("LOS", 400.0, 30.0)])]
+        samples, _ = read_rows(rows)
         assert samples[Environment.LOS].d2d_m.tolist() == [200.0, 400.0]
         assert samples[Environment.NLOS].d2d_m.tolist() == [300.0, 100.0]
         assert samples[Environment.NLOS].d3d_m.tolist() == [
             distance_3d(300.0, 50.0, 1.8), distance_3d(100.0, 20.0, 1.8)]
 
-    def test_never_emits_excluded_records(self, tmp_path):
-        records = [make_record(environment_tag="LOS-DIFFRACTION", pl_db=170.0),
-                   make_record(location_id="O1", pl_db=None, outage=True)]
-        samples, summary = read_records(tmp_path, records)
+    def test_never_emits_excluded_records(self, read_rows):
+        rows = [make_row(environment="LOS-DIFFRACTION", pl_db=170.0),
+                make_row(location_id="O1", pl_db=None, outage=True)]
+        samples, summary = read_rows(rows)
         assert samples == {}
         assert (summary.diffraction_dropped, summary.outage_dropped) == (1, 1)
 
-    def test_warns_once_per_row_over_the_ceiling(self, tmp_path):
-        records = [make_record(location_id=f"W{i}", pl_db=None, p_rx_dbm=p_rx)
-                   for i, p_rx in enumerate([-130.0, -100.0, -140.0])]
+    def test_warns_once_per_row_over_the_ceiling(self, read_rows):
+        rows = [make_row(location_id=f"W{i}", pl_db=None, p_rx_dbm=p_rx)
+                for i, p_rx in enumerate([-130.0, -100.0, -140.0])]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            samples, _ = read_records(tmp_path, records)
+            samples, _ = read_rows(rows)
         assert [str(w.message)[:19] for w in caught] == ["path loss 198.7 dB ",
                                                          "path loss 208.7 dB "]
         assert all(w.category is BelowSensitivityWarning for w in caught)
@@ -280,13 +304,14 @@ class TestRecordsToSamples:
 
 
 class TestFixtureScript:
-    def test_regenerates_the_bundled_fixture_byte_for_byte(self):
+    def test_regenerates_the_bundled_fixture_byte_for_byte(self, tmp_path):
         script = Path(__file__).parents[1] / "scripts" / "generate_campaign_fixture.py"
         spec = importlib.util.spec_from_file_location("generate_campaign_fixture", script)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        text = format_campaign_csv(module.build_records())
-        assert text.encode() == bundled_campaign_path().read_bytes()
+        path = tmp_path / "fixture.csv"
+        module.write_fixture(path)
+        assert path.read_bytes() == bundled_campaign_path().read_bytes()
 
 
 class TestMaxRange:

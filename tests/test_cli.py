@@ -308,6 +308,32 @@ class TestFit:
         assert status == 1
         assert "unrecognized" in err
 
+    @pytest.mark.parametrize("flag,field", [
+        ("--tx-power-dbm", "tx_power_dbm"), ("--tx-gain-dbi", "tx_gain_dbi"),
+        ("--rx-gain-dbi", "rx_gain_dbi"), ("--max-pl-db", "max_measurable_pl_db")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_is_one_line_domain_error(self, capsys, flag, field, value):
+        status, out, err = run(capsys, "fit", "--input", str(bundled_campaign_path()),
+                               f"{flag}={value}")
+        assert (status, out) == (1, "")
+        assert err == f"error: {field} must be finite, got {float(value)!r}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fields,message", [
+        ("-1.0,100.0,105.0", "finite, positive frequencies"),
+        ("0.0,100.0,105.0", "finite, positive frequencies"),
+        ("1.0,0.5,0.7", "all distances >= 1 m"),
+    ])
+    def test_unfittable_dataset_row_is_one_line_domain_error(self, capsys, tmp_path,
+                                                            fields, message):
+        data = tmp_path / "data.csv"
+        data.write_text("fc_ghz,d2d_m,d3d_m,env,pl_db,seed,sampling_mode\n"
+                        "1.0,100.0,105.0,LOS,80.0,7,linear\n"
+                        f"{fields},LOS,90.0,7,linear\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err == f"error: CI fit requires {message}\n"
+
     def test_missing_file_is_domain_error(self, capsys, tmp_path):
         status, _, _ = run(capsys, "fit", "--input", str(tmp_path / "absent.csv"))
         assert status == 1

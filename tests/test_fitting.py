@@ -63,6 +63,26 @@ class TestFitCi:
         with pytest.raises(ValueError):
             fit_ci(dataset([28.0, 28.0], [0.5, 5.0], [60.0, 80.0]))
 
+    @pytest.mark.parametrize("fc,d,pl,message", [
+        ([0.0, 1.0], [10.0, 100.0], [100.0, 120.0], "finite, positive frequencies"),
+        ([-1.0, 1.0], [10.0, 100.0], [100.0, 120.0], "finite, positive frequencies"),
+        ([math.nan, 1.0], [10.0, 100.0], [100.0, 120.0], "finite, positive frequencies"),
+        ([math.inf, 1.0], [10.0, 100.0], [100.0, 120.0], "finite, positive frequencies"),
+        ([1.0, 1.0], [math.nan, 100.0], [100.0, 120.0], "finite distances"),
+        ([1.0, 1.0], [10.0, math.inf], [100.0, 120.0], "finite distances"),
+        ([1.0, 1.0], [-math.inf, 100.0], [100.0, 120.0], "finite distances"),
+        ([1.0, 1.0], [0.5, 100.0], [100.0, 120.0], "all distances >= 1 m"),
+        ([1.0, 1.0], [10.0, 100.0], [math.nan, 120.0], "finite path losses"),
+        ([1.0, 1.0], [10.0, 100.0], [100.0, -math.inf], "finite path losses"),
+    ])
+    def test_bad_values_rejected(self, fc, d, pl, message):
+        with pytest.raises(ValueError) as err:
+            fit_ci_arrays(fc, d, pl, Environment.LOS)
+        assert str(err.value) == "CI fit requires " + message
+        with pytest.raises(ValueError) as err:
+            residual_stats(dataset(fc, d, pl), 2.0)
+        assert str(err.value) == "CI fit requires " + message
+
     def test_frequency_shift_absorbed_by_anchor(self):
         # scaling every frequency by k and adding 20*log10(k) to every loss
         # must leave the fit unchanged

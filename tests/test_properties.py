@@ -13,16 +13,13 @@ from rmapath import (
     BelowSensitivityWarning,
     ConversionSummary,
     Environment,
-    MeasurementRecord,
     RmaParams,
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
     fit_ci_arrays,
-    format_campaign_csv,
     los_second_slope,
     max_range,
-    parse_campaign_csv,
     read_campaign_csv,
     rma_los,
     rma_nlos,
@@ -80,9 +77,11 @@ def test_ci_fit_round_trip(ple, links):
 
 finite_db = st.floats(-300.0, 300.0)
 positive = st.floats(1e-3, 1e5)
-campaign_records = st.lists(st.builds(
-    lambda fields, powers, outage: MeasurementRecord(*fields, *powers, outage),
-    st.tuples(st.text("AZ09 ,\"", max_size=4), st.sampled_from(["LOS", "NLOS", "LOS-DIFFRACTION"]),
+# Valid campaign rows in header order; a location id may hold a quoted newline.
+campaign_rows = st.lists(st.builds(
+    lambda fields, powers, outage: (*fields, *powers, outage),
+    st.tuples(st.text("AZ09 ,\"\n", max_size=4),
+              st.sampled_from(["LOS", "NLOS", "LOS-DIFFRACTION"]),
               positive, positive, positive, positive),
     st.one_of(st.tuples(finite_db, st.none()), st.tuples(st.none(), finite_db)),
     st.booleans(),
@@ -93,31 +92,29 @@ campaign_records = st.lists(st.builds(
 # runs, which took minutes and over 1 GB of memory for this test.
 @pytest.mark.filterwarnings("ignore", category=BelowSensitivityWarning)
 @settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
-@given(records=campaign_records)
-def test_read_campaign_csv_matches_the_records(records):
-    text = format_campaign_csv(records)
+@given(rows=campaign_rows)
+def test_read_campaign_csv_matches_the_records(campaign_text, rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "campaign.csv"
-        path.write_text(text)
+        path.write_text(campaign_text(rows))
         datasets, summary = read_campaign_csv(path, DEFAULT_BUDGET)
 
-    parsed = parse_campaign_csv(text)
-    outage = sum(r.outage for r in parsed)
-    kept = [r for r in parsed if not r.outage and r.environment_tag != "LOS-DIFFRACTION"]
-    assert summary == ConversionSummary(len(parsed), len(kept), outage,
-                                        len(parsed) - len(kept) - outage)
+    outage = sum(row[-1] for row in rows)
+    kept = [row for row in rows if not row[-1] and row[1] != "LOS-DIFFRACTION"]
+    assert summary == ConversionSummary(len(rows), len(kept), outage,
+                                        len(rows) - len(kept) - outage)
     budget = DEFAULT_BUDGET
     eirp_and_gain = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi
     expected = {}
     for env in Environment:
-        rows = [r for r in kept if r.environment_tag == env.value]
-        if rows:
-            column = {name: np.array([getattr(r, name) for r in rows], dtype=float)
-                      for name in ("fc_ghz", "d2d_m", "tx_height_m", "rx_height_m")}
-            pl = np.array([eirp_and_gain - r.p_rx_dbm if r.pl_db is None else r.pl_db
-                           for r in rows])
-            d3d = distance_3d(column["d2d_m"], column["tx_height_m"], column["rx_height_m"])
-            expected[env] = (column["fc_ghz"], column["d2d_m"], d3d, pl)
+        columns = [row[2:8] for row in kept if row[1] == env.value]
+        if columns:
+            d2d, tx_h, rx_h, fc, p_rx, pl = zip(*columns)
+            d2d = np.array(d2d)
+            pl = np.array([eirp_and_gain - p if loss is None else loss
+                           for p, loss in zip(p_rx, pl)])
+            expected[env] = (np.array(fc), d2d, distance_3d(d2d, np.array(tx_h),
+                                                            np.array(rx_h)), pl)
     assert list(datasets) == list(expected)
     for env, (fc, d2d, d3d, pl) in expected.items():
         ds = datasets[env]

@@ -253,9 +253,28 @@ class TestDatasetCsv:
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
+        for text in ("a,b,c\n1,2,3\n", "", ",".join(DATASET_CSV_HEADER) + ",extra\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                read_dataset_csv(path)
+            assert str(err.value) == ("not a dataset CSV: expected header "
+                                      "fc_ghz,d2d_m,d3d_m,env,pl_db,seed,sampling_mode")
+
+    def test_rows_are_numbered_by_the_physical_line_they_start_on(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(DATASET_CSV_HEADER) + "\n"
+                        + '1.0,100.0,105.0,LOS,80.0,7,"lin\near"\n'  # lines 2-3, good
+                        + "1.0,100.0,105.0,FOO,80.0,7,linear\n"      # line 4
+                        + '1.0,"1\n00",105.0,LOS,80.0,7,linear\n'    # lines 5-6
+                        + "\n"                                         # line 7
+                        + '1.0,100.0,105.0,LOS,80.0,"x\ny",linear\n')  # lines 8-9
+        with pytest.raises(ValueError) as err:
             read_dataset_csv(path)
+        assert str(err.value) == "\n".join([
+            "line 4: env must be LOS or NLOS, got 'FOO'",
+            "line 5: could not convert string to float: '1\\n00'",
+            "line 8: seed must be an integer, got 'x\\ny'",
+        ])
 
     @pytest.mark.parametrize("row,message", [
         ("1.0,100.0,105.0,LOS,80.0,7", "line 3: expected 7 fields, got 6"),
