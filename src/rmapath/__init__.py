@@ -50,12 +50,10 @@ from .simulate import (
 from .fitting import (
     CiFitResult,
     DegenerateFitError,
-    ResidualReport,
     fit_ci,
     fit_ci_arrays,
     fit_report_dict,
     reproduce_3gpp_ci,
-    residual_stats,
 )
 from .campaign import (
     CAMPAIGN_CSV_HEADER,
@@ -64,7 +62,6 @@ from .campaign import (
     CampaignFormatError,
     ConversionSummary,
     LinkBudget,
-    MeasurementRecord,
     NoCoverageError,
     bundled_campaign_path,
     max_range,

@@ -16,6 +16,7 @@ from array import array
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,39 +72,8 @@ DEFAULT_BUDGET = LinkBudget(tx_power_dbm=14.7, tx_gain_dbi=27.0,
 _RECORD_NUMBERS = ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db")
 
 
-def _check_measurement(environment_tag, d2d_m, tx_height_m, rx_height_m, fc_ghz,
-                       p_rx_dbm, pl_db, outage) -> None:
-    """The rules on one campaign row's values, checked in the order they are reported.
-
-    Raises ValueError naming the first rule broken: the tag, then a
-    non-finite number, then a non-positive distance/height/frequency, then
-    the count of powers on a non-outage row.
-    """
-    if environment_tag not in CAMPAIGN_TAGS:
-        raise ValueError(
-            f"environment {environment_tag!r} not one of {'/'.join(CAMPAIGN_TAGS)}")
-    inf = math.inf
-    # Cheap test first; walk the fields in report order only on failure.
-    if not (0.0 < d2d_m < inf and 0.0 < tx_height_m < inf and 0.0 < rx_height_m < inf
-            and 0.0 < fc_ghz < inf and (p_rx_dbm is None or -inf < p_rx_dbm < inf)
-            and (pl_db is None or -inf < pl_db < inf)):
-        numbers = (d2d_m, tx_height_m, rx_height_m, fc_ghz, p_rx_dbm, pl_db)
-        for name, value in zip(_RECORD_NUMBERS, numbers):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name, value in zip(_RECORD_NUMBERS[:4], numbers):
-            if not value > 0:
-                raise ValueError(f"{name} must be positive")
-    present = (p_rx_dbm is not None) + (pl_db is not None)
-    if not outage and present != 1:
-        raise ValueError(
-            "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
-            f"got {present}")
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One campaign row, validated on construction."""
+class MeasurementRecord(NamedTuple):
+    """One campaign row in header order, as ``parse_campaign_csv`` returns it."""
 
     location_id: str
     environment_tag: str
@@ -111,14 +81,9 @@ class MeasurementRecord:
     tx_height_m: float
     rx_height_m: float
     fc_ghz: float
-    p_rx_dbm: float | None = None
-    pl_db: float | None = None
-    outage: bool = False
-
-    def __post_init__(self):
-        _check_measurement(self.environment_tag, self.d2d_m, self.tx_height_m,
-                           self.rx_height_m, self.fc_ghz, self.p_rx_dbm, self.pl_db,
-                           self.outage)
+    p_rx_dbm: float | None
+    pl_db: float | None
+    outage: bool
 
 
 @dataclass(frozen=True)
@@ -149,31 +114,50 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm: float) -> float:
 
 
 def _parse_row(row: list[str]) -> tuple:
-    """The checked field values of one campaign CSV row, in header order."""
+    """The checked values of one campaign CSV row, in header order.
+
+    Raises ValueError naming the first rule broken, in report order: field
+    count, outage literal, float parses, tag, finite, positive, power count.
+    """
     if len(row) != len(CAMPAIGN_CSV_HEADER):
         raise ValueError(f"expected {len(CAMPAIGN_CSV_HEADER)} fields, got {len(row)}")
-    (location_id, environment, d2d, tx_h, rx_h, fc, p_rx, pl, outage) = row
+    (location_id, tag, d2d, tx_h, rx_h, fc, p_rx, pl, outage) = row
     if outage not in ("true", "false"):
         raise ValueError(f"outage must be 'true' or 'false', got {outage!r}")
-    values = (environment, float(d2d), float(tx_h), float(rx_h), float(fc),
-              None if p_rx == "" else float(p_rx), None if pl == "" else float(pl),
-              outage == "true")
-    _check_measurement(*values)
-    return (location_id, *values)
+    numbers = (float(d2d), float(tx_h), float(rx_h), float(fc),
+               None if p_rx == "" else float(p_rx), None if pl == "" else float(pl))
+    if tag not in CAMPAIGN_TAGS:
+        raise ValueError(f"environment {tag!r} not one of {'/'.join(CAMPAIGN_TAGS)}")
+    d2d, tx_h, rx_h, fc, p_rx, pl = numbers
+    inf = math.inf
+    # Cheap test first; walk the fields in report order only on failure.
+    if not (0.0 < d2d < inf and 0.0 < tx_h < inf and 0.0 < rx_h < inf and 0.0 < fc < inf
+            and (p_rx is None or -inf < p_rx < inf) and (pl is None or -inf < pl < inf)):
+        for name, value in zip(_RECORD_NUMBERS, numbers):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name, value in zip(_RECORD_NUMBERS[:4], numbers):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
+    outage = outage == "true"
+    present = (p_rx is not None) + (pl is not None)
+    if not outage and present != 1:
+        raise ValueError(
+            "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
+            f"got {present}")
+    return (location_id, tag, *numbers, outage)
 
 
-def parse_campaign_csv(data: bytes | str) -> list[MeasurementRecord]:
-    """Parse campaign CSV content into validated records.
+def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
+    """Campaign CSV text as checked records; errors as ``read_campaign_csv``.
 
-    Raises CampaignFormatError on a missing/incorrect header, and with one
-    message per offending row, naming the physical line it starts on (the
-    header is line 1), when any row fails validation.
+    Kept for the benchmark self-test, which reads records, until it moves
+    to ``read_campaign_csv`` (ROADMAP item 1).
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     errors: list[str] = []
     rows = checked_csv_rows(io.StringIO(text), CAMPAIGN_CSV_HEADER,
                             CampaignFormatError(_HEADER_MESSAGE), _parse_row, errors)
-    records = [MeasurementRecord(*values) for _, values in rows]
+    records = [MeasurementRecord._make(values) for _, values in rows]
     if errors:
         raise CampaignFormatError("\n".join(errors))
     return records
@@ -188,7 +172,8 @@ def read_campaign_csv(path, budget: LinkBudget
     never fitted). Path loss comes from the row directly or from its
     received power via the link budget; the fit distance is the 3D slant
     distance from the row's heights. The datasets carry no seed or
-    sampling mode. Raises CampaignFormatError as ``parse_campaign_csv``.
+    sampling mode. Raises CampaignFormatError on a wrong header, or with one
+    ``line N:`` message per bad row, N the physical line it starts on (header: 1).
     """
     fc, d2d, tx_h, rx_h, pl = (array("d") for _ in range(5))
     nlos = bytearray()
@@ -254,10 +239,12 @@ def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:
             f"max path loss {max_pl_db:g} dB does not exceed the "
             f"{anchor:.2f} dB anchor loss at 1 m")
     try:
-        return 10.0 ** ((max_pl_db - anchor) / (10.0 * ple))
+        meters = 10.0 ** ((max_pl_db - anchor) / (10.0 * ple))
     except OverflowError:
-        raise OverflowError(f"the range at {max_pl_db:g} dB and n = {ple:g} "
-                            "overflows a float") from None
+        meters = math.inf
+    if meters < math.inf:  # an infinite exponent gives inf without raising
+        return meters
+    raise OverflowError(f"the range at {max_pl_db:g} dB and n = {ple:g} overflows a float")
 
 
 def bundled_campaign_path() -> Path:

@@ -42,31 +42,6 @@ class CiFitResult:
     environment: Environment
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Summary statistics of CI residuals at a given exponent."""
-
-    count: int
-    mean_db: float
-    std_db: float
-    min_db: float
-    max_db: float
-
-
-def _ci_basis(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray):
-    # min and max propagate NaN, so a NaN element fails these comparisons
-    if not (fc_ghz.min() > 0.0 and fc_ghz.max() < np.inf):
-        raise ValueError("CI fit requires finite, positive frequencies")
-    for name, x in (("distances", d_m), ("path losses", pl_db)):
-        if not -np.inf < x.min() <= x.max() < np.inf:
-            raise ValueError(f"CI fit requires finite {name}")
-    if d_m.min() < 1.0:
-        raise ValueError("CI fit requires all distances >= 1 m")
-    a = pl_db - CI_ANCHOR_DB - 20.0 * np.log10(fc_ghz)
-    b = 10.0 * np.log10(d_m)
-    return a, b
-
-
 def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
                   environment: Environment) -> CiFitResult:
     """Fit the CI exponent to columnar data; see ``fit_ci``."""
@@ -75,7 +50,16 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
     pl = np.asarray(pl_db, dtype=float)
     if d.size < 2:
         raise DegenerateFitError("need at least 2 samples to fit an exponent")
-    a, b = _ci_basis(fc, d, pl)
+    # min and max propagate NaN, so a NaN element fails these comparisons
+    if not (fc.min() > 0.0 and fc.max() < np.inf):
+        raise ValueError("CI fit requires finite, positive frequencies")
+    for name, x in (("distances", d), ("path losses", pl)):
+        if not -np.inf < x.min() <= x.max() < np.inf:
+            raise ValueError(f"CI fit requires finite {name}")
+    if d.min() < 1.0:
+        raise ValueError("CI fit requires all distances >= 1 m")
+    a = pl - CI_ANCHOR_DB - 20.0 * np.log10(fc)
+    b = 10.0 * np.log10(d)
     bb = float(b @ b)
     if bb == 0.0:
         raise DegenerateFitError(
@@ -103,26 +87,6 @@ def fit_ci(dataset: SimulatedDataset) -> CiFitResult:
     """
     return fit_ci_arrays(dataset.fc_ghz, dataset.d3d_m, dataset.pl_db,
                          dataset.environment)
-
-
-def residual_stats(dataset: SimulatedDataset, n: float) -> ResidualReport:
-    """Residual statistics of samples against a CI model with exponent n.
-
-    Std uses the population convention, matching ``CiFitResult.sigma_db``
-    when n is the fitted exponent.
-    """
-    if len(dataset) == 0:
-        raise ValueError("residual_stats requires at least one sample")
-    a, b = _ci_basis(dataset.fc_ghz, dataset.d3d_m, dataset.pl_db)
-    r = a - n * b
-    mean = float(np.mean(r))
-    return ResidualReport(
-        count=int(r.size),
-        mean_db=mean,
-        std_db=float(np.sqrt(np.mean((r - mean) ** 2))),
-        min_db=float(np.min(r)),
-        max_db=float(np.max(r)),
-    )
 
 
 def reproduce_3gpp_ci(environment: Environment, seed: int = 0) -> CiFitResult:

@@ -17,6 +17,7 @@ anything else raises ValueError.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -113,8 +114,14 @@ def _positive(name: str, value) -> np.ndarray:
 
 
 def _result(x):
-    """A float for a 0-d result, the array otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
+    """A float for a 0-d result, the array otherwise; OverflowError unless all finite."""
+    if np.ndim(x) == 0:
+        x = float(x)
+        if -math.inf < x < math.inf:
+            return x
+    elif not x.size or -np.inf < x.min() and x.max() < np.inf:  # NaN fails both
+        return x
+    raise OverflowError("the result overflows a float")
 
 
 def fspl(fc_ghz, d_m):

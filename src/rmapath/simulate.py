@@ -196,20 +196,31 @@ def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_
     """Yield ``(line, parse_row(row))`` for each non-blank row after ``header``.
 
     ``line`` is the physical line the row starts on (the header is line 1).
-    A row ``parse_row`` rejects with ValueError goes on ``errors`` as
+    A row ``parse_row`` rejects with ValueError, or the reader with
+    ``csv.Error`` (bad quoting, an oversized field), goes on ``errors`` as
     ``line N: <message>``, for the caller to raise once the file is read.
     """
-    reader = csv.reader(f)
-    if tuple(next(reader, ())) != header:
+    reader = csv.reader(f, strict=True)
+    try:
+        first = next(reader, ())
+    except csv.Error:
+        first = ()
+    if tuple(first) != header:
         raise header_error
     line = reader.line_num + 1
-    for row in reader:
-        if row:
-            try:
-                yield line, parse_row(row)
-            except ValueError as exc:
-                errors.append(f"line {line}: {exc}")
-        line = reader.line_num + 1
+    while True:
+        try:
+            for row in reader:
+                if row:
+                    try:
+                        yield line, parse_row(row)
+                    except ValueError as exc:
+                        errors.append(f"line {line}: {exc}")
+                line = reader.line_num + 1
+            return
+        except csv.Error as exc:  # ends the for loop; the reader goes on at the next line
+            errors.append(f"line {line}: {exc}")
+            line = reader.line_num + 1
 
 
 def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:

@@ -14,7 +14,6 @@ from rmapath import (
     CampaignFormatError,
     Environment,
     LinkBudget,
-    MeasurementRecord,
     NoCoverageError,
     bundled_campaign_path,
     ci_pathloss,
@@ -37,10 +36,6 @@ def make_row(**overrides):
     """One campaign row in header order: ``ROW`` with ``overrides``."""
     fields = {**ROW, **overrides}
     return tuple(fields[name] for name in CAMPAIGN_CSV_HEADER)
-
-
-def make_record(**overrides):
-    return MeasurementRecord(*make_row(**overrides))
 
 
 @pytest.fixture
@@ -129,33 +124,6 @@ class TestLinkBudget:
         assert str(err.value) == f"{field} must be finite, got {value!r}"
 
 
-class TestMeasurementRecord:
-    def test_both_powers_rejected(self):
-        with pytest.raises(ValueError):
-            make_record(p_rx_dbm=-90.0, pl_db=158.7)
-
-    def test_neither_power_rejected_when_not_outage(self):
-        with pytest.raises(ValueError):
-            make_record(pl_db=None)
-
-    def test_outage_needs_no_power(self):
-        make_record(pl_db=None, outage=True)
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            make_record(environment="FOO")
-
-    @pytest.mark.parametrize("field", ["d2d_m", "tx_height_m", "rx_height_m", "fc_ghz",
-                                       "p_rx_dbm", "pl_db"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected(self, field, value):
-        overrides = {field: value}
-        if field == "p_rx_dbm":
-            overrides["pl_db"] = None
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            make_record(**overrides)
-
-
 class TestParseCampaignCsv:
     def test_bundled_fixture_counts(self):
         records = parse_campaign_csv(bundled_campaign_path().read_text())
@@ -202,9 +170,28 @@ class TestParseCampaignCsv:
             parse_campaign_csv(text)
         assert "line 2" in str(err.value) and "line 3" in str(err.value)
 
-    def test_accepts_bytes(self):
-        records = parse_campaign_csv(bundled_campaign_path().read_bytes())
-        assert len(records) == 38
+    @pytest.mark.parametrize("overrides,error", [
+        *[pytest.param({field: value, **({"pl_db": None} if field == "p_rx_dbm" else {})},
+                       f"line 2: {field} must be finite, got {value!r}", id=f"{value}-{field}")
+          for field in ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db")
+          for value in (math.nan, math.inf, -math.inf)],
+        pytest.param(dict(p_rx_dbm=-90.0), "line 2: exactly one of p_rx_dbm/pl_db required "
+                     "on a non-outage row, got 2", id="both-powers"),
+        pytest.param(dict(pl_db=None), "line 2: exactly one of p_rx_dbm/pl_db required "
+                     "on a non-outage row, got 0", id="no-power"),
+        pytest.param(dict(environment="FOO"), "line 2: environment 'FOO' not one of "
+                     "LOS/NLOS/LOS-DIFFRACTION", id="unknown-tag"),
+        pytest.param(dict(pl_db=None, outage=True), None, id="outage-without-power"),
+    ])
+    def test_row_rules(self, tmp_path, campaign_text, overrides, error):
+        text = campaign_text([make_row(**overrides)])
+        if error is None:  # accepted by both readers
+            assert parse_campaign_csv(text) == [make_row(**overrides)]
+            path = tmp_path / "good.csv"
+            path.write_text(text)
+            assert read_campaign_csv(path, DEFAULT_BUDGET)[1].total == 1
+        else:
+            assert parse_and_read(tmp_path, text) == error
 
     def test_every_bad_row_reported_by_its_first_fault(self, tmp_path):
         text = HEADER + "\n" + "\n".join(BAD_ROWS) + "\n"
@@ -223,7 +210,18 @@ class TestParseCampaignCsv:
             "line 9: could not convert string to float: '1\\n00'",
         ])
 
-    @pytest.mark.parametrize("text", ["", "a,b,c\n", HEADER + ",extra\n"])
+    @pytest.mark.parametrize("rows,message", [
+        (["A,LOS,100,110,1.8,73.5,," + "1" * 200_000 + ",false",
+          "B,FOO,100,110,1.8,73.5,,120.0,false"],
+         "line 2: field larger than field limit (131072)\n"
+         "line 3: environment 'FOO' not one of LOS/NLOS/LOS-DIFFRACTION"),
+        (['"A"B,LOS,100,110,1.8,73.5,,120.0,false'], "line 2: ',' expected after '\"'"),
+        (['A,LOS,100,110,1.8,73.5,,120.0,"false'], "line 2: unexpected end of data"),
+    ])
+    def test_malformed_csv_names_its_line(self, tmp_path, rows, message):
+        assert parse_and_read(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n") == message
+
+    @pytest.mark.parametrize("text", ["", "a,b,c\n", HEADER + ",extra\n", '"' + HEADER])
     def test_reader_rejects_a_bad_header(self, tmp_path, text):
         assert parse_and_read(tmp_path, text) == "missing or invalid header; expected " + HEADER
 
@@ -346,6 +344,11 @@ class TestMaxRange:
     def test_overflow_is_one_overflow_error(self):
         with pytest.raises(OverflowError, match="overflows a float"):
             max_range(28.0, 0.01, 1e6)
+
+    def test_infinite_exponent_is_one_overflow_error(self):
+        with pytest.raises(OverflowError) as err:
+            max_range(1.0, 0.001, 1e308)  # the exponent itself overflows to inf
+        assert str(err.value) == "the range at 1e+308 dB and n = 0.001 overflows a float"
 
     def test_monotonicity(self):
         assert max_range(73.5, 2.16, 180.0) < max_range(73.5, 2.16, 190.0)

@@ -6,6 +6,8 @@ import math
 import pytest
 
 from rmapath import (
+    CAMPAIGN_CSV_HEADER,
+    DATASET_CSV_HEADER,
     DEFAULT_BUDGET,
     RmaParams,
     bundled_campaign_path,
@@ -111,6 +113,21 @@ def test_overflowing_coverage_is_one_line_domain_error(capsys):
                            "--freq-ghz", "28")
     assert (status, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,message", [
+    (("coverage", "--max-pl", "1e308", "--ple", "0.001", "--freq-ghz", "1"),
+     "the range at 1e+308 dB and n = 0.001 overflows a float"),
+    (("predict", "--model", "ci", "--env", "los", "--freq-ghz", "1", "--dist-m", "1e300",
+      "--ple", "1e307"), "the result overflows a float"),
+    (("predict", "--model", "3gpp-rma", "--env", "nlos", "--freq-ghz", "1e306",
+      "--dist-m", "100"), "the result overflows a float"),
+    (("breakpoint-curve", "--fmin", "1e300", "--fmax", "1e300", "--steps", "1",
+      "--hbs", "1e10"), "the result overflows a float"),
+])
+def test_infinite_result_is_one_line_domain_error(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestBreakpointCurve:
@@ -333,6 +350,24 @@ class TestFit:
         status, out, err = run(capsys, "fit", "--input", str(data))
         assert (status, out) == (1, "")
         assert err == f"error: CI fit requires {message}\n"
+
+    @pytest.mark.parametrize("header,good,bad,message", [
+        (DATASET_CSV_HEADER, "1.0,100.0,105.0,LOS,80.0,7,linear",
+         "1.0,100.0,105.0,LOS," + "1" * 200_000 + ",7,linear",
+         "line 3: field larger than field limit (131072)"),
+        (DATASET_CSV_HEADER, "1.0,100.0,105.0,LOS,80.0,7,linear",
+         '1.0,200.0,205.0,LOS,90.0,7,"linear', "line 3: unexpected end of data"),
+        (CAMPAIGN_CSV_HEADER, "A,LOS,100,110,1.8,73.5,,120.0,false",
+         "B,LOS,100,110,1.8,73.5,," + "1" * 200_000 + ",false",
+         "line 3: field larger than field limit (131072)"),
+        (CAMPAIGN_CSV_HEADER, "A,LOS,100,110,1.8,73.5,,120.0,false",
+         'B,LOS,200,110,1.8,73.5,,130.0,"false', "line 3: unexpected end of data"),
+    ], ids=["dataset-oversized", "dataset-unclosed", "campaign-oversized", "campaign-unclosed"])
+    def test_malformed_csv_is_one_line_domain_error(self, capsys, tmp_path, header, good,
+                                                    bad, message):
+        data = tmp_path / "data.csv"
+        data.write_text(f"{','.join(header)}\n{good}\n{bad}\n")
+        assert run(capsys, "fit", "--input", str(data)) == (1, "", f"error: {message}\n")
 
     def test_missing_file_is_domain_error(self, capsys, tmp_path):
         status, _, _ = run(capsys, "fit", "--input", str(tmp_path / "absent.csv"))

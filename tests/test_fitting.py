@@ -17,7 +17,6 @@ from rmapath import (
     fit_report_dict,
     generate_3gpp_dataset,
     reproduce_3gpp_ci,
-    residual_stats,
 )
 
 
@@ -79,9 +78,6 @@ class TestFitCi:
         with pytest.raises(ValueError) as err:
             fit_ci_arrays(fc, d, pl, Environment.LOS)
         assert str(err.value) == "CI fit requires " + message
-        with pytest.raises(ValueError) as err:
-            residual_stats(dataset(fc, d, pl), 2.0)
-        assert str(err.value) == "CI fit requires " + message
 
     def test_frequency_shift_absorbed_by_anchor(self):
         # scaling every frequency by k and adding 20*log10(k) to every loss
@@ -130,31 +126,6 @@ class TestFitCi:
                                                   generated.pl_db, Environment.NLOS)
         assert fit_ci(generated) != fit_ci_arrays(generated.fc_ghz, generated.d2d_m,
                                                   generated.pl_db, Environment.NLOS)
-
-
-class TestResidualStats:
-    def test_std_matches_fit_sigma(self):
-        samples = ci_samples(2.8, np.geomspace(2.0, 8_000.0, 80),
-                             np.full(80, 60.0), sigma=7.0, seed=9)
-        fit = fit_ci(samples)
-        report = residual_stats(samples, fit.n)
-        # population convention on both sides; means differ only through
-        # the nonzero mean residual of the one-parameter fit
-        rms = math.sqrt(report.std_db**2 + report.mean_db**2)
-        assert rms == pytest.approx(fit.sigma_db, abs=1e-9)
-        assert report.count == fit.count
-        assert report.min_db <= report.mean_db <= report.max_db
-
-    def test_zero_exponent_at_reference_distance(self):
-        samples = dataset([28.0] * 3, [1.0] * 3, [60.0, 62.0, 64.0])
-        report = residual_stats(samples, 0.0)
-        a, _ = excess_and_basis(samples)
-        assert report.std_db == pytest.approx(float(np.std(a)), abs=1e-12)
-        assert report.mean_db == pytest.approx(float(np.mean(a)), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            residual_stats(dataset([], [], []), 2.0)
 
 
 class TestReproduce3gppCi:

@@ -261,6 +261,23 @@ class TestNonFiniteInputs:
             RmaParams(**{field: math.inf})
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("call", [
+        lambda: ci_pathloss(1.0, 1e300, 1e307),
+        lambda: ci_pathloss(1.0, 1.0, 1.7e308),  # an infinite 10*n times log10(1) is NaN
+        lambda: breakpoint_distance(1e10, 1.5, 1e300),
+        lambda: breakpoint_distance(1e10, 1.5, [1.0, 1e300]),
+        lambda: distance_3d(1e200, 35.0, 1.5),
+        lambda: fspl(1e300, 1e300),
+        lambda: rma_nlos(DEFAULTS, 100.0, 1e306),
+    ])
+    def test_non_finite_result_is_one_overflow_error(self, call):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError) as err:
+                call()
+        assert str(err.value) == "the result overflows a float"
+
+
 class TestOutputType:
     @pytest.mark.parametrize("d", [100.0, np.float64(100.0), np.array(100.0)])
     def test_scalar_inputs_give_a_float(self, d):

@@ -1,6 +1,7 @@
 """Property-based invariants of the models, the coverage inverse, the fit and
 the campaign reader."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from rmapath import (
     BelowSensitivityWarning,
     ConversionSummary,
     Environment,
+    ModelRangeWarning,
     RmaParams,
     breakpoint_distance,
     ci_pathloss,
@@ -73,6 +75,28 @@ def test_ci_fit_round_trip(ple, links):
     assert abs(fit.n - ple) < 1e-9
     assert fit.sigma_db < 1e-9
     assert fit.count == len(links)
+
+
+positive_floats = st.floats(0.0, exclude_min=True, allow_infinity=False)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.filterwarnings("ignore", category=ModelRangeWarning)
+@pytest.mark.parametrize("function,arguments", [
+    (ci_pathloss, st.tuples(positive_floats, positive_floats, positive_floats)),
+    (breakpoint_distance, st.tuples(positive_floats, positive_floats, positive_floats)),
+    (distance_3d, st.tuples(positive_floats, positive_floats, positive_floats)),
+    (max_range, st.tuples(positive_floats, positive_floats, finite_floats)),
+], ids=["ci_pathloss", "breakpoint_distance", "distance_3d", "max_range"])
+@given(data=st.data())
+def test_finite_result_or_one_error(function, arguments, data):
+    args = data.draw(arguments)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = function(*args)
+        except (ValueError, OverflowError):
+            return
+    assert type(value) is float and math.isfinite(value)
 
 
 finite_db = st.floats(-300.0, 300.0)

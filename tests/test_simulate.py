@@ -276,6 +276,22 @@ class TestDatasetCsv:
             "line 8: seed must be an integer, got 'x\\ny'",
         ])
 
+    @pytest.mark.parametrize("rows,message", [
+        (["1.0,100.0,105.0,LOS," + "1" * 200_000 + ",7,linear",
+          "1.0,100.0,105.0,FOO,80.0,7,linear"],
+         "line 3: field larger than field limit (131072)\n"
+         "line 4: env must be LOS or NLOS, got 'FOO'"),
+        (['1.0,100.0,105.0,LOS,"80"0,7,linear'], "line 3: ',' expected after '\"'"),
+        (['1.0,100.0,105.0,LOS,80.0,7,"linear'], "line 3: unexpected end of data"),
+    ])
+    def test_malformed_csv_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("fc_ghz,d2d_m,d3d_m,env,pl_db,seed,sampling_mode\n"
+                        "1.0,100.0,105.0,LOS,80.0,7,linear\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_dataset_csv(path)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("row,message", [
         ("1.0,100.0,105.0,LOS,80.0,7", "line 3: expected 7 fields, got 6"),
         ("1.0,100.0,105.0,FOO,80.0,7,linear", "line 3: env must be LOS or NLOS, got 'FOO'"),
