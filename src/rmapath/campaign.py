@@ -177,13 +177,14 @@ def read_campaign_csv(path, budget: LinkBudget
     """
     fc, d2d, tx_h, rx_h, pl = (array("d") for _ in range(5))
     nlos = bytearray()
+    lines = array("q")  # the line each kept row starts on
     from_power = array("q")  # rows whose path loss is still a received power
     outage_dropped = diffraction_dropped = 0
     errors: list[str] = []
     with open(path, encoding="utf-8", newline="") as f:
         rows = checked_csv_rows(f, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
                                 _parse_row, errors)
-        for _, (_, tag, d, tx, rx, f_ghz, p_rx, loss, outage) in rows:
+        for line, (_, tag, d, tx, rx, f_ghz, p_rx, loss, outage) in rows:
             if outage:
                 outage_dropped += 1
             elif tag == DIFFRACTION_TAG:
@@ -198,13 +199,23 @@ def read_campaign_csv(path, budget: LinkBudget
                 rx_h.append(rx)
                 pl.append(loss)
                 nlos.append(tag == "NLOS")
+                lines.append(line)
     if errors:
         raise CampaignFormatError("\n".join(errors))
+    fc, d2d, tx_h, rx_h = map(np.frombuffer, (fc, d2d, tx_h, rx_h))
+    try:
+        d3d = distance_3d(d2d, tx_h, rx_h)
+    except OverflowError:  # name the rows, one scalar call each
+        for line, *row in zip(lines, d2d, tx_h, rx_h):
+            try:
+                distance_3d(*row)
+            except OverflowError:
+                errors.append(f"line {line}: slant distance overflows a float")
+        raise CampaignFormatError("\n".join(errors)) from None
     # Converted only once every row has passed, so a rejected file warns of nothing.
     for i in from_power:
         pl[i] = pathloss_from_power(budget, pl[i])
-    fc, d2d, tx_h, rx_h, pl = map(np.frombuffer, (fc, d2d, tx_h, rx_h, pl))
-    d3d = distance_3d(d2d, tx_h, rx_h)
+    pl = np.frombuffer(pl)
     is_nlos = np.frombuffer(nlos, dtype=bool)
     datasets = {}
     for env, mask in ((Environment.LOS, ~is_nlos), (Environment.NLOS, is_nlos)):

@@ -10,7 +10,10 @@ a substream distances are drawn before shadow fading.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
+import warnings
 from array import array
 from dataclasses import dataclass, field
 
@@ -43,7 +46,14 @@ SAMPLING_MODES = ("linear", "log")
 DATASET_CSV_HEADER = ("fc_ghz", "d2d_m", "d3d_m", "env", "pl_db", "seed", "sampling_mode")
 _ENVIRONMENT_VALUES = tuple(env.value for env in Environment)
 _DATASET_FLOAT_FIELDS = ("fc_ghz", "d2d_m", "d3d_m", "pl_db")
-_WRITE_BLOCK_ROWS = 8192
+_DATASET_HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
+_CSV_BLOCK_ROWS = 8192
+# Each text field is one character wider than its longest accepted value
+# (NLOS, a 20-digit seed, linear), so a longer value, cut to that width,
+# never equals an accepted one.
+_DATASET_BLOCK_DTYPE = np.dtype([
+    ("fc_ghz", "f8"), ("d2d_m", "f8"), ("d3d_m", "f8"), ("env", "U5"), ("pl_db", "f8"),
+    ("seed", "U21"), ("sampling_mode", "U7")])
 
 
 @dataclass(frozen=True)
@@ -119,19 +129,18 @@ class SimulatedDataset:
 
     def write_csv(self, path) -> None:
         """Write the dataset with full float precision (repr round-trip)."""
-        env = self.environment.value
-        seed = self.seed  # the writer turns None into an empty field
-        mode = self.sampling_mode
+        env = self.environment.value  # LOS or NLOS: never quoted
+        out = io.StringIO()  # seed and mode as the csv module writes them, None empty
+        csv.writer(out, lineterminator="\n").writerow((self.seed, self.sampling_mode))
+        tail = out.getvalue()
         columns = (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db)
-        # Rows stream to the file, converted to Python floats a block at a time.
-        rows = ((repr(fc), repr(d2d), repr(d3d), env, repr(pl), seed, mode)
-                for start in range(0, len(self), _WRITE_BLOCK_ROWS)
-                for fc, d2d, d3d, pl in zip(*(c[start:start + _WRITE_BLOCK_ROWS].tolist()
-                                              for c in columns)))
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(DATASET_CSV_HEADER)
-            writer.writerows(rows)
+            f.write(_DATASET_HEADER_LINE)
+            # One string and one write per block of rows, converted to Python floats.
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                block = (c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns)
+                f.write("".join([f"{fc!r},{d2d!r},{d3d!r},{env},{pl!r},{tail}"
+                                 for fc, d2d, d3d, pl in zip(*block)]))
 
 
 def _frequency_rng(seed: int, freq_index: int) -> np.random.Generator:
@@ -223,31 +232,100 @@ def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_
             line = reader.line_num + 1
 
 
-def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
-    """Read a dataset CSV back into one dataset per environment, LOS first.
+def _row_bound(path) -> int | None:
+    """The newline count of a file the block reader may parse, else None.
 
-    Rows stream into growable float columns, so no per-row object is kept.
-    Each dataset carries the file's seed and sampling mode, or None where
-    that column is not constant across rows. Raises ValueError on a wrong
-    header, and with one message per malformed row naming the physical
-    line it starts on (the header is line 1).
+    ``np.loadtxt`` drops the NULs that end a text field and reads a float of
+    any length, where the csv module keeps the NULs and rejects a field over
+    its limit; a newline in every chunk of half the limit keeps each line
+    under it. A file with a CR is left to the csv module too, so that every
+    row ends in a newline and the count bounds the rows.
     """
-    columns = {env: tuple(array("d") for _ in range(4)) for env in _ENVIRONMENT_VALUES}
+    size = csv.field_size_limit() // 2
+    newlines = 0
+    with open(path, "rb") as f:
+        while chunk := f.read(size):
+            if b"\0" in chunk or b"\r" in chunk or (len(chunk) == size and b"\n" not in chunk):
+                return None
+            newlines += chunk.count(b"\n")
+    return newlines
+
+
+def _distinct(column: np.ndarray) -> set[str]:
+    first = str(column[0])
+    return {first} if (column == first).all() else set(column.tolist())
+
+
+def _read_dataset_blocks(f, rows: int):
+    """``(columns, seeds, modes)`` of a file in ``write_csv``'s shape, else None.
+
+    Parses a block of rows per ``np.loadtxt`` call into float columns
+    allocated once for ``rows`` rows. The shape is: the exact header line,
+    then rows with finite floats, env LOS or NLOS, a seed that is empty or
+    at most 20 ASCII digits, and a mode that is empty, linear or log. Any
+    other file, or one that ``loadtxt`` rejects or warns of (a blank line),
+    gives None, and the row loop reads it.
+    """
+    if f.readline() != _DATASET_HEADER_LINE:
+        return None
+    values = np.empty((len(_DATASET_FLOAT_FIELDS), rows))
+    los = np.empty(rows, dtype=bool)
+    n = 0
+    seeds, modes = set(), set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Peeking at each block's first line means loadtxt never meets an empty
+        # input, which it warns of.
+        while first := f.readline():
+            try:
+                block = np.loadtxt(itertools.chain((first,), f), dtype=_DATASET_BLOCK_DTYPE,
+                                   delimiter=",", comments=None, quotechar=None,
+                                   max_rows=_CSV_BLOCK_ROWS, ndmin=1)
+            except (ValueError, Warning):
+                return None
+            end = n + len(block)
+            los[n:end] = block["env"] == "LOS"
+            for column, name in zip(values, _DATASET_FLOAT_FIELDS):
+                column[n:end] = block[name]
+            if not ((los[n:end] | (block["env"] == "NLOS")).all()
+                    and np.isfinite(values[:, n:end]).all()):
+                return None
+            seeds |= _distinct(block["seed"])
+            modes |= _distinct(block["sampling_mode"])
+            n = end
+    if not (modes <= {"", *SAMPLING_MODES} and all(
+            not seed or (len(seed) <= 20 and seed.isascii() and seed.isdigit())
+            for seed in seeds)):
+        return None
+    values, los = values[:, :n], los[:n]
+    # A file of one environment keeps its columns in place; a mixed one is split.
+    columns = {env: values if mask.all() else values[:, mask]
+               for env, mask in (("LOS", los), ("NLOS", ~los))}
+    return columns, seeds, modes
+
+
+def _read_dataset_rows(f):
+    """``(columns, seeds, modes)`` of any dataset CSV, one row at a time.
+
+    Raises ValueError on a wrong header, and with one message per malformed
+    row naming the physical line it starts on.
+    """
+    columns = {env: tuple(array("d") for _ in _DATASET_FLOAT_FIELDS)
+               for env in _ENVIRONMENT_VALUES}
     seeds: dict[str, int] = {}  # each distinct seed field and its first line
     modes = set()
     errors: list[str] = []
     header_error = ValueError(
         f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}")
-    with open(path, newline="") as f:
-        for line, (env, values, seed, mode) in checked_csv_rows(
-                f, DATASET_CSV_HEADER, header_error, _parse_dataset_row, errors):
-            fc, d2d, d3d, pl = columns[env]
-            fc.append(values[0])
-            d2d.append(values[1])
-            d3d.append(values[2])
-            pl.append(values[3])
-            seeds.setdefault(seed, line)
-            modes.add(mode)
+    for line, (env, values, seed, mode) in checked_csv_rows(
+            f, DATASET_CSV_HEADER, header_error, _parse_dataset_row, errors):
+        fc, d2d, d3d, pl = columns[env]
+        fc.append(values[0])
+        d2d.append(values[1])
+        d3d.append(values[2])
+        pl.append(values[3])
+        seeds.setdefault(seed, line)
+        modes.add(mode)
     for seed, line in seeds.items():
         try:
             int(seed or 0)
@@ -255,9 +333,32 @@ def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
             errors.append(f"line {line}: seed must be an integer, got {seed!r}")
     if errors:
         raise ValueError("\n".join(errors))
+    return columns, seeds, modes
+
+
+def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
+    """Read a dataset CSV back into one dataset per environment, LOS first.
+
+    A file in the shape ``write_csv`` writes is parsed a block of rows at a
+    time by ``np.loadtxt`` into float columns sized once; any other file is
+    read one row at a time by the csv module into growable float columns,
+    with the same result. Either way no per-row object is kept, and only
+    the row loop builds error messages. Each dataset carries the
+    file's seed and sampling mode, or None where that column is not constant
+    across rows. Raises ValueError on a wrong header, and with one message
+    per malformed row naming the physical line it starts on (the header is
+    line 1).
+    """
+    with open(path, newline="") as f:
+        rows = _row_bound(path)
+        parsed = None if rows is None else _read_dataset_blocks(f, rows)
+        if parsed is None:
+            f.seek(0)
+            parsed = _read_dataset_rows(f)
+    columns, seeds, modes = parsed
     # An empty field is a dataset written without a seed or sampling mode.
     seed = next(iter(seeds)) if len(seeds) == 1 else ""
     mode = next(iter(modes)) if len(modes) == 1 else ""
-    return {env: SimulatedDataset(env, *map(np.frombuffer, columns[env.value]),
+    return {env: SimulatedDataset(env, *map(np.asarray, columns[env.value]),
                                   int(seed) if seed else None, mode or None)
-            for env in Environment if columns[env.value][0]}
+            for env in Environment if len(columns[env.value][0])}

@@ -318,6 +318,27 @@ class TestFit:
         assert err == ("0 of 5 records fitted (5 outage, 0 diffraction dropped)\n"
                        f"error: {data}: no fittable samples\n")
 
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_dataset_has_nothing_to_fit(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text(",".join(DATASET_CSV_HEADER) + "\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out, err) == (1, "", f"error: {data}: no fittable samples\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_slant_distance_names_its_line(self, capsys, tmp_path):
+        # row C's received power is past the ceiling: a rejected file warns of nothing
+        data = tmp_path / "campaign.csv"
+        data.write_text(",".join(CAMPAIGN_CSV_HEADER) + "\n"
+                        "A,LOS,100,110,1.8,73.5,,120.0,false\n"
+                        "B,LOS,1e200,110,1.8,73.5,,120.0,false\n"
+                        "C,NLOS,100,110,1.8,73.5,-200,,false\n"
+                        "D,NLOS,1e300,110,1.8,73.5,,150.0,false\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err == ("error: line 3: slant distance overflows a float\n"
+                       "line 5: slant distance overflows a float\n")
+
     def test_unrecognized_file_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,2\n")

@@ -1,5 +1,5 @@
 """Property-based invariants of the models, the coverage inverse, the fit and
-the campaign reader."""
+the campaign and dataset readers."""
 
 import math
 import tempfile
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from rmapath import (
+    DATASET_CSV_HEADER,
     DEFAULT_BUDGET,
     BelowSensitivityWarning,
     ConversionSummary,
@@ -23,6 +24,7 @@ from rmapath import (
     los_second_slope,
     max_range,
     read_campaign_csv,
+    read_dataset_csv,
     rma_los,
     rma_nlos,
 )
@@ -145,3 +147,54 @@ def test_read_campaign_csv_matches_the_records(campaign_text, rows):
         assert ds.environment is env and ds.seed is None and ds.sampling_mode is None
         for got, want in ((ds.fc_ghz, fc), (ds.d2d_m, d2d), (ds.d3d_m, d3d), (ds.pl_db, pl)):
             assert np.array_equal(got, want)
+
+
+# Dataset CSV text: rows as write_csv writes them, with a few fields
+# replaced or dropped and blank lines added.
+dataset_floats = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+dataset_rows = st.lists(st.tuples(dataset_floats, dataset_floats, dataset_floats,
+                                  st.sampled_from(["LOS", "NLOS"]), dataset_floats),
+                        max_size=12)
+mutations = st.lists(st.tuples(
+    st.integers(0, 100), st.integers(0, 6),
+    st.sampled_from(["nan", "1e999", "-inf", "1_0", "0x10", " 80.5", "80.5 ", "", "abc",
+                     "NLOSX", "los", "LOS", "NLOS", " LOS", "042", "+42", "4" * 25, "\u0664\u0662",
+                     "linearX", "foo", "log", "linear", "log\0", "7", "<drop>", "<blank>"])),
+    max_size=3)
+
+
+def _dataset_outcome(text: str):
+    """The columns, seed and mode per environment that a dataset CSV reads as, or its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        path.write_text(text, newline="")
+        try:
+            datasets = read_dataset_csv(path)
+        except ValueError as exc:
+            return str(exc)
+    return {env: (ds.fc_ghz.tobytes(), ds.d2d_m.tobytes(), ds.d3d_m.tobytes(),
+                  ds.pl_db.tobytes(), ds.seed, ds.sampling_mode)
+            for env, ds in datasets.items()}
+
+
+@settings(deadline=None)
+@given(rows=dataset_rows, seed=st.sampled_from(["", "7", "042", "18446744073709551615"]),
+       mode=st.sampled_from(["", "linear", "log"]), mutations=mutations)
+def test_dataset_blocks_read_as_their_quoted_twin(rows, seed, mode, mutations):
+    # A quoted field is the same value to the csv module, but np.loadtxt
+    # rejects it, so the quoted twin is always read one row at a time.
+    lines = [[*row, seed, mode] for row in rows]
+    for index, field, value in mutations:
+        if not lines:
+            break
+        line = lines[index % len(lines)]
+        if value == "<blank>":
+            lines.insert(index % len(lines), [])
+        elif value == "<drop>":
+            del line[field % len(line)]
+        elif line:
+            line[field % len(line)] = value
+    header = ",".join(DATASET_CSV_HEADER) + "\n"
+    plain = header + "".join(",".join(line) + "\n" for line in lines)
+    quoted = header + "".join(",".join(f'"{v}"' for v in line) + "\n" for line in lines)
+    assert _dataset_outcome(plain) == _dataset_outcome(quoted)

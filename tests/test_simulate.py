@@ -1,7 +1,10 @@
 """Monte Carlo dataset generation: determinism, substreams, oracles."""
 
+import csv
 import dataclasses
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from rmapath import (
 )
 
 PARAMS = RmaParams()
+HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
 
 
 def small_config(environment=Environment.NLOS, **overrides):
@@ -306,3 +310,95 @@ class TestDatasetCsv:
                         "1.0,100.0,105.0,LOS,80.0,7,linear\n" + row + "\n")
         with pytest.raises(ValueError, match=message):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize("seed,mode", [
+        (7, "a,b"), (7, 'x"y'), (7, "lin\near"), (None, "linear"), (7, None), (None, None)])
+    def test_write_quotes_seed_and_mode_as_the_csv_module_does(self, tmp_path, seed, mode):
+        dataset = dataclasses.replace(generate_3gpp_dataset(small_config(samples_per_frequency=4)),
+                                      seed=seed, sampling_mode=mode)
+        path = tmp_path / "dataset.csv"
+        dataset.write_csv(path)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(DATASET_CSV_HEADER)
+        for row in zip(dataset.fc_ghz.tolist(), dataset.d2d_m.tolist(),
+                       dataset.d3d_m.tolist(), dataset.pl_db.tolist()):
+            writer.writerow((*map(repr, row[:3]), "NLOS", repr(row[3]), seed, mode))
+        assert path.read_bytes() == expected.getvalue().encode()
+        parsed = read_dataset_csv(path)[Environment.NLOS]
+        assert (parsed.seed, parsed.sampling_mode) == (seed, mode)
+        assert np.array_equal(parsed.pl_db, dataset.pl_db)
+
+    # What the row-at-a-time reader gives for text that np.loadtxt splits
+    # differently, or that a cut-off text field would hide.
+    @pytest.mark.parametrize("text,expected", [
+        (HEADER_LINE + "1.0,100.0,105.0,NLOSX,80.0,7,linear\n",
+         "line 2: env must be LOS or NLOS, got 'NLOSX'"),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linearX\n", (7, "linearX", [80.0])),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,123456789012345678901,linear\n",
+         (123456789012345678901, "linear", [80.0])),
+        (HEADER_LINE + '1.0,100.0,105.0,"LO"S,80.0,7,linear\n',
+         "line 2: ',' expected after '\"'"),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\0\n", (7, "linear\0", [80.0])),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS\0,80.0,7,linear\n",
+         "line 2: env must be LOS or NLOS, got 'LOS\\x00'"),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7\0,linear\n",
+         "line 2: seed must be an integer, got '7\\x00'"),
+        (HEADER_LINE + '1.0,100.0,105.0,LOS,80.0,7,"lin\near"\n', (7, "lin\near", [80.0])),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\n   \n",
+         "line 3: expected 7 fields, got 1"),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\n# comment\n",
+         "line 3: expected 7 fields, got 1"),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80." + "0" * 200_000 + ",7,linear\n",
+         "line 2: field larger than field limit (131072)"),
+        ((HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\n"
+          "2.0,200.0,205.0,LOS,90.0,7,linear\n").replace("\n", "\r"),
+         (7, "linear", [80.0, 90.0])),
+        ((HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\n"
+          "2.0,200.0,205.0,LOS,90.0,7,linear\n").replace("\n", "\r\n"),
+         (7, "linear", [80.0, 90.0])),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\r2.0,200.0,205.0,LOS,90.0,7,linear\r",
+         (7, "linear", [80.0, 90.0])),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\n2.0,200.0,205.0,LOS,90.0,7,linear",
+         (7, "linear", [80.0, 90.0])),
+    ], ids=["env-NLOSX", "mode-linearX", "seed-21-digits", "env-quoted-LO", "mode-NUL",
+            "env-NUL", "seed-NUL", "mode-quoted-newline", "whitespace-line", "hash-line",
+            "oversized-float", "CR", "CRLF", "CR-rows-after-LF-header",
+            "no-final-newline"])
+    def test_text_outside_the_written_shape(self, tmp_path, text, expected):
+        path = tmp_path / "dataset.csv"
+        path.write_text(text, newline="")
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                read_dataset_csv(path)
+            assert str(err.value) == expected
+        else:
+            parsed = read_dataset_csv(path)[Environment.LOS]
+            assert (parsed.seed, parsed.sampling_mode, parsed.pl_db.tolist()) == expected
+
+    @pytest.mark.parametrize("rows,blank", [(0, ""), (8192, ""), (3, "\n"), (8192, "\n")],
+                             ids=["header-only", "one-whole-block", "blank-line",
+                                  "whole-block-and-blank-line"])
+    def test_reads_without_warning(self, tmp_path, rows, blank):
+        path = tmp_path / "dataset.csv"
+        path.write_text(HEADER_LINE + "1.0,100.0,105.0,NLOS,80.0,7,log\n" * rows + blank)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            datasets = read_dataset_csv(path)
+        assert caught == []
+        assert [len(ds) for ds in datasets.values()] == ([rows] if rows else [])
+
+    def test_bad_row_in_a_later_block_names_its_line(self, tmp_path):
+        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=3_000))
+        path = tmp_path / "dataset.csv"
+        dataset.write_csv(path)
+        parsed = read_dataset_csv(path)[Environment.NLOS]
+        assert len(parsed) == 9_000
+        for field in ("fc_ghz", "d2d_m", "d3d_m", "pl_db"):
+            assert np.array_equal(getattr(parsed, field), getattr(dataset, field))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[8_500] = lines[8_500].replace("NLOS", "los")
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_dataset_csv(path)
+        assert str(err.value) == "line 8501: env must be LOS or NLOS, got 'los'"
