@@ -102,7 +102,7 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm: float) -> float:
     Warns with BelowSensitivityWarning when the result exceeds the budget's
     measurable ceiling; such a value could not actually have been measured.
     """
-    pl = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - p_rx_dbm
+    pl = budget.eirp_dbm + budget.rx_gain_dbi - p_rx_dbm
     if pl > budget.max_measurable_pl_db:
         warnings.warn(
             f"path loss {pl:.1f} dB exceeds the {budget.max_measurable_pl_db:g} dB "
@@ -117,7 +117,8 @@ def _parse_row(row: list[str]) -> tuple:
     """The checked values of one campaign CSV row, in header order.
 
     Raises ValueError naming the first rule broken, in report order: field
-    count, outage literal, float parses, tag, finite, positive, power count.
+    count, outage literal, float parses, tag, finite, positive, power count,
+    and on a fitted row the slant distance sum ``distance_3d`` forms overflowing.
     """
     if len(row) != len(CAMPAIGN_CSV_HEADER):
         raise ValueError(f"expected {len(CAMPAIGN_CSV_HEADER)} fields, got {len(row)}")
@@ -129,18 +130,22 @@ def _parse_row(row: list[str]) -> tuple:
     if tag not in CAMPAIGN_TAGS:
         raise ValueError(f"environment {tag!r} not one of {'/'.join(CAMPAIGN_TAGS)}")
     d2d, tx_h, rx_h, fc, p_rx, pl = numbers
+    outage = outage == "true"
+    present = (p_rx is not None) + (pl is not None)
+    dh = tx_h - rx_h
     inf = math.inf
-    # Cheap test first; walk the fields in report order only on failure.
+    # Cheap test first; walk the rules in report order only on failure.
     if not (0.0 < d2d < inf and 0.0 < tx_h < inf and 0.0 < rx_h < inf and 0.0 < fc < inf
-            and (p_rx is None or -inf < p_rx < inf) and (pl is None or -inf < pl < inf)):
+            and (p_rx is None or -inf < p_rx < inf) and (pl is None or -inf < pl < inf)
+            and (outage or tag == DIFFRACTION_TAG or d2d * d2d + dh * dh < inf)):
         for name, value in zip(_RECORD_NUMBERS, numbers):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name, value in zip(_RECORD_NUMBERS[:4], numbers):
             if not value > 0:
                 raise ValueError(f"{name} must be positive")
-    outage = outage == "true"
-    present = (p_rx is not None) + (pl is not None)
+        if present == 1:  # else the power count is the first rule broken
+            raise ValueError("slant distance overflows a float")
     if not outage and present != 1:
         raise ValueError(
             "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
@@ -154,13 +159,9 @@ def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
     Kept for the benchmark self-test, which reads records, until it moves
     to ``read_campaign_csv`` (ROADMAP item 1).
     """
-    errors: list[str] = []
     rows = checked_csv_rows(io.StringIO(text), CAMPAIGN_CSV_HEADER,
-                            CampaignFormatError(_HEADER_MESSAGE), _parse_row, errors)
-    records = [MeasurementRecord._make(values) for _, values in rows]
-    if errors:
-        raise CampaignFormatError("\n".join(errors))
-    return records
+                            CampaignFormatError(_HEADER_MESSAGE), _parse_row)
+    return [MeasurementRecord._make(values) for values in rows]
 
 
 def read_campaign_csv(path, budget: LinkBudget
@@ -177,14 +178,12 @@ def read_campaign_csv(path, budget: LinkBudget
     """
     fc, d2d, tx_h, rx_h, pl = (array("d") for _ in range(5))
     nlos = bytearray()
-    lines = array("q")  # the line each kept row starts on
     from_power = array("q")  # rows whose path loss is still a received power
     outage_dropped = diffraction_dropped = 0
-    errors: list[str] = []
     with open(path, encoding="utf-8", newline="") as f:
         rows = checked_csv_rows(f, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
-                                _parse_row, errors)
-        for line, (_, tag, d, tx, rx, f_ghz, p_rx, loss, outage) in rows:
+                                _parse_row)
+        for _, tag, d, tx, rx, f_ghz, p_rx, loss, outage in rows:
             if outage:
                 outage_dropped += 1
             elif tag == DIFFRACTION_TAG:
@@ -199,19 +198,8 @@ def read_campaign_csv(path, budget: LinkBudget
                 rx_h.append(rx)
                 pl.append(loss)
                 nlos.append(tag == "NLOS")
-                lines.append(line)
-    if errors:
-        raise CampaignFormatError("\n".join(errors))
     fc, d2d, tx_h, rx_h = map(np.frombuffer, (fc, d2d, tx_h, rx_h))
-    try:
-        d3d = distance_3d(d2d, tx_h, rx_h)
-    except OverflowError:  # name the rows, one scalar call each
-        for line, *row in zip(lines, d2d, tx_h, rx_h):
-            try:
-                distance_3d(*row)
-            except OverflowError:
-                errors.append(f"line {line}: slant distance overflows a float")
-        raise CampaignFormatError("\n".join(errors)) from None
+    d3d = distance_3d(d2d, tx_h, rx_h)  # cannot overflow: the rows passed _parse_row
     # Converted only once every row has passed, so a rejected file warns of nothing.
     for i in from_power:
         pl[i] = pathloss_from_power(budget, pl[i])

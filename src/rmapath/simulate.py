@@ -10,7 +10,6 @@ a substream distances are drawn before shadow fading.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 import warnings
@@ -50,10 +49,27 @@ _DATASET_HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
 _CSV_BLOCK_ROWS = 8192
 # Each text field is one character wider than its longest accepted value
 # (NLOS, a 20-digit seed, linear), so a longer value, cut to that width,
-# never equals an accepted one.
+# never passes the row rules.
 _DATASET_BLOCK_DTYPE = np.dtype([
     ("fc_ghz", "f8"), ("d2d_m", "f8"), ("d3d_m", "f8"), ("env", "U5"), ("pl_db", "f8"),
     ("seed", "U21"), ("sampling_mode", "U7")])
+
+
+def _check_seed_and_mode(seed: str | None, mode: str | None) -> None:
+    """Raise ValueError unless ``seed`` and ``mode`` are None or fields ``write_csv`` writes.
+
+    A seed is the plain decimal of an integer in [0, 2**64), so at most 20
+    characters; a mode is linear or log. None is written as an empty field.
+    """
+    if seed is not None and not (len(seed) <= 20 and seed.isascii() and seed.isdigit()
+                                 and int(seed) < 2**64 and str(int(seed)) == seed):
+        try:
+            int(seed)
+        except ValueError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        raise ValueError(f"seed must be a plain decimal integer in [0, 2**64), got {seed!r}")
+    if mode is not None and mode not in SAMPLING_MODES:
+        raise ValueError(f"sampling_mode must be linear or log, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -124,15 +140,17 @@ class SimulatedDataset:
     seed: int | None
     sampling_mode: str | None
 
+    def __post_init__(self):
+        _check_seed_and_mode(None if self.seed is None else str(self.seed), self.sampling_mode)
+
     def __len__(self) -> int:
         return self.pl_db.size
 
     def write_csv(self, path) -> None:
         """Write the dataset with full float precision (repr round-trip)."""
-        env = self.environment.value  # LOS or NLOS: never quoted
-        out = io.StringIO()  # seed and mode as the csv module writes them, None empty
-        csv.writer(out, lineterminator="\n").writerow((self.seed, self.sampling_mode))
-        tail = out.getvalue()
+        env = self.environment.value
+        # No env, seed or mode the rules admit needs quoting; None is an empty field.
+        tail = f"{'' if self.seed is None else self.seed},{self.sampling_mode or ''}\n"
         columns = (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db)
         with open(path, "w", newline="") as f:
             f.write(_DATASET_HEADER_LINE)
@@ -197,17 +215,18 @@ def _parse_dataset_row(row: list[str]):
         for name, value in zip(_DATASET_FLOAT_FIELDS, values):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_seed_and_mode(seed or None, mode or None)
     return env, values, seed, mode
 
 
-def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_row,
-                     errors: list[str]):
-    """Yield ``(line, parse_row(row))`` for each non-blank row after ``header``.
+def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_row):
+    """Yield ``parse_row(row)`` for each non-blank row after ``header``.
 
-    ``line`` is the physical line the row starts on (the header is line 1).
-    A row ``parse_row`` rejects with ValueError, or the reader with
-    ``csv.Error`` (bad quoting, an oversized field), goes on ``errors`` as
-    ``line N: <message>``, for the caller to raise once the file is read.
+    Raises ``header_error`` on a wrong header, and after the last row one
+    error of its type with a ``line N: <message>`` per row ``parse_row``
+    rejects with ValueError, N the physical line the row starts on (the
+    header is line 1). A ``csv.Error`` (bad quoting, an oversized field) is
+    one such line too, and the last: its place in a quoted field is lost.
     """
     reader = csv.reader(f, strict=True)
     try:
@@ -216,20 +235,20 @@ def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_
         first = ()
     if tuple(first) != header:
         raise header_error
+    errors = []
     line = reader.line_num + 1
-    while True:
-        try:
-            for row in reader:
-                if row:
-                    try:
-                        yield line, parse_row(row)
-                    except ValueError as exc:
-                        errors.append(f"line {line}: {exc}")
-                line = reader.line_num + 1
-            return
-        except csv.Error as exc:  # ends the for loop; the reader goes on at the next line
-            errors.append(f"line {line}: {exc}")
+    try:
+        for row in reader:
+            if row:
+                try:
+                    yield parse_row(row)
+                except ValueError as exc:
+                    errors.append(f"line {line}: {exc}")
             line = reader.line_num + 1
+    except csv.Error as exc:
+        errors.append(f"line {line}: {exc}")
+    if errors:
+        raise type(header_error)("\n".join(errors))
 
 
 def _row_bound(path) -> int | None:
@@ -261,10 +280,9 @@ def _read_dataset_blocks(f, rows: int):
 
     Parses a block of rows per ``np.loadtxt`` call into float columns
     allocated once for ``rows`` rows. The shape is: the exact header line,
-    then rows with finite floats, env LOS or NLOS, a seed that is empty or
-    at most 20 ASCII digits, and a mode that is empty, linear or log. Any
-    other file, or one that ``loadtxt`` rejects or warns of (a blank line),
-    gives None, and the row loop reads it.
+    then rows with finite floats, env LOS or NLOS, and the seed and mode
+    the row rules admit. Any other file, or one that ``loadtxt`` rejects or
+    warns of (a blank line), gives None, and the row loop reads it.
     """
     if f.readline() != _DATASET_HEADER_LINE:
         return None
@@ -293,9 +311,10 @@ def _read_dataset_blocks(f, rows: int):
             seeds |= _distinct(block["seed"])
             modes |= _distinct(block["sampling_mode"])
             n = end
-    if not (modes <= {"", *SAMPLING_MODES} and all(
-            not seed or (len(seed) <= 20 and seed.isascii() and seed.isdigit())
-            for seed in seeds)):
+    try:
+        for seed, mode in itertools.zip_longest(seeds, modes, fillvalue=""):
+            _check_seed_and_mode(seed or None, mode or None)
+    except ValueError:
         return None
     values, los = values[:, :n], los[:n]
     # A file of one environment keeps its columns in place; a mixed one is split.
@@ -312,27 +331,18 @@ def _read_dataset_rows(f):
     """
     columns = {env: tuple(array("d") for _ in _DATASET_FLOAT_FIELDS)
                for env in _ENVIRONMENT_VALUES}
-    seeds: dict[str, int] = {}  # each distinct seed field and its first line
-    modes = set()
-    errors: list[str] = []
+    seeds, modes = set(), set()
     header_error = ValueError(
         f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}")
-    for line, (env, values, seed, mode) in checked_csv_rows(
-            f, DATASET_CSV_HEADER, header_error, _parse_dataset_row, errors):
+    for env, values, seed, mode in checked_csv_rows(
+            f, DATASET_CSV_HEADER, header_error, _parse_dataset_row):
         fc, d2d, d3d, pl = columns[env]
         fc.append(values[0])
         d2d.append(values[1])
         d3d.append(values[2])
         pl.append(values[3])
-        seeds.setdefault(seed, line)
+        seeds.add(seed)
         modes.add(mode)
-    for seed, line in seeds.items():
-        try:
-            int(seed or 0)
-        except ValueError:
-            errors.append(f"line {line}: seed must be an integer, got {seed!r}")
-    if errors:
-        raise ValueError("\n".join(errors))
     return columns, seeds, modes
 
 

@@ -75,6 +75,10 @@ BAD_ROWS = [
     "I,LOS,100,110,1.8,73.5,abc,x,false",          # floats parse in header order
     "J,LOS,100,110,1.8,73.5,,120.0,false",         # good
     "K,NLOS,100,0,1.8,73.5,,,true",                # outage rows are checked too
+    "L,NLOS,1e200,110,1.8,73.5,,,false",           # power count before slant distance
+    "M,LOS,1e200,110,1.8,73.5,,120.0,false",       # slant distance overflows
+    "N,LOS-DIFFRACTION,1e200,110,1.8,73.5,,170.0,false",  # good: not fitted
+    "O,LOS,1e200,110,1.8,73.5,,,true",             # good: outage
 ]
 BAD_ROWS_ERROR = "\n".join([
     "line 2: expected 9 fields, got 8",
@@ -87,6 +91,8 @@ BAD_ROWS_ERROR = "\n".join([
     "line 10: exactly one of p_rx_dbm/pl_db required on a non-outage row, got 0",
     "line 11: could not convert string to float: 'abc'",
     "line 13: tx_height_m must be positive",
+    "line 14: exactly one of p_rx_dbm/pl_db required on a non-outage row, got 0",
+    "line 15: slant distance overflows a float",
 ])
 
 
@@ -213,10 +219,12 @@ class TestParseCampaignCsv:
     @pytest.mark.parametrize("rows,message", [
         (["A,LOS,100,110,1.8,73.5,," + "1" * 200_000 + ",false",
           "B,FOO,100,110,1.8,73.5,,120.0,false"],
-         "line 2: field larger than field limit (131072)\n"
-         "line 3: environment 'FOO' not one of LOS/NLOS/LOS-DIFFRACTION"),
+         "line 2: field larger than field limit (131072)"),
         (['"A"B,LOS,100,110,1.8,73.5,,120.0,false'], "line 2: ',' expected after '\"'"),
         (['A,LOS,100,110,1.8,73.5,,120.0,"false'], "line 2: unexpected end of data"),
+        # the rest of a quoted field that spans lines is not read as new rows
+        (['A,LOS,100,110,1.8,73.5,,"' + "1" * 200_000, '2",false'],
+         "line 2: field larger than field limit (131072)"),
     ])
     def test_malformed_csv_names_its_line(self, tmp_path, rows, message):
         assert parse_and_read(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n") == message
@@ -289,6 +297,19 @@ class TestRecordsToSamples:
                                                          "path loss 208.7 dB "]
         assert all(w.category is BelowSensitivityWarning for w in caught)
         assert samples[Environment.LOS].pl_db.tolist() == pytest.approx([198.7, 168.7, 208.7])
+
+    def test_a_fitted_row_whose_slant_distance_overflows_is_a_row_error(self, read_rows):
+        # read with warnings as errors: numpy's overflow warning never comes first
+        unfitted = [make_row(location_id="O1", d2d_m=1e200, pl_db=None, outage=True),
+                    make_row(location_id="D1", environment="LOS-DIFFRACTION", d2d_m=1e200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CampaignFormatError) as err:
+                read_rows(unfitted + [make_row(d2d_m=1e200)])
+            samples, summary = read_rows([make_row()] + unfitted)
+        assert str(err.value) == "line 4: slant distance overflows a float"
+        assert len(samples[Environment.LOS]) == 1
+        assert (summary.outage_dropped, summary.diffraction_dropped) == (1, 1)
 
     def test_rejected_file_warns_of_nothing(self, tmp_path):
         path = tmp_path / "campaign.csv"

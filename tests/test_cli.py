@@ -282,7 +282,8 @@ class TestFit:
                         "3.0,300.0,302.0,LOS,95.0,x,linear\n")
         status, out, err = run(capsys, "fit", "--input", str(data))
         assert (status, out) == (1, "")
-        assert err == "error: line 3: seed must be an integer, got 'x'\n"
+        assert err == ("error: line 3: seed must be an integer, got 'x'\n"
+                       "line 4: seed must be an integer, got 'x'\n")
 
     @pytest.mark.parametrize("field,value", [("pl_db", "nan"), ("d2d_m", "inf")])
     def test_non_finite_campaign_row_is_domain_error(self, capsys, tmp_path, field, value):

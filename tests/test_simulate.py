@@ -267,7 +267,7 @@ class TestDatasetCsv:
     def test_rows_are_numbered_by_the_physical_line_they_start_on(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(DATASET_CSV_HEADER) + "\n"
-                        + '1.0,100.0,105.0,LOS,80.0,7,"lin\near"\n'  # lines 2-3, good
+                        + '1.0,100.0,105.0,LOS,"80.0\n",7,linear\n'  # lines 2-3, good
                         + "1.0,100.0,105.0,FOO,80.0,7,linear\n"      # line 4
                         + '1.0,"1\n00",105.0,LOS,80.0,7,linear\n'    # lines 5-6
                         + "\n"                                         # line 7
@@ -283,10 +283,12 @@ class TestDatasetCsv:
     @pytest.mark.parametrize("rows,message", [
         (["1.0,100.0,105.0,LOS," + "1" * 200_000 + ",7,linear",
           "1.0,100.0,105.0,FOO,80.0,7,linear"],
-         "line 3: field larger than field limit (131072)\n"
-         "line 4: env must be LOS or NLOS, got 'FOO'"),
+         "line 3: field larger than field limit (131072)"),
         (['1.0,100.0,105.0,LOS,"80"0,7,linear'], "line 3: ',' expected after '\"'"),
         (['1.0,100.0,105.0,LOS,80.0,7,"linear'], "line 3: unexpected end of data"),
+        # the rest of a quoted field that spans lines is not read as new rows
+        (['1.0,100.0,105.0,LOS,"' + "1" * 200_000, '2",7,linear'],
+         "line 3: field larger than field limit (131072)"),
     ])
     def test_malformed_csv_names_its_line(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
@@ -314,8 +316,13 @@ class TestDatasetCsv:
     @pytest.mark.parametrize("seed,mode", [
         (7, "a,b"), (7, 'x"y'), (7, "lin\near"), (None, "linear"), (7, None), (None, None)])
     def test_write_quotes_seed_and_mode_as_the_csv_module_does(self, tmp_path, seed, mode):
-        dataset = dataclasses.replace(generate_3gpp_dataset(small_config(samples_per_frequency=4)),
-                                      seed=seed, sampling_mode=mode)
+        # a mode the csv module would quote is rejected when the dataset is built
+        generated = generate_3gpp_dataset(small_config(samples_per_frequency=4))
+        if mode not in (None, "linear"):
+            with pytest.raises(ValueError, match="^sampling_mode must be linear or log, got "):
+                dataclasses.replace(generated, seed=seed, sampling_mode=mode)
+            return
+        dataset = dataclasses.replace(generated, seed=seed, sampling_mode=mode)
         path = tmp_path / "dataset.csv"
         dataset.write_csv(path)
         expected = io.StringIO()
@@ -329,22 +336,58 @@ class TestDatasetCsv:
         assert (parsed.seed, parsed.sampling_mode) == (seed, mode)
         assert np.array_equal(parsed.pl_db, dataset.pl_db)
 
+    @pytest.mark.parametrize("seed", [None, 0, 2**64 - 1])
+    @pytest.mark.parametrize("mode", [None, "linear", "log"])
+    def test_every_seed_and_mode_round_trips_byte_stably(self, tmp_path, seed, mode):
+        dataset = dataclasses.replace(generate_3gpp_dataset(small_config(samples_per_frequency=4)),
+                                      seed=seed, sampling_mode=mode)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        dataset.write_csv(first)
+        parsed = read_dataset_csv(first)[Environment.NLOS]
+        assert (parsed.seed, parsed.sampling_mode) == (seed, mode)
+        parsed.write_csv(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("seed,mode,message", [
+        (-1, None, "seed must be a plain decimal integer in [0, 2**64), got '-1'"),
+        (2**64, None, "seed must be a plain decimal integer in [0, 2**64), "
+                      "got '18446744073709551616'"),
+        (True, None, "seed must be an integer, got 'True'"),
+        (7.0, None, "seed must be an integer, got '7.0'"),
+        (None, "a,b", "sampling_mode must be linear or log, got 'a,b'"),
+        (None, "", "sampling_mode must be linear or log, got ''"),
+        (None, "linearX", "sampling_mode must be linear or log, got 'linearX'"),
+    ], ids=["seed-negative", "seed-2**64", "seed-True", "seed-float", "mode-comma", "mode-empty",
+            "mode-linearX"])
+    def test_dataset_rejects_a_seed_or_mode_write_csv_cannot_write(self, seed, mode, message):
+        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=4))
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(dataset, seed=seed, sampling_mode=mode)
+        assert str(err.value) == message
+
     # What the row-at-a-time reader gives for text that np.loadtxt splits
     # differently, or that a cut-off text field would hide.
     @pytest.mark.parametrize("text,expected", [
         (HEADER_LINE + "1.0,100.0,105.0,NLOSX,80.0,7,linear\n",
          "line 2: env must be LOS or NLOS, got 'NLOSX'"),
-        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linearX\n", (7, "linearX", [80.0])),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linearX\n",
+         "line 2: sampling_mode must be linear or log, got 'linearX'"),
         (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,123456789012345678901,linear\n",
-         (123456789012345678901, "linear", [80.0])),
+         "line 2: seed must be a plain decimal integer in [0, 2**64), "
+         "got '123456789012345678901'"),
+        *[(HEADER_LINE + f"1.0,100.0,105.0,LOS,80.0,{seed},linear\n",
+           f"line 2: seed must be a plain decimal integer in [0, 2**64), got {seed!r}")
+          for seed in ("-5", "+42", "\u0664\u0662", "042", " 42", "4_2")],
         (HEADER_LINE + '1.0,100.0,105.0,"LO"S,80.0,7,linear\n',
          "line 2: ',' expected after '\"'"),
-        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\0\n", (7, "linear\0", [80.0])),
+        (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\0\n",
+         "line 2: sampling_mode must be linear or log, got 'linear\\x00'"),
         (HEADER_LINE + "1.0,100.0,105.0,LOS\0,80.0,7,linear\n",
          "line 2: env must be LOS or NLOS, got 'LOS\\x00'"),
         (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7\0,linear\n",
          "line 2: seed must be an integer, got '7\\x00'"),
-        (HEADER_LINE + '1.0,100.0,105.0,LOS,80.0,7,"lin\near"\n', (7, "lin\near", [80.0])),
+        (HEADER_LINE + '1.0,100.0,105.0,LOS,80.0,7,"lin\near"\n',
+         "line 2: sampling_mode must be linear or log, got 'lin\\near'"),
         (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\n   \n",
          "line 3: expected 7 fields, got 1"),
         (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\n# comment\n",
@@ -361,7 +404,9 @@ class TestDatasetCsv:
          (7, "linear", [80.0, 90.0])),
         (HEADER_LINE + "1.0,100.0,105.0,LOS,80.0,7,linear\n2.0,200.0,205.0,LOS,90.0,7,linear",
          (7, "linear", [80.0, 90.0])),
-    ], ids=["env-NLOSX", "mode-linearX", "seed-21-digits", "env-quoted-LO", "mode-NUL",
+    ], ids=["env-NLOSX", "mode-linearX", "seed-21-digits", "seed-negative", "seed-plus",
+            "seed-arabic-indic", "seed-leading-zero", "seed-space", "seed-underscore",
+            "env-quoted-LO", "mode-NUL",
             "env-NUL", "seed-NUL", "mode-quoted-newline", "whitespace-line", "hash-line",
             "oversized-float", "CR", "CRLF", "CR-rows-after-LF-header",
             "no-final-newline"])
