@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import CI_ANCHOR_DB, Environment, distance_3d
-from .simulate import SimulatedDataset, checked_csv_rows
+from .simulate import SimulatedDataset, checked_csv_rows, datasets_by_environment
 
 CAMPAIGN_CSV_HEADER = ("location_id", "environment", "d2d_m", "tx_height_m",
                        "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db", "outage")
@@ -203,13 +203,7 @@ def read_campaign_csv(path, budget: LinkBudget
     # Converted only once every row has passed, so a rejected file warns of nothing.
     for i in from_power:
         pl[i] = pathloss_from_power(budget, pl[i])
-    pl = np.frombuffer(pl)
-    is_nlos = np.frombuffer(nlos, dtype=bool)
-    datasets = {}
-    for env, mask in ((Environment.LOS, ~is_nlos), (Environment.NLOS, is_nlos)):
-        if mask.any():
-            datasets[env] = SimulatedDataset(env, fc[mask], d2d[mask], d3d[mask], pl[mask],
-                                             seed=None, sampling_mode=None)
+    datasets = datasets_by_environment((fc, d2d, d3d, pl), nlos)
     summary = ConversionSummary(
         total=len(pl) + outage_dropped + diffraction_dropped,
         converted=len(pl),

