@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import CI_ANCHOR_DB, Environment, distance_3d
-from .simulate import SimulatedDataset, checked_csv_rows, datasets_by_environment
+from .simulate import SimulatedDataset, checked_csv_rows, datasets_by_environment, read_csv_file
 
 CAMPAIGN_CSV_HEADER = ("location_id", "environment", "d2d_m", "tx_height_m",
                        "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db", "outage")
@@ -70,6 +70,14 @@ DEFAULT_BUDGET = LinkBudget(tx_power_dbm=14.7, tx_gain_dbi=27.0,
 
 
 _RECORD_NUMBERS = ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db")
+# Each text field is one character wider than its longest accepted value
+# (LOS-DIFFRACTION, false, a float repr), so a longer one, cut, never passes;
+# a power that fills its width goes to the row loop. The location id is unused.
+_POWER_WIDTH = 25
+_BLOCK_DTYPE = np.dtype([
+    ("location_id", "U1"), ("environment", "U16"), ("d2d_m", "f8"), ("tx_height_m", "f8"),
+    ("rx_height_m", "f8"), ("fc_ghz", "f8"), ("p_rx_dbm", f"U{_POWER_WIDTH}"),
+    ("pl_db", f"U{_POWER_WIDTH}"), ("outage", "U6")])
 
 
 class MeasurementRecord(NamedTuple):
@@ -101,7 +109,10 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm: float) -> float:
 
     Warns with BelowSensitivityWarning when the result exceeds the budget's
     measurable ceiling; such a value could not actually have been measured.
+    Raises ValueError on a non-finite ``p_rx_dbm``.
     """
+    if not math.isfinite(p_rx_dbm):
+        raise ValueError(f"p_rx_dbm must be finite, got {p_rx_dbm!r}")
     pl = budget.eirp_dbm + budget.rx_gain_dbi - p_rx_dbm
     if pl > budget.max_measurable_pl_db:
         warnings.warn(
@@ -164,11 +175,71 @@ def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
     return [MeasurementRecord._make(values) for values in rows]
 
 
+def _take_blocks(blocks, rows: int):
+    """``_read_rows``'s result for blocks of campaign rows, in columns sized once."""
+    columns = np.empty((5, rows))
+    from_power, nlos = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    n = outage_dropped = diffraction_dropped = 0
+    for block in blocks:
+        tag, outage = block["environment"], block["outage"] == "true"
+        diffraction = tag == DIFFRACTION_TAG
+        fitted = ~outage & ~diffraction
+        numbers = np.stack([block[name] for name in _RECORD_NUMBERS[:4]])
+        texts = [block[name] for name in _RECORD_NUMBERS[4:]]
+        given = [text != "" for text in texts]
+        powers = np.zeros((2, len(block)))  # an empty power reads as 0
+        for value, text, has in zip(powers, texts, given):
+            value[has] = text[has].astype(float)  # parsed as float() parses it
+        end = n + int(np.count_nonzero(fitted))
+        columns[:4, n:end] = numbers[:, fitted]
+        columns[4, n:end] = np.where(given[1], powers[1], powers[0])[fitted]
+        d2d, dh = columns[0, n:end], columns[1, n:end] - columns[2, n:end]
+        if not ((outage | (block["outage"] == "false")).all()
+                and (diffraction | (tag == "LOS") | (tag == "NLOS")).all()
+                and all((np.char.str_len(text) < _POWER_WIDTH).all() for text in texts)
+                and ((0.0 < numbers) & (numbers < np.inf)).all() and np.isfinite(powers).all()
+                and (outage | (given[0] != given[1])).all()
+                and (d2d * d2d + dh * dh < np.inf).all()):
+            raise ValueError("a row breaks a row rule")
+        from_power[n:end] = ~given[1][fitted]
+        nlos[n:end] = tag[fitted] == "NLOS"
+        outage_dropped += int(np.count_nonzero(outage))
+        diffraction_dropped += int(np.count_nonzero(diffraction & ~outage))
+        n = end
+    return columns[:, :n], from_power[:n], nlos[:n], outage_dropped, diffraction_dropped
+
+
+def _read_rows(f):
+    """``(columns, from_power, nlos, outage_dropped, diffraction_dropped)`` of any campaign CSV.
+
+    The columns hold each fitted row's d2d_m, heights, fc_ghz and path loss,
+    or its received power where ``from_power`` is set.
+    """
+    values, from_power, nlos = array("d"), bytearray(), bytearray()
+    outage_dropped = diffraction_dropped = 0
+    rows = checked_csv_rows(f, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
+                            _parse_row)
+    for _, tag, d2d, tx_h, rx_h, fc, p_rx, pl, outage in rows:
+        if outage:
+            outage_dropped += 1
+        elif tag == DIFFRACTION_TAG:
+            diffraction_dropped += 1
+        else:
+            values.extend((d2d, tx_h, rx_h, fc, p_rx if pl is None else pl))
+            from_power.append(pl is None)
+            nlos.append(tag == "NLOS")
+    columns = np.reshape(values, (-1, 5)).T.copy()
+    return columns, from_power, nlos, outage_dropped, diffraction_dropped
+
+
 def read_campaign_csv(path, budget: LinkBudget
                       ) -> tuple[dict[Environment, SimulatedDataset], ConversionSummary]:
     """Read a campaign CSV into one fit dataset per environment, LOS first.
 
-    Rows stream into growable float columns, so no per-row object is kept.
+    A plain file (exact header, no CR, quote, NUL or blank line) whose rows
+    all pass is parsed 8192 rows at a time by ``np.loadtxt``; any other file
+    is read one row at a time by the csv module, with the same result, and
+    only that row loop raises row errors. No per-row object is kept.
     Outage and LOS-DIFFRACTION rows are dropped (counted in the summary,
     never fitted). Path loss comes from the row directly or from its
     received power via the link budget; the fit distance is the 3D slant
@@ -176,41 +247,20 @@ def read_campaign_csv(path, budget: LinkBudget
     sampling mode. Raises CampaignFormatError on a wrong header, or with one
     ``line N:`` message per bad row, N the physical line it starts on (header: 1).
     """
-    fc, d2d, tx_h, rx_h, pl = (array("d") for _ in range(5))
-    nlos = bytearray()
-    from_power = array("q")  # rows whose path loss is still a received power
-    outage_dropped = diffraction_dropped = 0
-    with open(path, encoding="utf-8", newline="") as f:
-        rows = checked_csv_rows(f, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
-                                _parse_row)
-        for _, tag, d, tx, rx, f_ghz, p_rx, loss, outage in rows:
-            if outage:
-                outage_dropped += 1
-            elif tag == DIFFRACTION_TAG:
-                diffraction_dropped += 1
-            else:
-                if loss is None:
-                    from_power.append(len(pl))
-                    loss = p_rx
-                fc.append(f_ghz)
-                d2d.append(d)
-                tx_h.append(tx)
-                rx_h.append(rx)
-                pl.append(loss)
-                nlos.append(tag == "NLOS")
-    fc, d2d, tx_h, rx_h = map(np.frombuffer, (fc, d2d, tx_h, rx_h))
-    d3d = distance_3d(d2d, tx_h, rx_h)  # cannot overflow: the rows passed _parse_row
-    # Converted only once every row has passed, so a rejected file warns of nothing.
-    for i in from_power:
-        pl[i] = pathloss_from_power(budget, pl[i])
-    datasets = datasets_by_environment((fc, d2d, d3d, pl), nlos)
-    summary = ConversionSummary(
-        total=len(pl) + outage_dropped + diffraction_dropped,
-        converted=len(pl),
-        outage_dropped=outage_dropped,
-        diffraction_dropped=diffraction_dropped,
-    )
-    return datasets, summary
+    (d2d, tx_h, rx_h, fc, pl), from_power, nlos, outage_dropped, diffraction_dropped = (
+        read_csv_file(path, CAMPAIGN_CSV_HEADER, _BLOCK_DTYPE, _take_blocks, _read_rows,
+                      encoding="utf-8"))
+    from_power = np.asarray(from_power, dtype=bool)
+    p_rx = pl[from_power]
+    with np.errstate(over="ignore"):  # a loss past the float range is inf, as in Python
+        pl[from_power] = (budget.eirp_dbm + budget.rx_gain_dbi) - p_rx
+    # Warned only once every row has passed, so a rejected file warns of nothing.
+    for p in p_rx[pl[from_power] > budget.max_measurable_pl_db].tolist():
+        pathloss_from_power(budget, p)
+    d3d = distance_3d(d2d, tx_h, rx_h)  # cannot overflow: the rows passed the row rules
+    summary = ConversionSummary(len(pl) + outage_dropped + diffraction_dropped, len(pl),
+                                outage_dropped, diffraction_dropped)
+    return datasets_by_environment((fc, d2d, d3d, pl), nlos), summary
 
 
 def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:

@@ -204,8 +204,9 @@ def los_second_slope(params: RmaParams, d3d_m, fc_ghz):
 def _los_pl1(params: RmaParams, d3d, fc_ghz):
     """First slope of the RMa LOS model (no range check)."""
     h = params.h
-    slope_term = min(0.03 * h**1.72, 10.0)
-    offset_term = min(0.044 * h**1.72, 14.77)
+    # Both terms reach their caps below h = 100 m, so a larger h cannot overflow.
+    slope_term = min(0.03 * min(h, 100.0)**1.72, 10.0)
+    offset_term = min(0.044 * min(h, 100.0)**1.72, 14.77)
     return (20.0 * np.log10(40.0 * np.pi * d3d * fc_ghz / 3.0)
             + slope_term * np.log10(d3d)
             - offset_term
@@ -231,7 +232,8 @@ def _nlos_mean(params: RmaParams, d3d, fc):
     raw = (161.04
            - 7.1 * np.log10(w)
            + 7.5 * np.log10(h)
-           - (24.37 - 3.7 * (h / h_bs) ** 2) * np.log10(h_bs)
+           # From h / h_bs = 1e154 on, 3.7 * (h / h_bs)**2 and so the loss overflow to inf
+           - (24.37 - (3.7 * (h / h_bs) ** 2 if h < 1e154 * h_bs else math.inf)) * np.log10(h_bs)
            + (43.42 - 3.1 * np.log10(h_bs)) * (np.log10(d3d) - 3.0)
            + 20.0 * np.log10(fc)
            - (3.2 * np.log10(11.75 * h_ut) ** 2 - 4.97))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -112,10 +113,12 @@ class SimulationConfig:
             object.__setattr__(self, "d2d_max_m", span[1])
         if not self.frequencies_ghz:
             raise ValueError("frequencies_ghz must not be empty")
-        if not all(0 < fc < math.inf for fc in self.frequencies_ghz):  # NaN fails too
+        if not all(isinstance(fc, numbers.Real) and 0 < fc < math.inf  # NaN fails too
+                   for fc in self.frequencies_ghz):
             raise ValueError("frequencies must be finite and positive")
-        if self.samples_per_frequency <= 0:
-            raise ValueError("samples_per_frequency must be positive")
+        count = self.samples_per_frequency  # an integer, numpy's too, but not a bool
+        if isinstance(count, bool) or not hasattr(count, "__index__") or count <= 0:
+            raise ValueError("samples_per_frequency must be a positive integer")
         _check_seed_and_mode(_seed_text(self.seed), str(self.distance_sampling))
         if not self.d2d_min_m < self.d2d_max_m:
             raise ValueError("d2d_min_m must be less than d2d_max_m")
@@ -145,6 +148,9 @@ class SimulatedDataset:
     sampling_mode: str | None
 
     def __post_init__(self):
+        if {np.shape(c) for c in (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db)} != {
+                (np.size(self.pl_db),)}:
+            raise ValueError("fc_ghz, d2d_m, d3d_m and pl_db must be 1-D and of one length")
         _check_seed_and_mode(None if self.seed is None else _seed_text(self.seed),
                              self.sampling_mode)
 
@@ -264,16 +270,47 @@ def _row_bound(path) -> int | None:
     any length, where the csv module keeps the NULs and rejects a field over
     its limit; a newline in every chunk of half the limit keeps each line
     under it. A file with a CR is left to the csv module too, so that every
-    row ends in a newline and the count bounds the rows.
+    row ends in a newline and the count bounds the rows, and so is one with a
+    quote, which ``np.loadtxt`` (``quotechar=None``) would keep in the field.
     """
     size = csv.field_size_limit() // 2
     newlines = 0
     with open(path, "rb") as f:
         while chunk := f.read(size):
-            if b"\0" in chunk or b"\r" in chunk or (len(chunk) == size and b"\n" not in chunk):
+            if (b"\0" in chunk or b"\r" in chunk or b'"' in chunk
+                    or (len(chunk) == size and b"\n" not in chunk)):
                 return None
             newlines += chunk.count(b"\n")
     return newlines
+
+
+def read_csv_file(path, header: tuple[str, ...], dtype: np.dtype, take_blocks, read_rows,
+                  encoding: str | None = None):
+    """What a CSV file reads as: ``take_blocks`` of a plain file, else ``read_rows(f)``.
+
+    A plain file has ``header`` as its exact first line, and neither CR, quote
+    nor NUL. ``take_blocks(blocks, rows)`` gets its rows as ``dtype`` arrays of
+    up to 8192 rows, one ``np.loadtxt`` call each, and ``rows``, a bound on
+    their count; it raises ValueError where a row may break a row rule. Then,
+    or when ``loadtxt`` rejects or warns of a line (a blank one), the row loop
+    ``read_rows`` reads the file, and it alone raises the row errors.
+    """
+    with open(path, encoding=encoding, newline="") as f:
+        rows = _row_bound(path)
+        if rows is not None and f.readline() == ",".join(header) + "\n":
+            # Peeking at each block's first line means loadtxt never meets an
+            # empty input, which it warns of.
+            blocks = (np.loadtxt(itertools.chain((first,), f), dtype=dtype, delimiter=",",
+                                 comments=None, quotechar=None, max_rows=_CSV_BLOCK_ROWS, ndmin=1)
+                      for first in iter(f.readline, ""))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    return take_blocks(blocks, rows)
+                except (ValueError, Warning):
+                    pass
+        f.seek(0)
+        return read_rows(f)
 
 
 def _distinct(column: np.ndarray) -> set[str]:
@@ -281,47 +318,25 @@ def _distinct(column: np.ndarray) -> set[str]:
     return {first} if (column == first).all() else set(column.tolist())
 
 
-def _read_dataset_blocks(f, rows: int):
-    """``(columns, nlos, seeds, modes)`` of a file in ``write_csv``'s shape, else None.
-
-    Parses a block of rows per ``np.loadtxt`` call into float columns
-    allocated once for ``rows`` rows. The shape is: the exact header line,
-    then rows with finite floats, env LOS or NLOS, and the seed and mode
-    the row rules admit. Any other file, or one that ``loadtxt`` rejects or
-    warns of (a blank line), gives None, and the row loop reads it.
-    """
-    if f.readline() != _DATASET_HEADER_LINE:
-        return None
+def _take_dataset_blocks(blocks, rows: int):
+    """``_read_dataset_rows``'s result for blocks of dataset rows, in columns sized once."""
     values = np.empty((len(_DATASET_FLOAT_FIELDS), rows))
     nlos = np.empty(rows, dtype=bool)
     n = 0
     seeds, modes = set(), set()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # Peeking at each block's first line means loadtxt never meets an empty
-        # input, which it warns of.
-        while first := f.readline():
-            try:
-                block = np.loadtxt(itertools.chain((first,), f), dtype=_DATASET_BLOCK_DTYPE,
-                                   delimiter=",", comments=None, quotechar=None,
-                                   max_rows=_CSV_BLOCK_ROWS, ndmin=1)
-            except (ValueError, Warning):
-                return None
-            end = n + len(block)
-            nlos[n:end] = block["env"] == "NLOS"
-            for column, name in zip(values, _DATASET_FLOAT_FIELDS):
-                column[n:end] = block[name]
-            if not ((nlos[n:end] | (block["env"] == "LOS")).all()
-                    and np.isfinite(values[:, n:end]).all()):
-                return None
-            seeds |= _distinct(block["seed"])
-            modes |= _distinct(block["sampling_mode"])
-            n = end
-    try:
-        for seed, mode in itertools.zip_longest(seeds, modes, fillvalue=""):
-            _check_seed_and_mode(seed or None, mode or None)
-    except ValueError:
-        return None
+    for block in blocks:
+        end = n + len(block)
+        nlos[n:end] = block["env"] == "NLOS"
+        for column, name in zip(values, _DATASET_FLOAT_FIELDS):
+            column[n:end] = block[name]
+        if not ((nlos[n:end] | (block["env"] == "LOS")).all()
+                and np.isfinite(values[:, n:end]).all()):
+            raise ValueError("a row breaks a row rule")
+        seeds |= _distinct(block["seed"])
+        modes |= _distinct(block["sampling_mode"])
+        n = end
+    for seed, mode in itertools.zip_longest(seeds, modes, fillvalue=""):
+        _check_seed_and_mode(seed or None, mode or None)
     return values[:, :n], nlos[:n], seeds, modes
 
 
@@ -331,21 +346,17 @@ def _read_dataset_rows(f):
     Raises ValueError on a wrong header, and with one message per malformed
     row naming the physical line it starts on.
     """
-    fc, d2d, d3d, pl = columns = tuple(array("d") for _ in _DATASET_FLOAT_FIELDS)
-    nlos = bytearray()
+    floats, nlos = array("d"), bytearray()
     seeds, modes = set(), set()
     header_error = ValueError(
         f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}")
     for env, values, seed, mode in checked_csv_rows(
             f, DATASET_CSV_HEADER, header_error, _parse_dataset_row):
-        fc.append(values[0])
-        d2d.append(values[1])
-        d3d.append(values[2])
-        pl.append(values[3])
+        floats.extend(values)
         nlos.append(env == "NLOS")
         seeds.add(seed)
         modes.add(mode)
-    return columns, nlos, seeds, modes
+    return np.reshape(floats, (-1, len(_DATASET_FLOAT_FIELDS))).T.copy(), nlos, seeds, modes
 
 
 def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
@@ -361,13 +372,8 @@ def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
     per malformed row naming the physical line it starts on (the header is
     line 1).
     """
-    with open(path, newline="") as f:
-        rows = _row_bound(path)
-        parsed = None if rows is None else _read_dataset_blocks(f, rows)
-        if parsed is None:
-            f.seek(0)
-            parsed = _read_dataset_rows(f)
-    columns, nlos, seeds, modes = parsed
+    columns, nlos, seeds, modes = read_csv_file(path, DATASET_CSV_HEADER, _DATASET_BLOCK_DTYPE,
+                                                _take_dataset_blocks, _read_dataset_rows)
     # An empty field is a dataset written without a seed or sampling mode.
     seed = next(iter(seeds)) if len(seeds) == 1 else ""
     mode = next(iter(modes)) if len(modes) == 1 else ""

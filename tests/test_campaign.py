@@ -5,6 +5,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rmapath import (
@@ -23,6 +24,7 @@ from rmapath import (
     pathloss_from_power,
     read_campaign_csv,
 )
+from rmapath import campaign
 
 HEADER = ("location_id,environment,d2d_m,tx_height_m,rx_height_m,"
           "fc_ghz,p_rx_dbm,pl_db,outage")
@@ -103,6 +105,12 @@ class TestLinkBudget:
     def test_pathloss_from_power(self):
         # 14.7 + 27 + 27 - (-88.1)
         assert pathloss_from_power(DEFAULT_BUDGET, -88.1) == pytest.approx(156.8, abs=1e-9)
+
+    @pytest.mark.parametrize("p_rx", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, p_rx):
+        with pytest.raises(ValueError) as err:
+            pathloss_from_power(DEFAULT_BUDGET, p_rx)
+        assert str(err.value) == f"p_rx_dbm must be finite, got {p_rx!r}"
 
     def test_zero_loss_limit(self):
         assert pathloss_from_power(DEFAULT_BUDGET, 68.7) == pytest.approx(0.0, abs=1e-9)
@@ -320,6 +328,91 @@ class TestRecordsToSamples:
             with pytest.raises(CampaignFormatError, match="line 3"):
                 read_campaign_csv(path, DEFAULT_BUDGET)
         assert caught == []
+
+
+def benchmark_shaped_text(rows: int) -> str:
+    """Campaign CSV text shaped like the benchmark's: plain rows of every kind."""
+    rng = np.random.default_rng(3)
+    tags = rng.choice(["LOS", "NLOS", "LOS-DIFFRACTION"], rows, p=[0.5, 0.45, 0.05])
+    outage, as_power = rng.random(rows) < 0.1, rng.random(rows) < 0.5
+    pl = np.round(rng.uniform(100.0, 200.0, rows), 2)
+    lines = [HEADER]
+    for i, (tag, o, p, loss, d2d, tx_h, rx_h) in enumerate(zip(
+            tags, outage.tolist(), as_power.tolist(), pl.tolist(),
+            np.round(rng.uniform(30.0, 11_000.0, rows), 1).tolist(),
+            np.round(rng.uniform(30.0, 150.0, rows), 1).tolist(),
+            np.round(rng.uniform(1.5, 2.5, rows), 2).tolist())):
+        p_rx = "" if o or not p else repr(round(95.4 - loss, 2))
+        lines.append(f"R{i:06d},{tag},{d2d!r},{tx_h!r},{rx_h!r},73.5,{p_rx},"
+                     f"{'' if o or p else repr(loss)},{'true' if o else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+def quoted_twin(text: str) -> str:
+    """``text`` with every field quoted, which the csv module reads as the same
+    values and which is always read one row at a time."""
+    lines = text.split("\n")
+    return "\n".join([lines[0]] + [",".join('"' + v.replace('"', '""') + '"'
+                                             for v in line.split(",")) if line else ""
+                                    for line in lines[1:]])
+
+
+# Good rows of every kind around one row changed in one field.
+TWIN_ROWS = ["A,LOS,100.0,110.0,1.8,73.5,,120.25,false",
+             "B,NLOS,2500.5,35.0,1.5,73.5,-80.5,,false",
+             "C,LOS-DIFFRACTION,300.0,110.0,1.8,73.5,,170.0,false",
+             "D,NLOS,1e200,110.0,1.8,73.5,,,true"]
+CHANGED = "M,LOS,150.0,110.0,1.8,73.5,-90.0,,false".split(",")
+
+
+class TestBlockPath:
+    """Plain campaign files are parsed a block of rows at a time."""
+
+    def test_benchmark_shaped_file_takes_the_block_path(self, campaign_outcome, monkeypatch):
+        text = benchmark_shaped_text(20_000)  # three blocks of rows
+        by_rows = campaign_outcome(quoted_twin(text))
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign, "checked_csv_rows", None)  # the row loop would fail
+            by_blocks = campaign_outcome(text)
+        assert by_blocks == by_rows
+        assert by_blocks[1].total == 20_000 and by_blocks[2]  # some rows warn
+
+    @pytest.mark.parametrize("field,value", [
+        ("location_id", ""), ("location_id", 'A"B'), ("environment", " LOS"),
+        ("environment", "LOS-DIFFRACTIONX"), ("outage", "True"), ("outage", "true"),
+        ("d2d_m", "1_0"), ("p_rx_dbm", "1_0"), ("fc_ghz", "\u0664\u0662"),
+        ("p_rx_dbm", "\u0664\u0662"), ("tx_height_m", " 80.5"), ("p_rx_dbm", " 80.5"),
+        ("rx_height_m", "nan"), ("p_rx_dbm", "nan"), ("d2d_m", "1e999"), ("p_rx_dbm", "1e999"),
+        ("d2d_m", "1" * 40), ("p_rx_dbm", "1" * 40), ("p_rx_dbm", "-" + "1" * 23),
+        ("pl_db", "120.0"), ("p_rx_dbm", ""), ("d2d_m", "1e200"), ("<blank>", ""),
+        ("<drop>", ""),
+    ])
+    def test_one_changed_row_reads_as_its_quoted_twin(self, campaign_outcome, field, value):
+        row = list(CHANGED)
+        if field == "<drop>":
+            del row[3]
+        elif field != "<blank>":
+            row[CAMPAIGN_CSV_HEADER.index(field)] = value
+        lines = [HEADER, *TWIN_ROWS[:2], "" if field == "<blank>" else ",".join(row),
+                 *TWIN_ROWS[2:]]
+        text = "\n".join(lines) + "\n"
+        assert campaign_outcome(text) == campaign_outcome(quoted_twin(text))
+
+    def test_bundled_fixture_takes_the_block_path(self, monkeypatch):
+        monkeypatch.setattr(campaign, "checked_csv_rows", None)
+        assert read_campaign_csv(bundled_campaign_path(), DEFAULT_BUDGET)[1].total == 38
+
+    def test_bad_row_past_the_first_block_names_its_physical_line(self, tmp_path):
+        lines = [f"R{i},LOS,100.0,110.0,1.8,73.5,,120.0,false" for i in range(10_000)]
+        lines[9_000] = "R9000,LOS,100.0,110.0,1.8,73.5,-90.0,120.0,false"
+        lines[9_500] = "R9500,LOS,1e200,110.0,1.8,73.5,,120.0,false"
+        path = tmp_path / "campaign.csv"
+        path.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
+        with pytest.raises(CampaignFormatError) as err:
+            read_campaign_csv(path, DEFAULT_BUDGET)
+        assert str(err.value) == (
+            "line 9002: exactly one of p_rx_dbm/pl_db required on a non-outage row, got 2\n"
+            "line 9502: slant distance overflows a float")
 
 
 class TestFixtureScript:

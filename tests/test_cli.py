@@ -123,11 +123,21 @@ def test_overflowing_coverage_is_one_line_domain_error(capsys):
       "--ple", "1e307"), "the result overflows a float"),
     (("predict", "--model", "3gpp-rma", "--env", "nlos", "--freq-ghz", "1e306",
       "--dist-m", "100"), "the result overflows a float"),
+    (("predict", "--model", "3gpp-rma", "--env", "nlos", "--freq-ghz", "10", "--dist-m", "100",
+      "--h", "1e300"), "the result overflows a float"),
     (("breakpoint-curve", "--fmin", "1e300", "--fmax", "1e300", "--steps", "1",
       "--hbs", "1e10"), "the result overflows a float"),
 ])
 def test_infinite_result_is_one_line_domain_error(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_huge_building_height_gives_a_finite_los_loss(capsys):
+    status, out, err = run(capsys, "predict", "--model", "3gpp-rma", "--env", "los",
+                           "--freq-ghz", "10", "--dist-m", "100", "--h", "1e300")
+    expected = rma_los(RmaParams(h=1e300), distance_3d(100.0, 35.0, 1.5), 10.0)
+    assert (status, out) == (0, f"{expected:.2f} dB\n")
+    assert err.startswith("warning: ")  # h is outside its applicability range
 
 
 class TestBreakpointCurve:

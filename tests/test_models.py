@@ -278,6 +278,23 @@ class TestOverflow:
         assert str(err.value) == "the result overflows a float"
 
 
+class TestHugeBuildingHeight:
+    # Both h terms of the LOS first slope are capped below h = 100 m.
+    def test_los_is_finite_and_its_h_terms_stay_capped(self):
+        huge, capped = RmaParams(h=1e300), RmaParams(h=100.0)
+        gap = rma_los(huge, 100.0, 10.0) - rma_los(capped, 100.0, 10.0)
+        assert gap == pytest.approx(0.002 * (300.0 - 2.0) * 100.0, rel=1e-9)
+
+    @pytest.mark.parametrize("h", [1e160, 1e300])
+    def test_nlos_overflow_is_one_overflow_error(self, h):
+        with pytest.raises(OverflowError) as err:
+            rma_nlos(RmaParams(h=h), 100.0, 10.0)
+        assert str(err.value) == "the result overflows a float"
+
+    def test_nlos_below_the_overflow_is_the_formula(self):
+        assert 1e297 < rma_nlos(RmaParams(h=1e150), 100.0, 10.0) < math.inf
+
+
 class TestOutputType:
     @pytest.mark.parametrize("d", [100.0, np.float64(100.0), np.array(100.0)])
     def test_scalar_inputs_give_a_float(self, d):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from rmapath import (
+    CAMPAIGN_CSV_HEADER,
     DATASET_CSV_HEADER,
     DEFAULT_BUDGET,
     BelowSensitivityWarning,
@@ -198,3 +199,44 @@ def test_dataset_blocks_read_as_their_quoted_twin(rows, seed, mode, mutations):
     plain = header + "".join(",".join(line) + "\n" for line in lines)
     quoted = header + "".join(",".join(f'"{v}"' for v in line) + "\n" for line in lines)
     assert _dataset_outcome(plain) == _dataset_outcome(quoted)
+
+
+# Campaign CSV text: valid rows, with a few fields replaced or dropped and
+# blank lines added. "<both>" and "<none>" set both powers or neither.
+campaign_number = positive.map(repr)
+campaign_power = finite_db.map(repr)
+plain_campaign_rows = st.lists(st.builds(
+    lambda fields, powers, outage: [*fields, *powers, outage],
+    st.tuples(st.text("AZ09", max_size=4), st.sampled_from(["LOS", "NLOS", "LOS-DIFFRACTION"]),
+              campaign_number, campaign_number, campaign_number, campaign_number),
+    st.one_of(st.tuples(campaign_power, st.just("")), st.tuples(st.just(""), campaign_power)),
+    st.sampled_from(["true", "false"])), max_size=12)
+campaign_mutations = st.lists(st.tuples(
+    st.integers(0, 100), st.integers(0, 8),
+    st.sampled_from(["", 'A"B', " LOS", "LOS-DIFFRACTIONX", "LOS", "NLOS", "true", "false",
+                     "True", "1_0", "٤٢", " 80.5", "nan", "1e999", "-0", "1e200",
+                     "1" * 40, "<both>", "<none>", "<blank>", "<drop>"])),
+    max_size=3)
+
+
+@settings(deadline=None)
+@given(rows=plain_campaign_rows, mutations=campaign_mutations)
+def test_campaign_blocks_read_as_their_quoted_twin(campaign_outcome, rows, mutations):
+    # Every field of the twin is quoted, so it is always read one row at a time.
+    for index, field, value in mutations:
+        if not rows:
+            break
+        line = rows[index % len(rows)]
+        if value == "<blank>":
+            rows.insert(index % len(rows), [])
+        elif value == "<drop>" and line:
+            del line[field % len(line)]
+        elif value in ("<both>", "<none>") and len(line) == 9:
+            line[6:8] = ["-90.5", "120.25"] if value == "<both>" else ["", ""]
+        elif line and not value.startswith("<"):
+            line[field % len(line)] = value
+    header = ",".join(CAMPAIGN_CSV_HEADER) + "\n"
+    plain = header + "".join(",".join(line) + "\n" for line in rows)
+    quoted = header + "".join(",".join('"' + v.replace('"', '""') + '"' for v in line) + "\n"
+                              for line in rows)
+    assert campaign_outcome(plain) == campaign_outcome(quoted)

@@ -14,6 +14,7 @@ from rmapath import (
     ApplicabilityError,
     Environment,
     RmaParams,
+    SimulatedDataset,
     SimulationConfig,
     breakpoint_distance,
     generate_3gpp_dataset,
@@ -89,6 +90,24 @@ class TestSimulationConfig:
     def test_config_holds_seed_and_mode_to_the_dataset_rule(self, seed, mode, message):
         with pytest.raises(ValueError) as err:
             small_config(seed=seed, distance_sampling=mode)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(samples_per_frequency=1.5), "samples_per_frequency must be a positive integer"),
+        (dict(samples_per_frequency=True), "samples_per_frequency must be a positive integer"),
+        (dict(samples_per_frequency=np.int64(-3)),
+         "samples_per_frequency must be a positive integer"),
+        (dict(frequencies_ghz=("1",)), "frequencies must be finite and positive"),
+        (dict(frequencies_ghz=(1.0, None)), "frequencies must be finite and positive"),
+        (dict(samples_per_frequency=np.int64(3), frequencies_ghz=(np.float64(2.0), 6)), None),
+    ], ids=["samples-float", "samples-bool", "samples-negative-numpy", "frequency-str",
+            "frequency-None", "numpy-numbers-accepted"])
+    def test_config_input_types(self, overrides, message):
+        if message is None:
+            assert len(generate_3gpp_dataset(small_config(**overrides))) == 6
+            return
+        with pytest.raises(ValueError) as err:
+            small_config(**overrides)
         assert str(err.value) == message
 
     def test_numpy_integer_seed_is_accepted(self):
@@ -213,6 +232,18 @@ class TestGenerate:
                - min(0.044 * h**1.72, 14.77)
                + 0.002 * math.log10(h) * d)
         assert np.allclose(dataset.pl_db, pl1, rtol=0.0, atol=1e-9)
+
+
+class TestDatasetColumns:
+    @pytest.mark.parametrize("lengths", [(3, 2, 3, 3), (3, 3, 3, 4), (3, 3, 3, (3, 1))])
+    def test_columns_must_be_one_dimensional_and_of_one_length(self, lengths):
+        columns = [np.ones(n) for n in lengths]
+        with pytest.raises(ValueError) as err:
+            SimulatedDataset(Environment.LOS, *columns, None, None)
+        assert str(err.value) == "fc_ghz, d2d_m, d3d_m and pl_db must be 1-D and of one length"
+
+    def test_empty_columns_are_a_dataset(self):
+        assert len(SimulatedDataset(Environment.LOS, *[np.ones(0)] * 4, None, None)) == 0
 
 
 class TestDatasetCsv:
