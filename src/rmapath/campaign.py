@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import CI_ANCHOR_DB, Environment, distance_3d
+from .models import CI_ANCHOR_DB, Environment, distance_3d, finite_positive
 from .simulate import SimulatedDataset, checked_csv_rows, datasets_by_environment, read_csv_file
 
 CAMPAIGN_CSV_HEADER = ("location_id", "environment", "d2d_m", "tx_height_m",
@@ -114,6 +114,8 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm: float) -> float:
     if not math.isfinite(p_rx_dbm):
         raise ValueError(f"p_rx_dbm must be finite, got {p_rx_dbm!r}")
     pl = budget.eirp_dbm + budget.rx_gain_dbi - p_rx_dbm
+    if not -math.inf < pl < math.inf:  # a budget near the float range overflows
+        raise OverflowError("the result overflows a float")
     if pl > budget.max_measurable_pl_db:
         warnings.warn(
             f"path loss {pl:.1f} dB exceeds the {budget.max_measurable_pl_db:g} dB "
@@ -270,10 +272,8 @@ def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:
     atmospheric/rain attenuation, so mmWave results at hundreds of km are
     free-space-like upper bounds, not link predictions.
     """
-    if not 0 < fc_ghz < math.inf:
-        raise ValueError("fc_ghz must be finite and positive")
-    if not 0 < ple < math.inf:
-        raise ValueError("ple must be finite and positive")
+    finite_positive("fc_ghz", fc_ghz)
+    finite_positive("ple", ple)
     if not math.isfinite(max_pl_db):
         raise ValueError("max_pl_db must be finite")
     anchor = CI_ANCHOR_DB + 20.0 * math.log10(fc_ghz)

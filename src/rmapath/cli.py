@@ -41,6 +41,7 @@ from .models import (
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
+    finite_positive,
     rma_los,
     rma_nlos,
     validate_applicability,
@@ -87,10 +88,10 @@ def _add(parser, flag: str, *, cast=str, default=None, required=False,
 
 
 def _add_params(parser):
-    _add(parser, "--hbs", cast=float, default=35.0, help="base station height m")
-    _add(parser, "--hut", cast=float, default=1.5, help="user terminal height m")
-    _add(parser, "--w", cast=float, default=20.0, help="average street width m")
-    _add(parser, "--h", cast=float, default=5.0, help="average building height m")
+    _add(parser, "--hbs", cast=float, default=RmaParams.h_bs, help="base station height m")
+    _add(parser, "--hut", cast=float, default=RmaParams.h_ut, help="user terminal height m")
+    _add(parser, "--w", cast=float, default=RmaParams.w, help="average street width m")
+    _add(parser, "--h", cast=float, default=RmaParams.h, help="average building height m")
 
 
 def _add_budget(parser):
@@ -128,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--fmax", cast=float, default=100.0, help="end frequency GHz")
     _add(p, "--steps", cast=int, default=200, help="number of grid points")
     _add(p, "--spacing", choices=("log", "linear"), default="log")
-    _add(p, "--hbs", cast=float, default=35.0)
-    _add(p, "--hut", cast=float, default=1.5)
+    _add(p, "--hbs", cast=float, default=RmaParams.h_bs)
+    _add(p, "--hut", cast=float, default=RmaParams.h_ut)
     _add(p, "--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_breakpoint_curve)
 
@@ -187,8 +188,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_breakpoint_curve(args) -> int:
-    if not 0 < args.fmin < math.inf:
-        raise ValueError("--fmin must be finite and positive")
+    finite_positive("--fmin", args.fmin)
     if not args.fmin <= args.fmax < math.inf:
         raise ValueError("--fmax must be finite and >= --fmin")
     if args.steps < 1:
@@ -279,9 +279,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        # A float that overflows is reported once, as the OverflowError of its result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,8 @@ classic failure mode here, so every argument name carries its unit.
 
 All functions accept scalars or numpy arrays (broadcast elementwise) for
 their frequency/distance arguments and return a float for scalar input.
-Frequencies, distances, heights and exponents must be finite and positive;
-anything else raises ValueError.
+Frequencies, distances, heights and exponents must be finite positive
+numbers, not text, or ValueError is raised; an overflow raises OverflowError.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from enum import Enum
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 3.0e8  # propagation constant used by the 3GPP formulas
+# The public kernels' float state: _result reports an overflow once, with no numpy warning.
+_float_errors = np.errstate(all="ignore")
 
 # The CI model anchors at the free space loss in the first meter, with the
 # 1 GHz constant rounded to 32.4 dB (exact value: 32.4418 dB) so that fitted
@@ -84,7 +86,7 @@ class RmaParams:
 
     def __post_init__(self):
         for name in ("h_bs", "h_ut", "w", "h"):
-            _positive(name, getattr(self, name))
+            finite_positive(name, getattr(self, name))
 
 
 # Table of soft applicability ranges for RmaParams fields.
@@ -105,12 +107,14 @@ class Finding:
     message: str
 
 
-def _positive(name: str, value) -> np.ndarray:
-    """The argument gate: ``value`` as a float array, all finite and > 0."""
-    a = np.asarray(value, dtype=float)
-    if a.size and not (a.min() > 0.0 and a.max() < np.inf):  # NaN fails both tests
-        raise ValueError(f"{name} must be finite and positive")
-    return a
+def finite_positive(name: str, value) -> np.ndarray:
+    """The argument gate: ``value`` as a float array, all finite and > 0; text is rejected."""
+    a = np.asarray(value)
+    if a.dtype.kind in "biufO":
+        a = a.astype(float, copy=False)
+        if not a.size or a.min() > 0.0 and a.max() < np.inf:  # NaN fails both tests
+            return a
+    raise ValueError(f"{name} must be finite and positive")
 
 
 def _result(x):
@@ -124,17 +128,18 @@ def _result(x):
     raise OverflowError("the result overflows a float")
 
 
+@_float_errors
 def fspl(fc_ghz, d_m):
     """Friis free space path loss in dB: 20*log10(4*pi*fc*d*1e9 / c).
 
     This is the exact free space loss; the CI model instead uses the 32.4 dB
     rounded 1 m anchor (the two differ by a constant 0.042 dB at n=2).
     """
-    fc = _positive("fc_ghz", fc_ghz)
-    d = _positive("d_m", d_m)
+    fc, d = finite_positive("fc_ghz", fc_ghz), finite_positive("d_m", d_m)
     return _result(20.0 * np.log10(4.0 * np.pi * fc * d * 1e9 / SPEED_OF_LIGHT_M_S))
 
 
+@_float_errors
 def ci_pathloss(fc_ghz, d_m, ple):
     """Mean close-in reference distance path loss in dB.
 
@@ -147,13 +152,13 @@ def ci_pathloss(fc_ghz, d_m, ple):
         32.4 + 10*n*log10(d) + 20*log10(fc). Shadow fading is not included;
         add a zero-mean Gaussian draw in dB, e.g. ``rng.normal(0.0, sigma_db)``.
     """
-    fc = _positive("fc_ghz", fc_ghz)
-    d = _positive("d_m", d_m)
-    n = _positive("ple", ple)
-    if np.any(d < CI_REFERENCE_DISTANCE_M):
+    fc = finite_positive("fc_ghz", fc_ghz)
+    d = finite_positive("d_m", d_m)
+    n = finite_positive("ple", ple)
+    if d.size and d.min() < CI_REFERENCE_DISTANCE_M:
         raise ValueError(f"CI model is defined for d >= {CI_REFERENCE_DISTANCE_M:g} m")
     lo, hi = CI_FREQ_RANGE_GHZ
-    if np.any(fc < lo) or np.any(fc > hi):
+    if fc.size and (fc.min() < lo or fc.max() > hi):
         warnings.warn(
             f"frequency outside the {lo:g}-{hi:g} GHz span the CI RMa "
             "coefficients were validated over",
@@ -167,6 +172,7 @@ def _breakpoint(h_bs, h_ut, fc):
     return 2.0 * np.pi * h_bs * h_ut * fc * 1e9 / SPEED_OF_LIGHT_M_S
 
 
+@_float_errors
 def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
     """Breakpoint distance of the RMa LOS dual-slope model, in meters.
 
@@ -174,8 +180,8 @@ def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
     heights it passes the 10 km LOS distance ceiling at 9.1 GHz, beyond
     which the dual-slope model degenerates to its first slope.
     """
-    return _result(_breakpoint(_positive("h_bs_m", h_bs_m), _positive("h_ut_m", h_ut_m),
-                               _positive("fc_ghz", fc_ghz)))
+    h_bs, h_ut = finite_positive("h_bs_m", h_bs_m), finite_positive("h_ut_m", h_ut_m)
+    return _result(_breakpoint(h_bs, h_ut, finite_positive("fc_ghz", fc_ghz)))
 
 
 def _slant(d2d, h_bs, h_ut):
@@ -183,10 +189,11 @@ def _slant(d2d, h_bs, h_ut):
     return np.sqrt(d2d * d2d + dh * dh)
 
 
+@_float_errors
 def distance_3d(d2d_m, h_bs_m, h_ut_m):
     """Slant (3D) T-R distance from ground distance and antenna heights."""
-    return _result(_slant(_positive("d2d_m", d2d_m), _positive("h_bs_m", h_bs_m),
-                          _positive("h_ut_m", h_ut_m)))
+    return _result(_slant(finite_positive("d2d_m", d2d_m),
+                          finite_positive("h_bs_m", h_bs_m), finite_positive("h_ut_m", h_ut_m)))
 
 
 def _second_slope(d3d, dbp):
@@ -195,10 +202,11 @@ def _second_slope(d3d, dbp):
     return (dbp < RMA_LOS_D2D_RANGE_M[1]) & (d3d > dbp)
 
 
+@_float_errors
 def los_second_slope(params: RmaParams, d3d_m, fc_ghz):
     """Mask of the 3D distances where the RMa LOS model takes its second slope."""
-    fc = _positive("fc_ghz", fc_ghz)
-    return _second_slope(_positive("d3d_m", d3d_m), _breakpoint(params.h_bs, params.h_ut, fc))
+    fc, d3d = finite_positive("fc_ghz", fc_ghz), finite_positive("d3d_m", d3d_m)
+    return _second_slope(d3d, _breakpoint(params.h_bs, params.h_ut, fc))
 
 
 def _los_pl1(params: RmaParams, d3d, fc_ghz):
@@ -232,8 +240,9 @@ def _nlos_mean(params: RmaParams, d3d, fc):
     raw = (161.04
            - 7.1 * np.log10(w)
            + 7.5 * np.log10(h)
-           # From h / h_bs = 1e154 on, 3.7 * (h / h_bs)**2 and so the loss overflow to inf
-           - (24.37 - (3.7 * (h / h_bs) ** 2 if h < 1e154 * h_bs else math.inf)) * np.log10(h_bs)
+           # From h / h_bs = 1e154 on the term overflows to inf, or is 0 if log10(h_bs) = 0
+           - (24.37 - (3.7 * (h / h_bs) ** 2 if h < 1e154 * h_bs
+                       else math.inf if h_bs != 1.0 else 0.0)) * np.log10(h_bs)
            + (43.42 - 3.1 * np.log10(h_bs)) * (np.log10(d3d) - 3.0)
            + 20.0 * np.log10(fc)
            - (3.2 * np.log10(11.75 * h_ut) ** 2 - 4.97))
@@ -244,10 +253,9 @@ def _nlos_mean(params: RmaParams, d3d, fc):
 
 def _checked(params: RmaParams, d3d_m, fc_ghz, span, label: str):
     """Gated (d3d, fc) arrays, with d3d inside the 3D image of a 2D span."""
-    d3d = _positive("d3d_m", d3d_m)
-    fc = _positive("fc_ghz", fc_ghz)
+    d3d, fc = finite_positive("d3d_m", d3d_m), finite_positive("fc_ghz", fc_ghz)
     lo, hi = span[0], _slant(span[1], params.h_bs, params.h_ut)
-    if np.any(d3d < lo) or np.any(d3d > hi):
+    if d3d.size and (d3d.min() < lo or d3d.max() > hi):
         raise ApplicabilityError(
             f"3D distance outside the [{lo:g} m, {hi:.3f} m] span of the {label} "
             f"model (2D distance up to {span[1]:g} m)"
@@ -255,6 +263,7 @@ def _checked(params: RmaParams, d3d_m, fc_ghz, span, label: str):
     return d3d, fc
 
 
+@_float_errors
 def rma_los(params: RmaParams, d3d_m, fc_ghz):
     """Mean LOS path loss in dB from the TR 38.900 RMa dual-slope model.
 
@@ -280,6 +289,7 @@ def rma_los(params: RmaParams, d3d_m, fc_ghz):
     return _result(_los_mean(params, d3d, fc))
 
 
+@_float_errors
 def rma_nlos(params: RmaParams, d3d_m, fc_ghz):
     """Mean NLOS path loss in dB from the TR 38.900 RMa model.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from .models import (
     RMA_LOS_D2D_RANGE_M,
     RMA_NLOS_D2D_RANGE_M,
     distance_3d,
+    finite_positive,
     los_second_slope,
     rma_los,
     rma_nlos,
@@ -113,9 +113,8 @@ class SimulationConfig:
             object.__setattr__(self, "d2d_max_m", span[1])
         if not self.frequencies_ghz:
             raise ValueError("frequencies_ghz must not be empty")
-        if not all(isinstance(fc, numbers.Real) and 0 < fc < math.inf  # NaN fails too
-                   for fc in self.frequencies_ghz):
-            raise ValueError("frequencies must be finite and positive")
+        if finite_positive("frequencies", self.frequencies_ghz).ndim != 1:
+            raise ValueError("frequencies_ghz must be a flat sequence of numbers")
         count = self.samples_per_frequency  # an integer, numpy's too, but not a bool
         if isinstance(count, bool) or not hasattr(count, "__index__") or count <= 0:
             raise ValueError("samples_per_frequency must be a positive integer")

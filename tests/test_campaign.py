@@ -455,6 +455,12 @@ class TestMaxRange:
         with pytest.raises(ValueError, match="must be finite"):
             max_range(fc, ple, budget)
 
+    @pytest.mark.parametrize("fc,ple,name", [("73.5", 2.16, "fc_ghz"), (73.5, b"2", "ple")])
+    def test_numeric_text_rejected(self, fc, ple, name):
+        with pytest.raises(ValueError) as err:
+            max_range(fc, ple, 190.0)
+        assert str(err.value) == f"{name} must be finite and positive"
+
     def test_overflow_is_one_overflow_error(self):
         with pytest.raises(OverflowError, match="overflows a float"):
             max_range(28.0, 0.01, 1e6)

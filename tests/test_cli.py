@@ -16,7 +16,7 @@ from rmapath import (
     rma_los,
     rma_nlos,
 )
-from rmapath.cli import main
+from rmapath.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -127,6 +127,8 @@ def test_overflowing_coverage_is_one_line_domain_error(capsys):
       "--h", "1e300"), "the result overflows a float"),
     (("breakpoint-curve", "--fmin", "1e300", "--fmax", "1e300", "--steps", "1",
       "--hbs", "1e10"), "the result overflows a float"),
+    (("fit", "--input", str(bundled_campaign_path()), "--tx-power-dbm", "1e308",
+      "--tx-gain-dbi", "1e308"), "the result overflows a float"),
 ])
 def test_infinite_result_is_one_line_domain_error(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -138,6 +140,15 @@ def test_huge_building_height_gives_a_finite_los_loss(capsys):
     expected = rma_los(RmaParams(h=1e300), distance_3d(100.0, 35.0, 1.5), 10.0)
     assert (status, out) == (0, f"{expected:.2f} dB\n")
     assert err.startswith("warning: ")  # h is outside its applicability range
+
+
+def test_geometry_defaults_are_the_rma_params_defaults():
+    parser = build_parser()
+    predict = parser.parse_args(["predict", "--model", "3gpp-rma", "--env", "los",
+                                 "--freq-ghz", "2", "--dist-m", "100"])
+    curve = parser.parse_args(["breakpoint-curve"])
+    assert RmaParams(predict.hbs, predict.hut, predict.w, predict.h) == RmaParams()
+    assert (curve.hbs, curve.hut) == (RmaParams().h_bs, RmaParams().h_ut)
 
 
 class TestBreakpointCurve:
@@ -369,9 +380,9 @@ class TestFit:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fields,message", [
-        ("-1.0,100.0,105.0", "finite, positive frequencies"),
-        ("0.0,100.0,105.0", "finite, positive frequencies"),
-        ("1.0,0.5,0.7", "all distances >= 1 m"),
+        ("-1.0,100.0,105.0", "fc_ghz must be finite and positive"),
+        ("0.0,100.0,105.0", "fc_ghz must be finite and positive"),
+        ("1.0,0.5,0.7", "CI fit requires all distances >= 1 m"),
     ])
     def test_unfittable_dataset_row_is_one_line_domain_error(self, capsys, tmp_path,
                                                             fields, message):
@@ -381,7 +392,7 @@ class TestFit:
                         f"{fields},LOS,90.0,7,linear\n")
         status, out, err = run(capsys, "fit", "--input", str(data))
         assert (status, out) == (1, "")
-        assert err == f"error: CI fit requires {message}\n"
+        assert err == f"error: {message}\n"
 
     def test_overflowing_fit_is_one_line_domain_error(self, capsys, tmp_path):
         data = tmp_path / "data.csv"

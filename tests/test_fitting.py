@@ -64,21 +64,22 @@ class TestFitCi:
             fit_ci(dataset([28.0, 28.0], [0.5, 5.0], [60.0, 80.0]))
 
     @pytest.mark.parametrize("fc,d,pl,message", [
-        ([0.0, 1.0], [10.0, 100.0], [100.0, 120.0], "finite, positive frequencies"),
-        ([-1.0, 1.0], [10.0, 100.0], [100.0, 120.0], "finite, positive frequencies"),
-        ([math.nan, 1.0], [10.0, 100.0], [100.0, 120.0], "finite, positive frequencies"),
-        ([math.inf, 1.0], [10.0, 100.0], [100.0, 120.0], "finite, positive frequencies"),
-        ([1.0, 1.0], [math.nan, 100.0], [100.0, 120.0], "finite distances"),
-        ([1.0, 1.0], [10.0, math.inf], [100.0, 120.0], "finite distances"),
-        ([1.0, 1.0], [-math.inf, 100.0], [100.0, 120.0], "finite distances"),
-        ([1.0, 1.0], [0.5, 100.0], [100.0, 120.0], "all distances >= 1 m"),
-        ([1.0, 1.0], [10.0, 100.0], [math.nan, 120.0], "finite path losses"),
-        ([1.0, 1.0], [10.0, 100.0], [100.0, -math.inf], "finite path losses"),
+        ([0.0, 1.0], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
+        ([-1.0, 1.0], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
+        ([math.nan, 1.0], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
+        ([math.inf, 1.0], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
+        ([1.0, 1.0], [math.nan, 100.0], [100.0, 120.0], "CI fit requires finite distances"),
+        ([1.0, 1.0], [10.0, math.inf], [100.0, 120.0], "CI fit requires finite distances"),
+        ([1.0, 1.0], [-math.inf, 100.0], [100.0, 120.0], "CI fit requires finite distances"),
+        ([1.0, 1.0], [0.5, 100.0], [100.0, 120.0], "CI fit requires all distances >= 1 m"),
+        ([1.0, 1.0], [10.0, 100.0], [math.nan, 120.0], "CI fit requires finite path losses"),
+        ([1.0, 1.0], [10.0, 100.0], [100.0, -math.inf], "CI fit requires finite path losses"),
+        (["1.0", "1.0"], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
     ])
     def test_bad_values_rejected(self, fc, d, pl, message):
         with pytest.raises(ValueError) as err:
             fit_ci_arrays(fc, d, pl, Environment.LOS)
-        assert str(err.value) == "CI fit requires " + message
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("pl", [[1e308, 1e308], [1e200, -1e200]],
                              ids=["sum-overflows", "residual-square-overflows"])

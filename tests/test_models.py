@@ -233,7 +233,9 @@ class TestThreeDimensionalSpan:
 
 
 class TestNonFiniteInputs:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+    # Numeric text is no number either, though numpy would convert it.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [1.0, math.nan],
+                                     "73", b"73", ["1.0", "2.0"]])
     @pytest.mark.parametrize("call", [
         lambda x: fspl(x, 100.0),
         lambda x: fspl(28.0, x),
@@ -267,15 +269,24 @@ class TestOverflow:
         lambda: ci_pathloss(1.0, 1.0, 1.7e308),  # an infinite 10*n times log10(1) is NaN
         lambda: breakpoint_distance(1e10, 1.5, 1e300),
         lambda: breakpoint_distance(1e10, 1.5, [1.0, 1e300]),
+        lambda: breakpoint_distance(1e300, 1e300, 1),
         lambda: distance_3d(1e200, 35.0, 1.5),
+        lambda: distance_3d(np.array([1e200]), 110, 1.8),
         lambda: fspl(1e300, 1e300),
         lambda: rma_nlos(DEFAULTS, 100.0, 1e306),
     ])
     def test_non_finite_result_is_one_overflow_error(self, call):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OverflowError) as err:
-                call()
+        # The suite turns warnings into errors, so a numpy warning fails here.
+        with pytest.raises(OverflowError) as err:
+            call()
         assert str(err.value) == "the result overflows a float"
+
+    def test_infinite_breakpoint_keeps_the_first_slope_without_a_warning(self):
+        # Huge heights or frequencies put the breakpoint at inf, past the ceiling.
+        assert not los_second_slope(DEFAULTS, 100.0, 1e306)
+        # The first slope does not depend on h_bs; at 10 GHz the default
+        # breakpoint is past the ceiling too.
+        assert rma_los(RmaParams(h_bs=1e300), 100.0, 10.0) == rma_los(DEFAULTS, 100.0, 10.0)
 
 
 class TestHugeBuildingHeight:
@@ -293,6 +304,16 @@ class TestHugeBuildingHeight:
 
     def test_nlos_below_the_overflow_is_the_formula(self):
         assert 1e297 < rma_nlos(RmaParams(h=1e150), 100.0, 10.0) < math.inf
+
+    def test_nlos_at_a_1m_base_station_is_finite(self):
+        # log10(h_bs) = 0 cancels the (h / h_bs)**2 term, however large it is.
+        h, w, h_ut, d3d, fc = 1e300, 20.0, 1.5, 100.0, 10.0
+        expected = (161.04 - 7.1 * math.log10(w) + 7.5 * math.log10(h)
+                    + 43.42 * (math.log10(d3d) - 3.0) + 20.0 * math.log10(fc)
+                    - (3.2 * math.log10(11.75 * h_ut) ** 2 - 4.97))
+        params = RmaParams(h_bs=1.0, h_ut=h_ut, w=w, h=h)
+        assert rma_nlos(params, d3d, fc) == pytest.approx(expected, rel=1e-12)
+        assert expected > rma_los(params, d3d, fc)  # the LOS bound is not what applies
 
 
 class TestOutputType:

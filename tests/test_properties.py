@@ -1,7 +1,9 @@
 """Property-based invariants of the models, the coverage inverse, the fit and
 the campaign and dataset readers."""
 
+import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,18 +18,23 @@ from rmapath import (
     BelowSensitivityWarning,
     ConversionSummary,
     Environment,
+    LinkBudget,
     ModelRangeWarning,
     RmaParams,
+    SimulationConfig,
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
     fit_ci_arrays,
+    fspl,
     los_second_slope,
     max_range,
+    pathloss_from_power,
     read_campaign_csv,
     read_dataset_csv,
     rma_los,
     rma_nlos,
+    validate_applicability,
 )
 
 # Heights over the TR 38.900 RMa applicability ranges.
@@ -81,25 +88,68 @@ def test_ci_fit_round_trip(ple, links):
 
 
 positive_floats = st.floats(0.0, exclude_min=True, allow_infinity=False)
-finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+# The contract: each exported function or constructor that takes numbers
+# gives a finite result, or raises ValueError or OverflowError with a real
+# message. Its arguments come from the edge values, positive floats and
+# any float; the functions that take arrays also get 1-D arrays of these.
+EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.5, 5e-324, 1e308, 28.0)
+number = st.one_of(st.sampled_from(EDGE_VALUES), positive_floats, st.floats())
+numbers = st.one_of(number, st.lists(number, max_size=4).map(np.array))
+params = st.one_of(st.just(RmaParams()), st.builds(
+    RmaParams, *[st.one_of(st.sampled_from((5e-324, 1.0, 1e308)), positive_floats)] * 4))
+budgets = st.builds(LinkBudget, *[st.one_of(st.sampled_from(EDGE_VALUES[3:]),
+                                            st.floats(allow_nan=False, allow_infinity=False))] * 3,
+                    st.one_of(st.sampled_from((5e-324, 28.0, 1e308)), positive_floats))
+CONTRACT = {
+    "fspl": (fspl, (numbers, numbers)),
+    "ci_pathloss": (ci_pathloss, (numbers, numbers, numbers)),
+    "breakpoint_distance": (breakpoint_distance, (numbers, numbers, numbers)),
+    "distance_3d": (distance_3d, (numbers, numbers, numbers)),
+    "los_second_slope": (los_second_slope, (params, numbers, numbers)),
+    "rma_los": (rma_los, (params, numbers, numbers)),
+    "rma_nlos": (rma_nlos, (params, numbers, numbers)),
+    "RmaParams": (RmaParams, (number, number, number, number)),
+    "LinkBudget": (LinkBudget, (number, number, number, number)),
+    "SimulationConfig": (lambda fcs: SimulationConfig(Environment.LOS, frequencies_ghz=fcs),
+                         (st.one_of(number, st.lists(number, max_size=4).map(tuple)),)),
+    "fit_ci_arrays": (fit_ci_arrays, (numbers, numbers, numbers, st.sampled_from(Environment))),
+    # scalar-only
+    "max_range": (max_range, (number, number, number)),
+    "pathloss_from_power": (pathloss_from_power, (budgets, number)),
+    "validate_applicability": (validate_applicability,
+                               (params, number, number, st.sampled_from(Environment))),
+}
+FLOAT_RESULTS = {"fspl", "ci_pathloss", "breakpoint_distance", "distance_3d", "rma_los",
+                 "rma_nlos", "max_range", "pathloss_from_power"}
 
 
-@pytest.mark.filterwarnings("ignore", category=ModelRangeWarning)
-@pytest.mark.parametrize("function,arguments", [
-    (ci_pathloss, st.tuples(positive_floats, positive_floats, positive_floats)),
-    (breakpoint_distance, st.tuples(positive_floats, positive_floats, positive_floats)),
-    (distance_3d, st.tuples(positive_floats, positive_floats, positive_floats)),
-    (max_range, st.tuples(positive_floats, positive_floats, finite_floats)),
-], ids=["ci_pathloss", "breakpoint_distance", "distance_3d", "max_range"])
+def all_finite(value) -> bool:
+    """Whether every number in a result is finite, the fields of a dataclass included."""
+    if dataclasses.is_dataclass(value):
+        return all(all_finite(v) for v in vars(value).values())
+    if isinstance(value, (list, tuple)):
+        return all(all_finite(v) for v in value)
+    return isinstance(value, str) or bool(np.isfinite(value).all())
+
+
+@pytest.mark.filterwarnings("ignore::rmapath.ModelRangeWarning")
+@pytest.mark.filterwarnings("ignore::rmapath.BelowSensitivityWarning")
+@pytest.mark.parametrize("name", CONTRACT)
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data())
-def test_finite_result_or_one_error(function, arguments, data):
-    args = data.draw(arguments)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            value = function(*args)
-        except (ValueError, OverflowError):
-            return
-    assert type(value) is float and math.isfinite(value)
+def test_finite_result_or_one_error(name, data):
+    # Any other warning is an error: the suite runs with filterwarnings = error.
+    function, arguments = CONTRACT[name]
+    args = data.draw(st.tuples(*arguments))
+    try:
+        value = function(*args)
+    except (ValueError, OverflowError) as exc:
+        assert str(exc) and not re.fullmatch(r"\(\d+, '.*'\)", str(exc))  # no bare errno tuple
+        return
+    assert all_finite(value)
+    if name in FLOAT_RESULTS and not any(isinstance(a, np.ndarray) for a in args):
+        assert type(value) is float
 
 
 finite_db = st.floats(-300.0, 300.0)
@@ -117,7 +167,7 @@ campaign_rows = st.lists(st.builds(
 
 # No explain phase: on a failing example it traces every line the reader
 # runs, which took minutes and over 1 GB of memory for this test.
-@pytest.mark.filterwarnings("ignore", category=BelowSensitivityWarning)
+@pytest.mark.filterwarnings("ignore::rmapath.BelowSensitivityWarning")
 @settings(deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(rows=campaign_rows)
 def test_read_campaign_csv_matches_the_records(campaign_text, rows):

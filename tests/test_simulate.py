@@ -99,9 +99,11 @@ class TestSimulationConfig:
          "samples_per_frequency must be a positive integer"),
         (dict(frequencies_ghz=("1",)), "frequencies must be finite and positive"),
         (dict(frequencies_ghz=(1.0, None)), "frequencies must be finite and positive"),
+        (dict(frequencies_ghz=((1.0, 2.0),)), "frequencies_ghz must be a flat sequence of numbers"),
+        (dict(frequencies_ghz=28.0), "frequencies_ghz must be a flat sequence of numbers"),
         (dict(samples_per_frequency=np.int64(3), frequencies_ghz=(np.float64(2.0), 6)), None),
     ], ids=["samples-float", "samples-bool", "samples-negative-numpy", "frequency-str",
-            "frequency-None", "numpy-numbers-accepted"])
+            "frequency-None", "frequency-nested", "frequency-scalar", "numpy-numbers-accepted"])
     def test_config_input_types(self, overrides, message):
         if message is None:
             assert len(generate_3gpp_dataset(small_config(**overrides))) == 6
