@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -72,7 +71,8 @@ DEFAULT_BUDGET = LinkBudget(tx_power_dbm=14.7, tx_gain_dbi=27.0,
 _RECORD_NUMBERS = ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db")
 # Each text field is one character wider than its longest accepted value
 # (LOS-DIFFRACTION, false, a float repr), so a longer one, cut, never passes;
-# a power that fills its width goes to the row loop. The location id is unused.
+# a power that fills its width goes to the row loop, which gives a repr of at
+# most 24 characters. The location id is unused.
 _POWER_WIDTH = 25
 _BLOCK_DTYPE = np.dtype([
     ("location_id", "U1"), ("environment", "U16"), ("d2d_m", "f8"), ("tx_height_m", "f8"),
@@ -127,7 +127,8 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm: float) -> float:
 
 
 def _parse_row(row: list[str]) -> tuple:
-    """The checked values of one campaign CSV row, in header order.
+    """The checked fields of one campaign CSV row, in header order: a power
+    is the ``repr`` of its float or empty, outage is text, the rest floats.
 
     Raises ValueError naming the first rule broken, in report order: field
     count, outage literal, float parses, tag, finite, positive, power count,
@@ -143,14 +144,13 @@ def _parse_row(row: list[str]) -> tuple:
     if tag not in CAMPAIGN_TAGS:
         raise ValueError(f"environment {tag!r} not one of {'/'.join(CAMPAIGN_TAGS)}")
     d2d, tx_h, rx_h, fc, p_rx, pl = numbers
-    outage = outage == "true"
     present = (p_rx is not None) + (pl is not None)
     dh = tx_h - rx_h
     inf = math.inf
     # Cheap test first; walk the rules in report order only on failure.
     if not (0.0 < d2d < inf and 0.0 < tx_h < inf and 0.0 < rx_h < inf and 0.0 < fc < inf
             and (p_rx is None or -inf < p_rx < inf) and (pl is None or -inf < pl < inf)
-            and (outage or tag == DIFFRACTION_TAG or d2d * d2d + dh * dh < inf)):
+            and (outage == "true" or tag == DIFFRACTION_TAG or d2d * d2d + dh * dh < inf)):
         for name, value in zip(_RECORD_NUMBERS, numbers):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -159,11 +159,12 @@ def _parse_row(row: list[str]) -> tuple:
                 raise ValueError(f"{name} must be positive")
         if present == 1:  # else the power count is the first rule broken
             raise ValueError("slant distance overflows a float")
-    if not outage and present != 1:
+    if outage == "false" and present != 1:
         raise ValueError(
             "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
             f"got {present}")
-    return (location_id, tag, *numbers, outage)
+    return (location_id, tag, d2d, tx_h, rx_h, fc, "" if p_rx is None else repr(p_rx),
+            "" if pl is None else repr(pl), outage)
 
 
 def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
@@ -174,11 +175,18 @@ def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
     """
     rows = checked_csv_rows(io.StringIO(text), CAMPAIGN_CSV_HEADER,
                             CampaignFormatError(_HEADER_MESSAGE), _parse_row)
-    return [MeasurementRecord._make(values) for values in rows]
+    return [MeasurementRecord(*fields, float(p_rx) if p_rx else None,
+                              float(pl) if pl else None, outage == "true")
+            for *fields, p_rx, pl, outage in rows]
 
 
 def _take_blocks(blocks, rows: int):
-    """``_read_rows``'s result for blocks of campaign rows, in columns sized once."""
+    """``(columns, from_power, nlos, outage_dropped, diffraction_dropped)`` of campaign blocks.
+
+    The columns, sized once, hold each fitted row's d2d_m, heights, fc_ghz and
+    path loss, or its received power where ``from_power`` is set; ValueError
+    where a row may break a row rule.
+    """
     columns = np.empty((5, rows))
     from_power, nlos = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     n = outage_dropped = diffraction_dropped = 0
@@ -211,51 +219,30 @@ def _take_blocks(blocks, rows: int):
     return columns[:, :n], from_power[:n], nlos[:n], outage_dropped, diffraction_dropped
 
 
-def _read_rows(f):
-    """``(columns, from_power, nlos, outage_dropped, diffraction_dropped)`` of any campaign CSV.
-
-    The columns hold each fitted row's d2d_m, heights, fc_ghz and path loss,
-    or its received power where ``from_power`` is set.
-    """
-    values, from_power, nlos = array("d"), bytearray(), bytearray()
-    outage_dropped = diffraction_dropped = 0
-    rows = checked_csv_rows(f, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
-                            _parse_row)
-    for _, tag, d2d, tx_h, rx_h, fc, p_rx, pl, outage in rows:
-        if outage:
-            outage_dropped += 1
-        elif tag == DIFFRACTION_TAG:
-            diffraction_dropped += 1
-        else:
-            values.extend((d2d, tx_h, rx_h, fc, p_rx if pl is None else pl))
-            from_power.append(pl is None)
-            nlos.append(tag == "NLOS")
-    columns = np.reshape(values, (-1, 5)).T.copy()
-    return columns, from_power, nlos, outage_dropped, diffraction_dropped
-
-
 def read_campaign_csv(path, budget: LinkBudget
                       ) -> tuple[dict[Environment, SimulatedDataset], ConversionSummary]:
     """Read a campaign CSV into one fit dataset per environment, LOS first.
 
-    A plain file (exact header, no CR, quote, NUL or blank line) whose rows
-    all pass is parsed 8192 rows at a time by ``np.loadtxt``; any other file
-    is read one row at a time by the csv module, with the same result, and
-    only that row loop raises row errors. No per-row object is kept.
+    A plain file (exact header, no quote or NUL) whose rows all pass is split
+    into fields 8192 rows at a time by ``np.loadtxt``, any other file one row
+    at a time by the csv module, and only that row loop raises row errors.
+    No per-row object is kept.
     Outage and LOS-DIFFRACTION rows are dropped (counted in the summary,
     never fitted). Path loss comes from the row directly or from its
     received power via the link budget; the fit distance is the 3D slant
     distance from the row's heights. The datasets carry no seed or
     sampling mode. Raises CampaignFormatError on a wrong header, or with one
-    ``line N:`` message per bad row, N the physical line it starts on (header: 1).
+    ``line N:`` message per bad row, N the physical line it starts on (header: 1),
+    and OverflowError where a budget near the float range gives a loss past it.
     """
     (d2d, tx_h, rx_h, fc, pl), from_power, nlos, outage_dropped, diffraction_dropped = (
-        read_csv_file(path, CAMPAIGN_CSV_HEADER, _BLOCK_DTYPE, _take_blocks, _read_rows,
-                      encoding="utf-8"))
-    from_power = np.asarray(from_power, dtype=bool)
+        read_csv_file(path, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
+                      _BLOCK_DTYPE, _parse_row, _take_blocks, encoding="utf-8"))
     p_rx = pl[from_power]
     with np.errstate(over="ignore"):  # a loss past the float range is inf, as in Python
         pl[from_power] = (budget.eirp_dbm + budget.rx_gain_dbi) - p_rx
+    if not np.isfinite(pl).all():  # pathloss_from_power's error for the same row
+        raise OverflowError("the result overflows a float")
     # Warned only once every row has passed, so a rejected file warns of nothing.
     for p in p_rx[pl[from_power] > budget.max_measurable_pl_db].tolist():
         pathloss_from_power(budget, p)

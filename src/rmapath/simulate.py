@@ -13,7 +13,6 @@ import csv
 import itertools
 import math
 import warnings
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,10 +110,13 @@ class SimulationConfig:
                 else RMA_NLOS_D2D_RANGE_M)
         if self.d2d_max_m is None:
             object.__setattr__(self, "d2d_max_m", span[1])
-        if not self.frequencies_ghz:
-            raise ValueError("frequencies_ghz must not be empty")
-        if finite_positive("frequencies", self.frequencies_ghz).ndim != 1:
+        frequencies = finite_positive("frequencies", self.frequencies_ghz)
+        if frequencies.ndim != 1:
             raise ValueError("frequencies_ghz must be a flat sequence of numbers")
+        if not frequencies.size:
+            raise ValueError("frequencies_ghz must not be empty")
+        # Floats in a tuple, so that equal configs compare equal and hash.
+        object.__setattr__(self, "frequencies_ghz", tuple(frequencies.tolist()))
         count = self.samples_per_frequency  # an integer, numpy's too, but not a bool
         if isinstance(count, bool) or not hasattr(count, "__index__") or count <= 0:
             raise ValueError("samples_per_frequency must be a positive integer")
@@ -213,8 +215,8 @@ def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
                             seed=config.seed, sampling_mode=config.distance_sampling)
 
 
-def _parse_dataset_row(row: list[str]):
-    """(env, (fc, d2d, d3d, pl), seed, mode) of one dataset CSV row."""
+def _parse_dataset_row(row: list[str]) -> tuple:
+    """The checked fields of one dataset CSV row, in header order, floats parsed."""
     if len(row) != len(DATASET_CSV_HEADER):
         raise ValueError(f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
     fc, d2d, d3d, env, pl, seed, mode = row
@@ -226,7 +228,7 @@ def _parse_dataset_row(row: list[str]):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
     _check_seed_and_mode(seed or None, mode or None)
-    return env, values, seed, mode
+    return (*values[:3], env, values[3], seed, mode)
 
 
 def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_row):
@@ -261,42 +263,45 @@ def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_
         raise type(header_error)("\n".join(errors))
 
 
-# The count lets the block reader allocate once; one-pass readers cost 12-16 MB more peak RSS.
-def _row_bound(path) -> int | None:
-    """The newline count of a file the block reader may parse, else None.
+# The count lets both paths allocate once; one-pass readers cost 12-16 MB more peak RSS.
+def _row_bound(path) -> tuple[bool, int]:
+    """Whether the block reader may parse a file, and its count of line breaks.
 
-    ``np.loadtxt`` drops the NULs that end a text field and reads a float of
-    any length, where the csv module keeps the NULs and rejects a field over
-    its limit; a newline in every chunk of half the limit keeps each line
-    under it. A file with a CR is left to the csv module too, so that every
-    row ends in a newline and the count bounds the rows, and so is one with a
-    quote, which ``np.loadtxt`` (``quotechar=None``) would keep in the field.
+    LF, CR and CRLF each end a line for the csv module and ``np.loadtxt``, so
+    the count bounds the rows; a CRLF split across two chunks counts twice.
+    ``np.loadtxt`` drops the NULs that end a text field, keeps quotes
+    (``quotechar=None``) and reads a float of any length, where the csv module
+    keeps the NULs, strips quotes and rejects a field over its limit; a line
+    break in every chunk of half the limit keeps each line under it.
     """
     size = csv.field_size_limit() // 2
-    newlines = 0
+    plain, breaks = True, 0
     with open(path, "rb") as f:
         while chunk := f.read(size):
-            if (b"\0" in chunk or b"\r" in chunk or b'"' in chunk
-                    or (len(chunk) == size and b"\n" not in chunk)):
-                return None
-            newlines += chunk.count(b"\n")
-    return newlines
+            lines = chunk.count(b"\n")
+            if b"\r" in chunk:  # counted only where present: an LF file's scan costs no more
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            plain = plain and not (b"\0" in chunk or b'"' in chunk
+                                   or (len(chunk) == size and not lines))
+            breaks += lines
+    return plain, breaks
 
 
-def read_csv_file(path, header: tuple[str, ...], dtype: np.dtype, take_blocks, read_rows,
-                  encoding: str | None = None):
-    """What a CSV file reads as: ``take_blocks`` of a plain file, else ``read_rows(f)``.
+def read_csv_file(path, header: tuple[str, ...], header_error: Exception, dtype: np.dtype,
+                  parse_row, take_blocks, encoding: str | None = None):
+    """``take_blocks(blocks, rows)`` of a CSV file: its rows as ``dtype`` arrays of up to 8192.
 
-    A plain file has ``header`` as its exact first line, and neither CR, quote
-    nor NUL. ``take_blocks(blocks, rows)`` gets its rows as ``dtype`` arrays of
-    up to 8192 rows, one ``np.loadtxt`` call each, and ``rows``, a bound on
-    their count; it raises ValueError where a row may break a row rule. Then,
-    or when ``loadtxt`` rejects or warns of a line (a blank one), the row loop
-    ``read_rows`` reads the file, and it alone raises the row errors.
+    ``rows`` bounds their count, so that columns are sized once. A plain file
+    (``_row_bound``) with ``header`` first is split by ``np.loadtxt``, one call
+    per block, and ``take_blocks`` raises ValueError where a row may break a
+    row rule. Then, or when ``loadtxt`` rejects or warns of a line, the csv
+    module splits the file and ``checked_csv_rows`` holds each row to
+    ``parse_row``, which gives its fields in ``dtype`` order; it raises
+    ``header_error`` or the row errors once the good rows have been taken.
     """
+    plain, rows = _row_bound(path)
     with open(path, encoding=encoding, newline="") as f:
-        rows = _row_bound(path)
-        if rows is not None and f.readline() == ",".join(header) + "\n":
+        if plain and f.readline().rstrip("\r\n") == ",".join(header):
             # Peeking at each block's first line means loadtxt never meets an
             # empty input, which it warns of.
             blocks = (np.loadtxt(itertools.chain((first,), f), dtype=dtype, delimiter=",",
@@ -309,7 +314,11 @@ def read_csv_file(path, header: tuple[str, ...], dtype: np.dtype, take_blocks, r
                 except (ValueError, Warning):
                     pass
         f.seek(0)
-        return read_rows(f)
+        # Blocks of 8192 checked rows, up to the first empty one; no list of rows is kept.
+        checked = checked_csv_rows(f, header, header_error, parse_row)
+        blocks = (np.fromiter(itertools.islice(checked, _CSV_BLOCK_ROWS), dtype)
+                  for _ in itertools.count())
+        return take_blocks(itertools.takewhile(len, blocks), rows)
 
 
 def _distinct(column: np.ndarray) -> set[str]:
@@ -318,7 +327,8 @@ def _distinct(column: np.ndarray) -> set[str]:
 
 
 def _take_dataset_blocks(blocks, rows: int):
-    """``_read_dataset_rows``'s result for blocks of dataset rows, in columns sized once."""
+    """``(columns, nlos, seeds, modes)`` of blocks of dataset rows, in columns sized once;
+    ValueError where a row may break a row rule."""
     values = np.empty((len(_DATASET_FLOAT_FIELDS), rows))
     nlos = np.empty(rows, dtype=bool)
     n = 0
@@ -339,40 +349,23 @@ def _take_dataset_blocks(blocks, rows: int):
     return values[:, :n], nlos[:n], seeds, modes
 
 
-def _read_dataset_rows(f):
-    """``(columns, nlos, seeds, modes)`` of any dataset CSV, one row at a time.
-
-    Raises ValueError on a wrong header, and with one message per malformed
-    row naming the physical line it starts on.
-    """
-    floats, nlos = array("d"), bytearray()
-    seeds, modes = set(), set()
-    header_error = ValueError(
-        f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}")
-    for env, values, seed, mode in checked_csv_rows(
-            f, DATASET_CSV_HEADER, header_error, _parse_dataset_row):
-        floats.extend(values)
-        nlos.append(env == "NLOS")
-        seeds.add(seed)
-        modes.add(mode)
-    return np.reshape(floats, (-1, len(_DATASET_FLOAT_FIELDS))).T.copy(), nlos, seeds, modes
-
-
 def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
     """Read a dataset CSV back into one dataset per environment, LOS first.
 
-    A file in the shape ``write_csv`` writes is parsed a block of rows at a
-    time by ``np.loadtxt`` into float columns sized once; any other file is
-    read one row at a time by the csv module into growable float columns,
-    with the same result. Either way no per-row object is kept, and only
-    the row loop builds error messages. Each dataset carries the
+    A file in the shape ``write_csv`` writes is split into fields a block of
+    rows at a time by ``np.loadtxt``, any other file one row at a time by the
+    csv module. Either way the columns are sized once, no per-row object is
+    kept, and only the row loop builds error messages. Each dataset carries the
     file's seed and sampling mode, or None where that column is not constant
     across rows. Raises ValueError on a wrong header, and with one message
     per malformed row naming the physical line it starts on (the header is
     line 1).
     """
-    columns, nlos, seeds, modes = read_csv_file(path, DATASET_CSV_HEADER, _DATASET_BLOCK_DTYPE,
-                                                _take_dataset_blocks, _read_dataset_rows)
+    header_error = ValueError(
+        f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}")
+    columns, nlos, seeds, modes = read_csv_file(path, DATASET_CSV_HEADER, header_error,
+                                                _DATASET_BLOCK_DTYPE, _parse_dataset_row,
+                                                _take_dataset_blocks)
     # An empty field is a dataset written without a seed or sampling mode.
     seed = next(iter(seeds)) if len(seeds) == 1 else ""
     mode = next(iter(modes)) if len(modes) == 1 else ""
@@ -383,11 +376,10 @@ def datasets_by_environment(columns, nlos, seed=None, sampling_mode=None
                             ) -> dict[Environment, SimulatedDataset]:
     """One dataset per environment in a reader's rows, LOS first, rows in file order.
 
-    ``columns`` are the rows' fc_ghz, d2d_m, d3d_m and pl_db floats and ``nlos``
-    their NLOS mask; the columns of a one-environment source are used in place.
+    ``columns`` are the rows' fc_ghz, d2d_m, d3d_m and pl_db float arrays and
+    ``nlos`` their NLOS mask, a bool array; the columns of a one-environment
+    source are used in place.
     """
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    nlos = np.asarray(nlos, dtype=bool)
     return {env: SimulatedDataset(env, *(columns if mask.all() else [c[mask] for c in columns]),
                                   seed, sampling_mode)
             for env, mask in ((Environment.LOS, ~nlos), (Environment.NLOS, nlos)) if mask.any()}

@@ -24,7 +24,7 @@ from rmapath import (
     pathloss_from_power,
     read_campaign_csv,
 )
-from rmapath import campaign
+from rmapath import simulate
 
 HEADER = ("location_id,environment,d2d_m,tx_height_m,rx_height_m,"
           "fc_ghz,p_rx_dbm,pl_db,outage")
@@ -329,6 +329,23 @@ class TestRecordsToSamples:
                 read_campaign_csv(path, DEFAULT_BUDGET)
         assert caught == []
 
+    def test_a_loss_past_the_float_range_is_an_overflow_error(self):
+        budget = LinkBudget(-1e308, -1e308, 0.0, 190.0)  # the EIRP is -inf
+        with pytest.raises(OverflowError) as err:
+            read_campaign_csv(bundled_campaign_path(), budget)
+        assert str(err.value) == "the result overflows a float"
+
+    def test_an_overflowing_budget_warns_of_nothing(self, tmp_path, campaign_text):
+        # The first loss, 1.7e308 dB, is over the ceiling; the second overflows.
+        path = tmp_path / "campaign.csv"
+        path.write_text(campaign_text([make_row(pl_db=None, p_rx_dbm=-80.0),
+                                       make_row(pl_db=None, p_rx_dbm=-1e308)]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError, match="^the result overflows a float$"):
+                read_campaign_csv(path, LinkBudget(1.7e308, 0.0, 0.0, 190.0))
+        assert caught == []
+
 
 def benchmark_shaped_text(rows: int) -> str:
     """Campaign CSV text shaped like the benchmark's: plain rows of every kind."""
@@ -372,7 +389,7 @@ class TestBlockPath:
         text = benchmark_shaped_text(20_000)  # three blocks of rows
         by_rows = campaign_outcome(quoted_twin(text))
         with monkeypatch.context() as patch:
-            patch.setattr(campaign, "checked_csv_rows", None)  # the row loop would fail
+            patch.setattr(simulate, "checked_csv_rows", None)  # the row loop would fail
             by_blocks = campaign_outcome(text)
         assert by_blocks == by_rows
         assert by_blocks[1].total == 20_000 and by_blocks[2]  # some rows warn
@@ -399,8 +416,16 @@ class TestBlockPath:
         assert campaign_outcome(text) == campaign_outcome(quoted_twin(text))
 
     def test_bundled_fixture_takes_the_block_path(self, monkeypatch):
-        monkeypatch.setattr(campaign, "checked_csv_rows", None)
+        monkeypatch.setattr(simulate, "checked_csv_rows", None)
         assert read_campaign_csv(bundled_campaign_path(), DEFAULT_BUDGET)[1].total == 38
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_files_take_the_block_path(self, campaign_outcome, monkeypatch,
+                                                   line_end):
+        text = benchmark_shaped_text(20_000)
+        by_lf = campaign_outcome(text)
+        monkeypatch.setattr(simulate, "checked_csv_rows", None)  # the row loop would fail
+        assert campaign_outcome(text.replace("\n", line_end)) == by_lf
 
     def test_bad_row_past_the_first_block_names_its_physical_line(self, tmp_path):
         lines = [f"R{i},LOS,100.0,110.0,1.8,73.5,,120.0,false" for i in range(10_000)]

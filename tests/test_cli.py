@@ -129,6 +129,8 @@ def test_overflowing_coverage_is_one_line_domain_error(capsys):
       "--hbs", "1e10"), "the result overflows a float"),
     (("fit", "--input", str(bundled_campaign_path()), "--tx-power-dbm", "1e308",
       "--tx-gain-dbi", "1e308"), "the result overflows a float"),
+    (("fit", "--input", str(bundled_campaign_path()), "--tx-power-dbm=-1e308",
+      "--tx-gain-dbi=-1e308"), "the result overflows a float"),
 ])
 def test_infinite_result_is_one_line_domain_error(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -112,7 +112,7 @@ CONTRACT = {
     "RmaParams": (RmaParams, (number, number, number, number)),
     "LinkBudget": (LinkBudget, (number, number, number, number)),
     "SimulationConfig": (lambda fcs: SimulationConfig(Environment.LOS, frequencies_ghz=fcs),
-                         (st.one_of(number, st.lists(number, max_size=4).map(tuple)),)),
+                         (st.one_of(numbers, st.lists(number, max_size=4).map(tuple)),)),
     "fit_ci_arrays": (fit_ci_arrays, (numbers, numbers, numbers, st.sampled_from(Environment))),
     # scalar-only
     "max_range": (max_range, (number, number, number)),

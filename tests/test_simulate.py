@@ -22,6 +22,7 @@ from rmapath import (
     rma_los,
     rma_nlos,
 )
+from rmapath import simulate
 
 PARAMS = RmaParams()
 HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
@@ -101,9 +102,18 @@ class TestSimulationConfig:
         (dict(frequencies_ghz=(1.0, None)), "frequencies must be finite and positive"),
         (dict(frequencies_ghz=((1.0, 2.0),)), "frequencies_ghz must be a flat sequence of numbers"),
         (dict(frequencies_ghz=28.0), "frequencies_ghz must be a flat sequence of numbers"),
+        (dict(frequencies_ghz=np.array([[1.0, 2.0]])),
+         "frequencies_ghz must be a flat sequence of numbers"),
+        (dict(frequencies_ghz=()), "frequencies_ghz must not be empty"),
+        (dict(frequencies_ghz=np.array([])), "frequencies_ghz must not be empty"),
+        (dict(frequencies_ghz=np.array([1.0, math.nan])),
+         "frequencies must be finite and positive"),
         (dict(samples_per_frequency=np.int64(3), frequencies_ghz=(np.float64(2.0), 6)), None),
+        (dict(samples_per_frequency=3, frequencies_ghz=np.array([2.0, 6.0])), None),
     ], ids=["samples-float", "samples-bool", "samples-negative-numpy", "frequency-str",
-            "frequency-None", "frequency-nested", "frequency-scalar", "numpy-numbers-accepted"])
+            "frequency-None", "frequency-nested", "frequency-scalar", "frequency-2d-array",
+            "frequency-empty", "frequency-empty-array", "frequency-nan-array",
+            "numpy-numbers-accepted", "numpy-array-accepted"])
     def test_config_input_types(self, overrides, message):
         if message is None:
             assert len(generate_3gpp_dataset(small_config(**overrides))) == 6
@@ -111,6 +121,16 @@ class TestSimulationConfig:
         with pytest.raises(ValueError) as err:
             small_config(**overrides)
         assert str(err.value) == message
+
+    def test_frequencies_are_held_as_a_tuple_of_floats(self):
+        by_array = small_config(frequencies_ghz=np.array([1, 28, 73]))
+        assert by_array == small_config() and hash(by_array) == hash(small_config())
+        assert [type(fc) for fc in by_array.frequencies_ghz] == [float] * 3
+        assert type(by_array.frequencies_ghz) is tuple
+        by_tuple = generate_3gpp_dataset(small_config())
+        dataset = generate_3gpp_dataset(by_array)
+        for field in ("fc_ghz", "d2d_m", "d3d_m", "pl_db"):
+            assert np.array_equal(getattr(dataset, field), getattr(by_tuple, field))
 
     def test_numpy_integer_seed_is_accepted(self):
         dataset = generate_3gpp_dataset(small_config(seed=np.uint64(5)))
@@ -491,6 +511,25 @@ class TestDatasetCsv:
             datasets = read_dataset_csv(path)
         assert caught == []
         assert [len(ds) for ds in datasets.values()] == ([rows] if rows else [])
+
+    # 9 000 rows make two blocks. The row loop would fail on the plain files,
+    # so they are split by np.loadtxt alone; the quoted one takes the row loop,
+    # whose columns the count of CRs sizes.
+    @pytest.mark.parametrize("end,new_end", [("\n", "\n"), ("\n", "\r\n"), ("\n", "\r"),
+                                             (",linear\n", ',"linear"\r')],
+                             ids=["LF", "CRLF", "CR", "quoted-CR"])
+    def test_written_dataset_reads_back_with_any_line_end(self, tmp_path, monkeypatch,
+                                                          end, new_end):
+        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=3_000))
+        path = tmp_path / "dataset.csv"
+        dataset.write_csv(path)
+        path.write_text(path.read_text().replace(end, new_end), newline="")
+        if '"' not in new_end:
+            monkeypatch.setattr(simulate, "checked_csv_rows", None)
+        parsed = read_dataset_csv(path)[Environment.NLOS]
+        assert (parsed.seed, parsed.sampling_mode) == (99, "linear")
+        for field in ("fc_ghz", "d2d_m", "d3d_m", "pl_db"):
+            assert np.array_equal(getattr(parsed, field), getattr(dataset, field))
 
     def test_bad_row_in_a_later_block_names_its_line(self, tmp_path):
         dataset = generate_3gpp_dataset(small_config(samples_per_frequency=3_000))
