@@ -41,6 +41,11 @@ class BelowSensitivityWarning(UserWarning):
     """A computed path loss exceeds the system's measurable ceiling."""
 
 
+def _finite(value) -> bool:
+    """Whether a scalar dB value is a finite number; text and None are no numbers."""
+    return value is not None and not isinstance(value, (str, bytes)) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Sounder link budget in dBm/dBi/dB terms."""
@@ -52,7 +57,7 @@ class LinkBudget:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            if not _finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.max_measurable_pl_db > 0:
             raise ValueError("max_measurable_pl_db must be positive")
@@ -111,7 +116,7 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm: float) -> float:
     measurable ceiling; such a value could not actually have been measured.
     Raises ValueError on a non-finite ``p_rx_dbm``.
     """
-    if not math.isfinite(p_rx_dbm):
+    if not _finite(p_rx_dbm):
         raise ValueError(f"p_rx_dbm must be finite, got {p_rx_dbm!r}")
     pl = budget.eirp_dbm + budget.rx_gain_dbi - p_rx_dbm
     if not -math.inf < pl < math.inf:  # a budget near the float range overflows
@@ -261,7 +266,7 @@ def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:
     """
     finite_positive("fc_ghz", fc_ghz)
     finite_positive("ple", ple)
-    if not math.isfinite(max_pl_db):
+    if not _finite(max_pl_db):
         raise ValueError("max_pl_db must be finite")
     anchor = CI_ANCHOR_DB + 20.0 * math.log10(fc_ghz)
     if max_pl_db <= anchor:

@@ -107,24 +107,45 @@ class Finding:
     message: str
 
 
-def finite_positive(name: str, value) -> np.ndarray:
-    """The argument gate: ``value`` as a float array, all finite and > 0; text is rejected."""
+def _bounds(a) -> tuple:
+    """(min, max) of a numpy value, for every range test: ``float(a)`` twice
+    for a 0-d input, which skips two reductions that would cost more than
+    the scalar maths; NaN propagated for an array; and (inf, -inf) for an
+    empty array, so that every "all elements satisfy" test passes vacuously."""
+    if not a.ndim:
+        a = float(a)
+        return a, a
+    return (a.min(), a.max()) if a.size else (math.inf, -math.inf)
+
+
+def finite_positive(name: str, value) -> np.ndarray | np.float64:
+    """The argument gate: ``value`` as floats, all finite and > 0; text is rejected.
+
+    A 0-d input comes back as a ``np.float64``, so the kernels do numpy
+    scalar maths on it; an array input comes back as a float array.
+    """
     a = np.asarray(value)
-    if a.dtype.kind in "biufO":
+    kind = a.dtype.kind
+    # astype(float) parses text, so an object array holding text stays kind "O".
+    if kind == "O" and not any(isinstance(v, (str, bytes)) for v in a.flat):
+        try:
+            a, kind = a.astype(float), "f"
+        except (TypeError, ValueError):  # an object that is not a number
+            pass
+    if kind in "biuf":
         a = a.astype(float, copy=False)
-        if not a.size or a.min() > 0.0 and a.max() < np.inf:  # NaN fails both tests
-            return a
+        lo, hi = _bounds(a)
+        if lo > 0.0 and hi < math.inf:  # NaN fails both tests
+            return a[()]
     raise ValueError(f"{name} must be finite and positive")
 
 
 def _result(x):
-    """A float for a 0-d result, the array otherwise; OverflowError unless all finite."""
-    if np.ndim(x) == 0:
-        x = float(x)
-        if -math.inf < x < math.inf:
-            return x
-    elif not x.size or -np.inf < x.min() and x.max() < np.inf:  # NaN fails both
-        return x
+    """A float for a scalar result (a numpy scalar, or the 0-d array of an
+    ``np.where``), the array otherwise; OverflowError unless all finite."""
+    lo, hi = _bounds(x)
+    if -math.inf < lo and hi < math.inf:  # NaN fails both
+        return x if x.ndim else hi
     raise OverflowError("the result overflows a float")
 
 
@@ -155,10 +176,11 @@ def ci_pathloss(fc_ghz, d_m, ple):
     fc = finite_positive("fc_ghz", fc_ghz)
     d = finite_positive("d_m", d_m)
     n = finite_positive("ple", ple)
-    if d.size and d.min() < CI_REFERENCE_DISTANCE_M:
+    if _bounds(d)[0] < CI_REFERENCE_DISTANCE_M:
         raise ValueError(f"CI model is defined for d >= {CI_REFERENCE_DISTANCE_M:g} m")
     lo, hi = CI_FREQ_RANGE_GHZ
-    if fc.size and (fc.min() < lo or fc.max() > hi):
+    fc_lo, fc_hi = _bounds(fc)
+    if fc_lo < lo or fc_hi > hi:
         warnings.warn(
             f"frequency outside the {lo:g}-{hi:g} GHz span the CI RMa "
             "coefficients were validated over",
@@ -226,8 +248,8 @@ def _los_mean(params: RmaParams, d3d, fc):
     dbp = _breakpoint(params.h_bs, params.h_ut, fc)
     pl1 = _los_pl1(params, d3d, fc)
     second = _second_slope(d3d, dbp)
-    if not second.any():
-        return pl1  # skips the second slope, which costs as much as the first
+    if not _bounds(second)[1] > 0:  # no second slope: skip it, it costs as much as the first
+        return pl1
     pl2 = _los_pl1(params, dbp, fc) + 40.0 * np.log10(d3d / dbp)
     return np.where(second, pl2, pl1)
 
@@ -255,7 +277,8 @@ def _checked(params: RmaParams, d3d_m, fc_ghz, span, label: str):
     """Gated (d3d, fc) arrays, with d3d inside the 3D image of a 2D span."""
     d3d, fc = finite_positive("d3d_m", d3d_m), finite_positive("fc_ghz", fc_ghz)
     lo, hi = span[0], _slant(span[1], params.h_bs, params.h_ut)
-    if d3d.size and (d3d.min() < lo or d3d.max() > hi):
+    d3d_lo, d3d_hi = _bounds(d3d)
+    if d3d_lo < lo or d3d_hi > hi:
         raise ApplicabilityError(
             f"3D distance outside the [{lo:g} m, {hi:.3f} m] span of the {label} "
             f"model (2D distance up to {span[1]:g} m)"

@@ -106,7 +106,7 @@ class TestLinkBudget:
         # 14.7 + 27 + 27 - (-88.1)
         assert pathloss_from_power(DEFAULT_BUDGET, -88.1) == pytest.approx(156.8, abs=1e-9)
 
-    @pytest.mark.parametrize("p_rx", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p_rx", [math.nan, math.inf, -math.inf, "-80", None])
     def test_non_finite_power_rejected(self, p_rx):
         with pytest.raises(ValueError) as err:
             pathloss_from_power(DEFAULT_BUDGET, p_rx)
@@ -129,7 +129,7 @@ class TestLinkBudget:
 
     @pytest.mark.parametrize("index,field", enumerate(
         ["tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi", "max_measurable_pl_db"]))
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "14.7", None])
     def test_non_finite_rejected(self, index, field, value):
         values = [14.7, 27.0, 27.0, 190.0]
         values[index] = value
@@ -485,6 +485,12 @@ class TestMaxRange:
         with pytest.raises(ValueError) as err:
             max_range(fc, ple, 190.0)
         assert str(err.value) == f"{name} must be finite and positive"
+
+    @pytest.mark.parametrize("budget", ["150", b"1e3", None])
+    def test_text_budget_rejected(self, budget):
+        with pytest.raises(ValueError) as err:
+            max_range(28.0, 2.31, budget)
+        assert str(err.value) == "max_pl_db must be finite"
 
     def test_overflow_is_one_overflow_error(self):
         with pytest.raises(OverflowError, match="overflows a float"):

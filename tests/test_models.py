@@ -233,9 +233,13 @@ class TestThreeDimensionalSpan:
 
 
 class TestNonFiniteInputs:
-    # Numeric text is no number either, though numpy would convert it.
+    # Numeric text is no number either, though numpy would convert it, also
+    # inside an object array; an object that is not a number is rejected too.
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [1.0, math.nan],
-                                     "73", b"73", ["1.0", "2.0"]])
+                                     "73", b"73", ["1.0", "2.0"],
+                                     np.array(["73", 5.0], dtype=object),
+                                     np.array([b"73"], dtype=object),
+                                     np.array([1.0, {}], dtype=object)])
     @pytest.mark.parametrize("call", [
         lambda x: fspl(x, 100.0),
         lambda x: fspl(28.0, x),

@@ -36,6 +36,7 @@ from rmapath import (
     rma_nlos,
     validate_applicability,
 )
+from rmapath import models
 
 # Heights over the TR 38.900 RMa applicability ranges.
 params_in_range = st.builds(
@@ -92,31 +93,40 @@ positive_floats = st.floats(0.0, exclude_min=True, allow_infinity=False)
 # The contract: each exported function or constructor that takes numbers
 # gives a finite result, or raises ValueError or OverflowError with a real
 # message. Its arguments come from the edge values, positive floats and
-# any float; the functions that take arrays also get 1-D arrays of these.
+# any float; the functions that take arrays also get 1-D arrays of these,
+# the model kernels object arrays too, and the scalar dB arguments text and
+# None. An argument that holds text is always rejected.
 EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.5, 5e-324, 1e308, 28.0)
 number = st.one_of(st.sampled_from(EDGE_VALUES), positive_floats, st.floats())
 numbers = st.one_of(number, st.lists(number, max_size=4).map(np.array))
+# Object arrays as numpy builds them from mixed lists: numbers with numeric
+# text, None or a dict among them. Text is rejected, though numpy parses it.
+TEXT_AND_NONE = ("150", b"150", "nan", None)
+object_arrays = st.lists(st.one_of(number, st.sampled_from((*TEXT_AND_NONE, {}))),
+                         max_size=4).map(lambda xs: np.array(xs, dtype=object))
+kernel_numbers = st.one_of(numbers, object_arrays)
+db_values = st.one_of(number, st.sampled_from(TEXT_AND_NONE))
 params = st.one_of(st.just(RmaParams()), st.builds(
     RmaParams, *[st.one_of(st.sampled_from((5e-324, 1.0, 1e308)), positive_floats)] * 4))
 budgets = st.builds(LinkBudget, *[st.one_of(st.sampled_from(EDGE_VALUES[3:]),
                                             st.floats(allow_nan=False, allow_infinity=False))] * 3,
                     st.one_of(st.sampled_from((5e-324, 28.0, 1e308)), positive_floats))
 CONTRACT = {
-    "fspl": (fspl, (numbers, numbers)),
-    "ci_pathloss": (ci_pathloss, (numbers, numbers, numbers)),
-    "breakpoint_distance": (breakpoint_distance, (numbers, numbers, numbers)),
-    "distance_3d": (distance_3d, (numbers, numbers, numbers)),
-    "los_second_slope": (los_second_slope, (params, numbers, numbers)),
-    "rma_los": (rma_los, (params, numbers, numbers)),
-    "rma_nlos": (rma_nlos, (params, numbers, numbers)),
+    "fspl": (fspl, (kernel_numbers, kernel_numbers)),
+    "ci_pathloss": (ci_pathloss, (kernel_numbers, kernel_numbers, kernel_numbers)),
+    "breakpoint_distance": (breakpoint_distance, (kernel_numbers, kernel_numbers, kernel_numbers)),
+    "distance_3d": (distance_3d, (kernel_numbers, kernel_numbers, kernel_numbers)),
+    "los_second_slope": (los_second_slope, (params, kernel_numbers, kernel_numbers)),
+    "rma_los": (rma_los, (params, kernel_numbers, kernel_numbers)),
+    "rma_nlos": (rma_nlos, (params, kernel_numbers, kernel_numbers)),
     "RmaParams": (RmaParams, (number, number, number, number)),
-    "LinkBudget": (LinkBudget, (number, number, number, number)),
+    "LinkBudget": (LinkBudget, (db_values, db_values, db_values, db_values)),
     "SimulationConfig": (lambda fcs: SimulationConfig(Environment.LOS, frequencies_ghz=fcs),
                          (st.one_of(numbers, st.lists(number, max_size=4).map(tuple)),)),
     "fit_ci_arrays": (fit_ci_arrays, (numbers, numbers, numbers, st.sampled_from(Environment))),
     # scalar-only
-    "max_range": (max_range, (number, number, number)),
-    "pathloss_from_power": (pathloss_from_power, (budgets, number)),
+    "max_range": (max_range, (number, number, db_values)),
+    "pathloss_from_power": (pathloss_from_power, (budgets, db_values)),
     "validate_applicability": (validate_applicability,
                                (params, number, number, st.sampled_from(Environment))),
 }
@@ -133,6 +143,14 @@ def all_finite(value) -> bool:
     return isinstance(value, str) or bool(np.isfinite(value).all())
 
 
+def holds_text(arg) -> bool:
+    """Whether an argument is text, or an object array with text in it (an
+    ``Environment`` is a str too, but no text)."""
+    if isinstance(arg, np.ndarray) and arg.dtype.kind == "O":
+        return any(map(holds_text, arg.flat))
+    return isinstance(arg, (str, bytes)) and not isinstance(arg, Environment)
+
+
 @pytest.mark.filterwarnings("ignore::rmapath.ModelRangeWarning")
 @pytest.mark.filterwarnings("ignore::rmapath.BelowSensitivityWarning")
 @pytest.mark.parametrize("name", CONTRACT)
@@ -147,9 +165,43 @@ def test_finite_result_or_one_error(name, data):
     except (ValueError, OverflowError) as exc:
         assert str(exc) and not re.fullmatch(r"\(\d+, '.*'\)", str(exc))  # no bare errno tuple
         return
-    assert all_finite(value)
+    assert all_finite(value) and not any(map(holds_text, args))
     if name in FLOAT_RESULTS and not any(isinstance(a, np.ndarray) for a in args):
         assert type(value) is float
+
+
+KERNELS = ("fspl", "ci_pathloss", "breakpoint_distance", "distance_3d", "los_second_slope",
+           "rma_los", "rma_nlos")
+
+
+def outcome(function, args):
+    """A call's result, or the type and text of its error."""
+    try:
+        return function(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("ignore::rmapath.ModelRangeWarning")
+@pytest.mark.parametrize("name", KERNELS)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_scalar_is_its_one_element_array(name, data):
+    # One path per kernel: scalars run the same expression as arrays do.
+    function, arguments = CONTRACT[name]
+    args = data.draw(st.tuples(*(a if a is params else number for a in arguments)))
+    scalar = outcome(function, args)
+    array = outcome(function, [a if isinstance(a, RmaParams) else np.array([a]) for a in args])
+    if isinstance(scalar, tuple):
+        assert isinstance(array, tuple) and array == scalar
+    else:
+        assert array.shape == (1,) and scalar == array[0]
+
+
+def test_the_gate_passes_a_scalar_on_as_a_numpy_scalar():
+    # The kernels' scalar speed rests on numpy scalar maths, not on 0-d array ufunc calls.
+    assert type(models.finite_positive("x", 73.0)) is np.float64
+    assert type(models.finite_positive("x", [73.0])) is np.ndarray
 
 
 finite_db = st.floats(-300.0, 300.0)
@@ -241,7 +293,7 @@ def test_dataset_blocks_read_as_their_quoted_twin(rows, seed, mode, mutations):
         line = lines[index % len(lines)]
         if value == "<blank>":
             lines.insert(index % len(lines), [])
-        elif value == "<drop>":
+        elif value == "<drop>" and line:
             del line[field % len(line)]
         elif line:
             line[field % len(line)] = value
