@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import CI_ANCHOR_DB, Environment, distance_3d, finite_positive
+from .models import CI_ANCHOR_DB, Environment, distance_3d, finite, finite_positive
 from .simulate import SimulatedDataset, checked_csv_rows, datasets_by_environment, read_csv_file
 
 CAMPAIGN_CSV_HEADER = ("location_id", "environment", "d2d_m", "tx_height_m",
@@ -41,11 +41,6 @@ class BelowSensitivityWarning(UserWarning):
     """A computed path loss exceeds the system's measurable ceiling."""
 
 
-def _finite(value) -> bool:
-    """Whether a scalar dB value is a finite number; text and None are no numbers."""
-    return value is not None and not isinstance(value, (str, bytes)) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class LinkBudget:
     """Sounder link budget in dBm/dBi/dB terms."""
@@ -57,10 +52,9 @@ class LinkBudget:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not _finite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.max_measurable_pl_db > 0:
-            raise ValueError("max_measurable_pl_db must be positive")
+            if finite(name, value).ndim:
+                raise ValueError(f"{name} must be a number")
+        finite_positive("max_measurable_pl_db", self.max_measurable_pl_db)
 
     @property
     def eirp_dbm(self) -> float:
@@ -109,26 +103,28 @@ class ConversionSummary:
     diffraction_dropped: int
 
 
-def pathloss_from_power(budget: LinkBudget, p_rx_dbm: float) -> float:
-    """Path loss implied by a received power: EIRP + rx gain - p_rx.
+def pathloss_from_power(budget: LinkBudget, p_rx_dbm):
+    """Path loss implied by a received power (a scalar or an array): EIRP + rx gain - p_rx.
 
-    Warns with BelowSensitivityWarning when the result exceeds the budget's
-    measurable ceiling; such a value could not actually have been measured.
-    Raises ValueError on a non-finite ``p_rx_dbm``.
+    Warns with one BelowSensitivityWarning per loss over the budget's
+    measurable ceiling, in order; such a value could not actually have been
+    measured. Raises ValueError on a non-finite ``p_rx_dbm``, and
+    OverflowError, before any warning, where the budget gives a loss past
+    the float range. A scalar gives a float.
     """
-    if not _finite(p_rx_dbm):
-        raise ValueError(f"p_rx_dbm must be finite, got {p_rx_dbm!r}")
-    pl = budget.eirp_dbm + budget.rx_gain_dbi - p_rx_dbm
-    if not -math.inf < pl < math.inf:  # a budget near the float range overflows
+    p_rx = finite("p_rx_dbm", p_rx_dbm)
+    with np.errstate(over="ignore"):  # a loss past the float range is inf, reported below
+        pl = np.atleast_1d((budget.eirp_dbm + budget.rx_gain_dbi) - p_rx)
+    if not np.isfinite(pl).all():
         raise OverflowError("the result overflows a float")
-    if pl > budget.max_measurable_pl_db:
+    for loss in pl[pl > budget.max_measurable_pl_db].tolist():
         warnings.warn(
-            f"path loss {pl:.1f} dB exceeds the {budget.max_measurable_pl_db:g} dB "
+            f"path loss {loss:.1f} dB exceeds the {budget.max_measurable_pl_db:g} dB "
             "measurable ceiling (outage-equivalent)",
             BelowSensitivityWarning,
             stacklevel=2,
         )
-    return pl
+    return pl if p_rx.ndim else float(pl[0])
 
 
 def _parse_row(row: list[str]) -> tuple:
@@ -243,14 +239,8 @@ def read_campaign_csv(path, budget: LinkBudget
     (d2d, tx_h, rx_h, fc, pl), from_power, nlos, outage_dropped, diffraction_dropped = (
         read_csv_file(path, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
                       _BLOCK_DTYPE, _parse_row, _take_blocks, encoding="utf-8"))
-    p_rx = pl[from_power]
-    with np.errstate(over="ignore"):  # a loss past the float range is inf, as in Python
-        pl[from_power] = (budget.eirp_dbm + budget.rx_gain_dbi) - p_rx
-    if not np.isfinite(pl).all():  # pathloss_from_power's error for the same row
-        raise OverflowError("the result overflows a float")
-    # Warned only once every row has passed, so a rejected file warns of nothing.
-    for p in p_rx[pl[from_power] > budget.max_measurable_pl_db].tolist():
-        pathloss_from_power(budget, p)
+    # Converted only once every row has passed, so a rejected file warns of nothing.
+    pl[from_power] = pathloss_from_power(budget, pl[from_power])
     d3d = distance_3d(d2d, tx_h, rx_h)  # cannot overflow: the rows passed the row rules
     summary = ConversionSummary(len(pl) + outage_dropped + diffraction_dropped, len(pl),
                                 outage_dropped, diffraction_dropped)
@@ -266,8 +256,7 @@ def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:
     """
     finite_positive("fc_ghz", fc_ghz)
     finite_positive("ple", ple)
-    if not _finite(max_pl_db):
-        raise ValueError("max_pl_db must be finite")
+    finite("max_pl_db", max_pl_db)
     anchor = CI_ANCHOR_DB + 20.0 * math.log10(fc_ghz)
     if max_pl_db <= anchor:
         raise NoCoverageError(

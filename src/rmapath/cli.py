@@ -2,10 +2,10 @@
 
 Subcommands: predict, breakpoint-curve, simulate, fit, coverage, validate.
 Exit status is 0 on success, 1 on a domain error (bad value, unreadable
-file, failed validation), 2 on a usage error. Every flag can also be set
-through an environment variable named RMA_<FLAG> (dashes as underscores,
-e.g. --freq-ghz -> RMA_FREQ_GHZ); an explicit flag wins. A variable is read
-only when its subcommand runs.
+file, failed validation, an array too large to allocate), 2 on a usage
+error. Every flag can also be set through an environment variable named
+RMA_<FLAG> (dashes as underscores, e.g. --freq-ghz -> RMA_FREQ_GHZ); an
+explicit flag wins. A variable is read only when its subcommand runs.
 
 Numeric output on stdout uses fixed 2-decimal formatting; files written by
 simulate/fit/breakpoint-curve keep full float precision.
@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -189,8 +188,9 @@ def cmd_predict(args) -> int:
 
 def cmd_breakpoint_curve(args) -> int:
     finite_positive("--fmin", args.fmin)
-    if not args.fmin <= args.fmax < math.inf:
-        raise ValueError("--fmax must be finite and >= --fmin")
+    finite_positive("--fmax", args.fmax)
+    if args.fmax < args.fmin:
+        raise ValueError("--fmax must be >= --fmin")
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     if args.spacing == "log":
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CI_ANCHOR_DB, Environment, finite_positive
+from .models import CI_ANCHOR_DB, Environment, finite, finite_positive
 from .simulate import SimulatedDataset, SimulationConfig, generate_3gpp_dataset
 
 
@@ -45,15 +45,12 @@ class CiFitResult:
 def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
                   environment: Environment) -> CiFitResult:
     """Fit the CI exponent to columnar data; see ``fit_ci``."""
-    d = np.asarray(d_m, dtype=float)
-    pl = np.asarray(pl_db, dtype=float)
+    environment = Environment(environment)
+    d = finite_positive("d_m", d_m)
     if d.size < 2:
         raise DegenerateFitError("need at least 2 samples to fit an exponent")
     fc = finite_positive("fc_ghz", fc_ghz)
-    # min and max propagate NaN, so a NaN element fails these comparisons
-    for name, x in (("distances", d), ("path losses", pl)):
-        if not -np.inf < x.min() <= x.max() < np.inf:
-            raise ValueError(f"CI fit requires finite {name}")
+    pl = finite("pl_db", pl_db)
     if d.min() < 1.0:
         raise ValueError("CI fit requires all distances >= 1 m")
     a = pl - CI_ANCHOR_DB - 20.0 * np.log10(fc)

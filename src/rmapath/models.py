@@ -118,8 +118,8 @@ def _bounds(a) -> tuple:
     return (a.min(), a.max()) if a.size else (math.inf, -math.inf)
 
 
-def finite_positive(name: str, value) -> np.ndarray | np.float64:
-    """The argument gate: ``value`` as floats, all finite and > 0; text is rejected.
+def finite_positive(name: str, value, *, lower: float = 0.0) -> np.ndarray | np.float64:
+    """The argument gate: ``value`` as floats, all finite and > ``lower``; text is rejected.
 
     A 0-d input comes back as a ``np.float64``, so the kernels do numpy
     scalar maths on it; an array input comes back as a float array.
@@ -135,9 +135,14 @@ def finite_positive(name: str, value) -> np.ndarray | np.float64:
     if kind in "biuf":
         a = a.astype(float, copy=False)
         lo, hi = _bounds(a)
-        if lo > 0.0 and hi < math.inf:  # NaN fails both tests
+        if lo > lower and hi < math.inf:  # NaN fails both tests
             return a[()]
-    raise ValueError(f"{name} must be finite and positive")
+    raise ValueError(f"{name} must be finite" + (" and positive" if lower == 0.0 else ""))
+
+
+def finite(name: str, value) -> np.ndarray | np.float64:
+    """The gate of a dB value of any sign: ``finite_positive`` with no lower bound."""
+    return finite_positive(name, value, lower=-math.inf)
 
 
 def _result(x):
@@ -185,7 +190,7 @@ def ci_pathloss(fc_ghz, d_m, ple):
             f"frequency outside the {lo:g}-{hi:g} GHz span the CI RMa "
             "coefficients were validated over",
             ModelRangeWarning,
-            stacklevel=2,
+            stacklevel=3,  # past the _float_errors wrapper, at the caller's line
         )
     return _result(CI_ANCHOR_DB + 10.0 * n * np.log10(d) + 20.0 * np.log10(fc))
 

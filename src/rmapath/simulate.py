@@ -121,6 +121,9 @@ class SimulationConfig:
         if isinstance(count, bool) or not hasattr(count, "__index__") or count <= 0:
             raise ValueError("samples_per_frequency must be a positive integer")
         _check_seed_and_mode(_seed_text(self.seed), str(self.distance_sampling))
+        for name in ("d2d_min_m", "d2d_max_m"):
+            if finite_positive(name, getattr(self, name)).ndim:
+                raise ValueError(f"{name} must be a number")
         if not self.d2d_min_m < self.d2d_max_m:
             raise ValueError("d2d_min_m must be less than d2d_max_m")
         if self.d2d_min_m < span[0] or self.d2d_max_m > span[1]:

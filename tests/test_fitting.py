@@ -68,13 +68,16 @@ class TestFitCi:
         ([-1.0, 1.0], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
         ([math.nan, 1.0], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
         ([math.inf, 1.0], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
-        ([1.0, 1.0], [math.nan, 100.0], [100.0, 120.0], "CI fit requires finite distances"),
-        ([1.0, 1.0], [10.0, math.inf], [100.0, 120.0], "CI fit requires finite distances"),
-        ([1.0, 1.0], [-math.inf, 100.0], [100.0, 120.0], "CI fit requires finite distances"),
+        ([1.0, 1.0], [math.nan, 100.0], [100.0, 120.0], "d_m must be finite and positive"),
+        ([1.0, 1.0], [10.0, math.inf], [100.0, 120.0], "d_m must be finite and positive"),
+        ([1.0, 1.0], [-math.inf, 100.0], [100.0, 120.0], "d_m must be finite and positive"),
         ([1.0, 1.0], [0.5, 100.0], [100.0, 120.0], "CI fit requires all distances >= 1 m"),
-        ([1.0, 1.0], [10.0, 100.0], [math.nan, 120.0], "CI fit requires finite path losses"),
-        ([1.0, 1.0], [10.0, 100.0], [100.0, -math.inf], "CI fit requires finite path losses"),
+        ([1.0, 1.0], [10.0, 100.0], [math.nan, 120.0], "pl_db must be finite"),
+        ([1.0, 1.0], [10.0, 100.0], [100.0, -math.inf], "pl_db must be finite"),
         (["1.0", "1.0"], [10.0, 100.0], [100.0, 120.0], "fc_ghz must be finite and positive"),
+        ([28.0, 28.0], ["10", "100"], [100.0, 120.0], "d_m must be finite and positive"),
+        ([28.0, 28.0], [10.0, 100.0], ["100", "120"], "pl_db must be finite"),
+        ([28.0, 28.0], [0.0, 100.0], [100.0, 120.0], "d_m must be finite and positive"),
     ])
     def test_bad_values_rejected(self, fc, d, pl, message):
         with pytest.raises(ValueError) as err:
@@ -162,6 +165,16 @@ class TestReproduce3gppCi:
 
 
 class TestFitReport:
+    def test_environment_text_is_coerced(self):
+        fit = fit_ci_arrays([28.0, 28.0], [10.0, 100.0], [100.0, 120.0], "LOS")
+        assert fit.environment is Environment.LOS
+        assert fit_report_dict(fit, source="x")["environment"] == "LOS"
+
+    def test_unknown_environment_is_one_line_value_error(self):
+        with pytest.raises(ValueError) as err:
+            fit_ci_arrays([28.0, 28.0], [10.0, 100.0], [100.0, 120.0], "los")
+        assert str(err.value) == "'los' is not a valid Environment"
+
     def test_report_keys_and_values(self):
         result = CiFitResult(n=2.31, sigma_db=5.9, count=450_000,
                              mean_residual_db=-0.3, environment=Environment.LOS)

@@ -91,6 +91,12 @@ class TestCiPathloss:
         with pytest.warns(ModelRangeWarning):
             ci_pathloss(0.4, 100.0, 2.16)
 
+    def test_range_warning_names_the_callers_line(self):
+        # Python's once-per-location filter keys on this, so each caller is warned.
+        with pytest.warns(ModelRangeWarning) as record:
+            ci_pathloss(200.0, 100.0, 2.16)
+        assert record[0].filename == __file__
+
 
 class TestBreakpointDistance:
     @pytest.mark.parametrize("fc,expected", [

@@ -94,7 +94,8 @@ positive_floats = st.floats(0.0, exclude_min=True, allow_infinity=False)
 # gives a finite result, or raises ValueError or OverflowError with a real
 # message. Its arguments come from the edge values, positive floats and
 # any float; the functions that take arrays also get 1-D arrays of these,
-# the model kernels object arrays too, and the scalar dB arguments text and
+# the model kernels, the fit's distances and losses and the received powers
+# object arrays too, and the dB arguments and simulation bounds text and
 # None. An argument that holds text is always rejected.
 EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.5, 5e-324, 1e308, 28.0)
 number = st.one_of(st.sampled_from(EDGE_VALUES), positive_floats, st.floats())
@@ -105,6 +106,11 @@ TEXT_AND_NONE = ("150", b"150", "nan", None)
 object_arrays = st.lists(st.one_of(number, st.sampled_from((*TEXT_AND_NONE, {}))),
                          max_size=4).map(lambda xs: np.array(xs, dtype=object))
 kernel_numbers = st.one_of(numbers, object_arrays)
+# The fit also gets three-row columns that it would accept but for numeric
+# text among them: in generic draws, text is rarely an argument's only fault.
+fit_columns = st.one_of(kernel_numbers, st.lists(
+    st.one_of(st.floats(1.0, 1e4), st.sampled_from(("150", b"150"))),
+    min_size=3, max_size=3).map(lambda xs: np.array(xs, dtype=object)))
 db_values = st.one_of(number, st.sampled_from(TEXT_AND_NONE))
 params = st.one_of(st.just(RmaParams()), st.builds(
     RmaParams, *[st.one_of(st.sampled_from((5e-324, 1.0, 1e308)), positive_floats)] * 4))
@@ -123,10 +129,14 @@ CONTRACT = {
     "LinkBudget": (LinkBudget, (db_values, db_values, db_values, db_values)),
     "SimulationConfig": (lambda fcs: SimulationConfig(Environment.LOS, frequencies_ghz=fcs),
                          (st.one_of(numbers, st.lists(number, max_size=4).map(tuple)),)),
-    "fit_ci_arrays": (fit_ci_arrays, (numbers, numbers, numbers, st.sampled_from(Environment))),
+    "SimulationConfig bounds": (
+        lambda lo, hi: SimulationConfig(Environment.LOS, d2d_min_m=lo, d2d_max_m=hi),
+        (st.one_of(numbers, st.sampled_from(TEXT_AND_NONE)),) * 2),
+    "fit_ci_arrays": (fit_ci_arrays, (st.one_of(numbers, st.just(28.0)), fit_columns,
+                                      fit_columns, st.sampled_from(Environment))),
+    "pathloss_from_power": (pathloss_from_power, (budgets, st.one_of(db_values, kernel_numbers))),
     # scalar-only
     "max_range": (max_range, (number, number, db_values)),
-    "pathloss_from_power": (pathloss_from_power, (budgets, db_values)),
     "validate_applicability": (validate_applicability,
                                (params, number, number, st.sampled_from(Environment))),
 }

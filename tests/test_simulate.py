@@ -60,6 +60,21 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(environment=Environment.LOS, d2d_min_m=100.0, d2d_max_m=50.0)
 
+    @pytest.mark.parametrize("bounds,message", [
+        (dict(d2d_min_m="20"), "d2d_min_m must be finite and positive"),
+        (dict(d2d_min_m=None), "d2d_min_m must be finite and positive"),
+        (dict(d2d_max_m=math.nan), "d2d_max_m must be finite and positive"),
+        (dict(d2d_min_m=math.nan), "d2d_min_m must be finite and positive"),
+        (dict(d2d_max_m=b"500"), "d2d_max_m must be finite and positive"),
+        (dict(d2d_min_m=np.array([20.0, 30.0])), "d2d_min_m must be a number"),
+        (dict(d2d_max_m=[500.0]), "d2d_max_m must be a number"),
+    ], ids=["min-str", "min-None", "max-nan", "min-nan", "max-bytes", "min-array",
+            "max-list"])
+    def test_bad_bound_is_one_line_value_error(self, bounds, message):
+        with pytest.raises(ValueError) as err:
+            SimulationConfig(environment=Environment.LOS, **bounds)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("fc", [math.nan, math.inf, -math.inf, 0.0])
     def test_non_finite_or_non_positive_frequency_rejected(self, fc):
         with pytest.raises(ValueError, match="^frequencies must be finite and positive$"):
