@@ -4,7 +4,8 @@ Campaign CSVs carry one row per measured location. Non-outage rows hold
 either a received power or a path loss (never both); outage rows hold
 neither. LOS-DIFFRACTION rows are real measurements that are excluded from
 model fits, since diffraction over terrain edges adds loss the CI model
-does not represent.
+does not represent. The row rules of the format are one table here
+(``_FORMAT``), read by the shared ``_csv`` reader.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import CI_ANCHOR_DB, Environment, distance_3d, finite, finite_positive
-from .simulate import SimulatedDataset, checked_csv_rows, datasets_by_environment, read_csv_file
+from ._csv import CsvFormat, checked_csv_rows, finite_rule, read_csv_file
+from .simulate import SimulatedDataset, datasets_by_environment
 
 CAMPAIGN_CSV_HEADER = ("location_id", "environment", "d2d_m", "tx_height_m",
                        "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db", "outage")
@@ -127,45 +129,56 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm):
     return pl if p_rx.ndim else float(pl[0])
 
 
-def _parse_row(row: list[str]) -> tuple:
-    """The checked fields of one campaign CSV row, in header order: a power
-    is the ``repr`` of its float or empty, outage is text, the rest floats.
+def _view(block) -> dict:
+    """A campaign block's columns by name, the numbers copied out of it once,
+    with a mask per literal of a text field (``view["outage", "true"]``) and
+    each power parsed once (an empty one reads as 0) and marked in ``given``;
+    ValueError where a power fills its ``np.loadtxt`` width, which may have cut it."""
+    view = {name: block[name] for name in CAMPAIGN_CSV_HEADER}
+    view.update(zip(_RECORD_NUMBERS[:4], np.stack([block[n] for n in _RECORD_NUMBERS[:4]])))
+    for name, literals in (("outage", ("true", "false")), ("environment", CAMPAIGN_TAGS)):
+        view.update(((name, text), block[name] == text) for text in literals)
+    view["given"] = []
+    for name in _RECORD_NUMBERS[4:]:
+        text = block[name]
+        if text.dtype.kind == "U" and (np.char.str_len(text) >= _POWER_WIDTH).any():
+            raise ValueError(f"{name} may have been cut")
+        has = text != ""
+        view[name] = np.zeros(len(block))
+        view[name][has] = text[has].astype(float)  # parsed as float() parses it
+        view["given"].append(has)
+    return view
 
-    Raises ValueError naming the first rule broken, in report order: field
-    count, outage literal, float parses, tag, finite, positive, power count,
-    and on a fitted row the slant distance sum ``distance_3d`` forms overflowing.
-    """
-    if len(row) != len(CAMPAIGN_CSV_HEADER):
-        raise ValueError(f"expected {len(CAMPAIGN_CSV_HEADER)} fields, got {len(row)}")
-    (location_id, tag, d2d, tx_h, rx_h, fc, p_rx, pl, outage) = row
-    if outage not in ("true", "false"):
-        raise ValueError(f"outage must be 'true' or 'false', got {outage!r}")
-    numbers = (float(d2d), float(tx_h), float(rx_h), float(fc),
-               None if p_rx == "" else float(p_rx), None if pl == "" else float(pl))
-    if tag not in CAMPAIGN_TAGS:
-        raise ValueError(f"environment {tag!r} not one of {'/'.join(CAMPAIGN_TAGS)}")
-    d2d, tx_h, rx_h, fc, p_rx, pl = numbers
-    present = (p_rx is not None) + (pl is not None)
-    dh = tx_h - rx_h
-    inf = math.inf
-    # Cheap test first; walk the rules in report order only on failure.
-    if not (0.0 < d2d < inf and 0.0 < tx_h < inf and 0.0 < rx_h < inf and 0.0 < fc < inf
-            and (p_rx is None or -inf < p_rx < inf) and (pl is None or -inf < pl < inf)
-            and (outage == "true" or tag == DIFFRACTION_TAG or d2d * d2d + dh * dh < inf)):
-        for name, value in zip(_RECORD_NUMBERS, numbers):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name, value in zip(_RECORD_NUMBERS[:4], numbers):
-            if not value > 0:
-                raise ValueError(f"{name} must be positive")
-        if present == 1:  # else the power count is the first rule broken
-            raise ValueError("slant distance overflows a float")
-    if outage == "false" and present != 1:
-        raise ValueError(
-            "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
-            f"got {present}")
-    return (location_id, tag, d2d, tx_h, rx_h, fc, "" if p_rx is None else repr(p_rx),
-            "" if pl is None else repr(pl), outage)
+
+def _positive(name: str) -> tuple:
+    """The rule that a row's float ``name`` is positive."""
+    return lambda view: ~(view[name] > 0.0), lambda row: f"{name} must be positive"
+
+
+def _fitted(view) -> np.ndarray:
+    """The rows a fit takes: neither an outage nor LOS-DIFFRACTION."""
+    return view["outage", "false"] & ~view["environment", DIFFRACTION_TAG]
+
+
+def _slant_overflows(view) -> np.ndarray:
+    """The fitted rows whose slant distance sum, as ``distance_3d`` forms it, overflows."""
+    d2d, dh = view["d2d_m"], view["tx_height_m"] - view["rx_height_m"]
+    return _fitted(view) & ~(d2d * d2d + dh * dh < np.inf)
+
+
+# The campaign row rules in report order, after the field count and the float parses.
+_FORMAT = CsvFormat(_BLOCK_DTYPE, CampaignFormatError, _HEADER_MESSAGE, (
+    (lambda view: ~(view["outage", "true"] | view["outage", "false"]),
+     lambda row: f"outage must be 'true' or 'false', got {row['outage']!r}"),
+    (lambda view: ~np.logical_or.reduce([view["environment", tag] for tag in CAMPAIGN_TAGS]),
+     lambda row: f"environment {row['environment']!r} not one of {'/'.join(CAMPAIGN_TAGS)}"),
+    *map(finite_rule, _RECORD_NUMBERS),
+    *map(_positive, _RECORD_NUMBERS[:4]),
+    (lambda view: view["outage", "false"] & (view["given"][0] == view["given"][1]),
+     lambda row: "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
+                 f"got {(row['p_rx_dbm'] != '') + (row['pl_db'] != '')}"),
+    (_slant_overflows, lambda row: "slant distance overflows a float"),
+), _view, optional=_RECORD_NUMBERS[4:])
 
 
 def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
@@ -174,48 +187,35 @@ def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
     Kept for the benchmark self-test, which reads records, until it moves
     to ``read_campaign_csv`` (ROADMAP item 1).
     """
-    rows = checked_csv_rows(io.StringIO(text), CAMPAIGN_CSV_HEADER,
-                            CampaignFormatError(_HEADER_MESSAGE), _parse_row)
-    return [MeasurementRecord(*fields, float(p_rx) if p_rx else None,
-                              float(pl) if pl else None, outage == "true")
-            for *fields, p_rx, pl, outage in rows]
+    return [MeasurementRecord(*fields, p_rx if has_p_rx else None, pl if has_pl else None,
+                              outage == "true")
+            for view in checked_csv_rows(io.StringIO(text), _FORMAT)
+            for *fields, p_rx, pl, outage, has_p_rx, has_pl in zip(
+                *(view[name].tolist() for name in CAMPAIGN_CSV_HEADER), *view["given"])]
 
 
-def _take_blocks(blocks, rows: int):
-    """``(columns, from_power, nlos, outage_dropped, diffraction_dropped)`` of campaign blocks.
+def _take_blocks(views, rows: int):
+    """``(columns, from_power, nlos, outage_dropped, diffraction_dropped)`` of checked
+    campaign views.
 
     The columns, sized once, hold each fitted row's d2d_m, heights, fc_ghz and
-    path loss, or its received power where ``from_power`` is set; ValueError
-    where a row may break a row rule.
+    path loss, or its received power where ``from_power`` is set.
     """
     columns = np.empty((5, rows))
     from_power, nlos = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     n = outage_dropped = diffraction_dropped = 0
-    for block in blocks:
-        tag, outage = block["environment"], block["outage"] == "true"
-        diffraction = tag == DIFFRACTION_TAG
-        fitted = ~outage & ~diffraction
-        numbers = np.stack([block[name] for name in _RECORD_NUMBERS[:4]])
-        texts = [block[name] for name in _RECORD_NUMBERS[4:]]
-        given = [text != "" for text in texts]
-        powers = np.zeros((2, len(block)))  # an empty power reads as 0
-        for value, text, has in zip(powers, texts, given):
-            value[has] = text[has].astype(float)  # parsed as float() parses it
+    for view in views:
+        fitted = _fitted(view)
         end = n + int(np.count_nonzero(fitted))
-        columns[:4, n:end] = numbers[:, fitted]
-        columns[4, n:end] = np.where(given[1], powers[1], powers[0])[fitted]
-        d2d, dh = columns[0, n:end], columns[1, n:end] - columns[2, n:end]
-        if not ((outage | (block["outage"] == "false")).all()
-                and (diffraction | (tag == "LOS") | (tag == "NLOS")).all()
-                and all((np.char.str_len(text) < _POWER_WIDTH).all() for text in texts)
-                and ((0.0 < numbers) & (numbers < np.inf)).all() and np.isfinite(powers).all()
-                and (outage | (given[0] != given[1])).all()
-                and (d2d * d2d + dh * dh < np.inf).all()):
-            raise ValueError("a row breaks a row rule")
-        from_power[n:end] = ~given[1][fitted]
-        nlos[n:end] = tag[fitted] == "NLOS"
-        outage_dropped += int(np.count_nonzero(outage))
-        diffraction_dropped += int(np.count_nonzero(diffraction & ~outage))
+        for column, name in zip(columns, _RECORD_NUMBERS[:4]):
+            column[n:end] = view[name][fitted]
+        given_pl = view["given"][1]
+        columns[4, n:end] = np.where(given_pl, view["pl_db"], view["p_rx_dbm"])[fitted]
+        from_power[n:end] = ~given_pl[fitted]
+        nlos[n:end] = view["environment", "NLOS"][fitted]
+        outage_dropped += int(np.count_nonzero(view["outage", "true"]))
+        diffraction_dropped += int(np.count_nonzero(view["environment", DIFFRACTION_TAG]
+                                                    & view["outage", "false"]))
         n = end
     return columns[:, :n], from_power[:n], nlos[:n], outage_dropped, diffraction_dropped
 
@@ -226,8 +226,8 @@ def read_campaign_csv(path, budget: LinkBudget
 
     A plain file (exact header, no quote or NUL) whose rows all pass is split
     into fields 8192 rows at a time by ``np.loadtxt``, any other file one row
-    at a time by the csv module, and only that row loop raises row errors.
-    No per-row object is kept.
+    at a time by the csv module; both hold the rows to the one rule table,
+    ``_FORMAT``. No per-row object is kept.
     Outage and LOS-DIFFRACTION rows are dropped (counted in the summary,
     never fitted). Path loss comes from the row directly or from its
     received power via the link budget; the fit distance is the 3D slant
@@ -237,8 +237,7 @@ def read_campaign_csv(path, budget: LinkBudget
     and OverflowError where a budget near the float range gives a loss past it.
     """
     (d2d, tx_h, rx_h, fc, pl), from_power, nlos, outage_dropped, diffraction_dropped = (
-        read_csv_file(path, CAMPAIGN_CSV_HEADER, CampaignFormatError(_HEADER_MESSAGE),
-                      _BLOCK_DTYPE, _parse_row, _take_blocks, encoding="utf-8"))
+        read_csv_file(path, _FORMAT, _take_blocks, encoding="utf-8"))
     # Converted only once every row has passed, so a rejected file warns of nothing.
     pl[from_power] = pathloss_from_power(budget, pl[from_power])
     d3d = distance_3d(d2d, tx_h, rx_h)  # cannot overflow: the rows passed the row rules
@@ -254,9 +253,9 @@ def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:
     atmospheric/rain attenuation, so mmWave results at hundreds of km are
     free-space-like upper bounds, not link predictions.
     """
-    finite_positive("fc_ghz", fc_ghz)
-    finite_positive("ple", ple)
-    finite("max_pl_db", max_pl_db)
+    # Python floats of the gated values: numpy scalar maths would warn of an overflow.
+    fc_ghz, ple = float(finite_positive("fc_ghz", fc_ghz)), float(finite_positive("ple", ple))
+    max_pl_db = float(finite("max_pl_db", max_pl_db))
     anchor = CI_ANCHOR_DB + 20.0 * math.log10(fc_ghz)
     if max_pl_db <= anchor:
         raise NoCoverageError(

@@ -5,18 +5,18 @@ the corresponding 3D distance, and adds lognormal (Gaussian-in-dB) shadow
 fading. Output is deterministic for a fixed config: every frequency gets
 its own random substream derived from (seed, frequency index), and within
 a substream distances are drawn before shadow fading.
+
+Datasets go to and from the dataset CSV format, whose row rules are one
+table here (``_DATASET_FORMAT``), read by the shared ``_csv`` reader.
 """
 
 from __future__ import annotations
 
-import csv
-import itertools
-import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import BLOCK_ROWS, CsvFormat, finite_rule, read_csv_file
 from .models import (
     Environment,
     RmaParams,
@@ -46,7 +46,6 @@ DATASET_CSV_HEADER = ("fc_ghz", "d2d_m", "d3d_m", "env", "pl_db", "seed", "sampl
 _ENVIRONMENT_VALUES = tuple(env.value for env in Environment)
 _DATASET_FLOAT_FIELDS = ("fc_ghz", "d2d_m", "d3d_m", "pl_db")
 _DATASET_HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
-_CSV_BLOCK_ROWS = 8192
 # Each text field is one character wider than its longest accepted value
 # (NLOS, a 20-digit seed, linear), so a longer value, cut to that width,
 # never passes the row rules.
@@ -55,8 +54,9 @@ _DATASET_BLOCK_DTYPE = np.dtype([
     ("seed", "U21"), ("sampling_mode", "U7")])
 
 
-def _check_seed_and_mode(seed: str | None, mode: str | None) -> None:
-    """Raise ValueError unless ``seed`` and ``mode`` are None or fields ``write_csv`` writes.
+def _seed_and_mode_error(seed: str | None = None, sampling_mode: str | None = None) -> str:
+    """Why ``seed`` or ``sampling_mode`` is not None or a field ``write_csv``
+    writes, or '' where both are.
 
     A seed is the plain decimal of an integer in [0, 2**64), so at most 20
     characters; a mode is linear or log. None is written as an empty field.
@@ -66,10 +66,49 @@ def _check_seed_and_mode(seed: str | None, mode: str | None) -> None:
         try:
             int(seed)
         except ValueError:
-            raise ValueError(f"seed must be an integer, got {seed!r}") from None
-        raise ValueError(f"seed must be a plain decimal integer in [0, 2**64), got {seed!r}")
-    if mode is not None and mode not in SAMPLING_MODES:
-        raise ValueError(f"sampling_mode must be linear or log, got {mode!r}")
+            return f"seed must be an integer, got {seed!r}"
+        return f"seed must be a plain decimal integer in [0, 2**64), got {seed!r}"
+    if sampling_mode is not None and sampling_mode not in SAMPLING_MODES:
+        return f"sampling_mode must be linear or log, got {sampling_mode!r}"
+    return ""
+
+
+def _distinct(column: np.ndarray) -> set[str]:
+    first = str(column[0])
+    return {first} if (column == first).all() else set(column.tolist())
+
+
+def _dataset_view(block) -> dict:
+    """A dataset block's columns by name, the floats copied out of it once, with
+    a mask per environment (``view["env", "LOS"]``) and the distinct seeds and
+    modes (``view["seeds"]``, ``view["modes"]``)."""
+    view = {name: block[name] for name in DATASET_CSV_HEADER}
+    view.update(zip(_DATASET_FLOAT_FIELDS, np.stack([block[n] for n in _DATASET_FLOAT_FIELDS])))
+    view.update((("env", env), block["env"] == env) for env in _ENVIRONMENT_VALUES)
+    view["seeds"], view["modes"] = _distinct(block["seed"]), _distinct(block["sampling_mode"])
+    return view
+
+
+def _bad_seed_or_mode(view) -> np.ndarray:
+    """The rows whose seed or mode breaks its rule; each distinct value is checked once."""
+    bad = np.zeros(len(view["seed"]), dtype=bool)
+    for name, texts in (("seed", view["seeds"]), ("sampling_mode", view["modes"])):
+        rejected = [text for text in texts if _seed_and_mode_error(**{name: text or None})]
+        if rejected:  # as objects: numpy drops the NULs that end a text it converts
+            bad |= np.isin(view[name], np.array(rejected, dtype=object))
+    return bad
+
+
+# The dataset row rules in report order, after the field count and the float parses.
+_DATASET_FORMAT = CsvFormat(
+    _DATASET_BLOCK_DTYPE, ValueError,
+    f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}", (
+        (lambda view: ~(view["env", "LOS"] | view["env", "NLOS"]),
+         lambda row: f"env must be LOS or NLOS, got {row['env']!r}"),
+        *map(finite_rule, _DATASET_FLOAT_FIELDS),
+        (_bad_seed_or_mode,
+         lambda row: _seed_and_mode_error(row["seed"] or None, row["sampling_mode"] or None)),
+    ), _dataset_view)
 
 
 def _seed_text(seed) -> str:
@@ -120,7 +159,8 @@ class SimulationConfig:
         count = self.samples_per_frequency  # an integer, numpy's too, but not a bool
         if isinstance(count, bool) or not hasattr(count, "__index__") or count <= 0:
             raise ValueError("samples_per_frequency must be a positive integer")
-        _check_seed_and_mode(_seed_text(self.seed), str(self.distance_sampling))
+        if error := _seed_and_mode_error(_seed_text(self.seed), str(self.distance_sampling)):
+            raise ValueError(error)
         for name in ("d2d_min_m", "d2d_max_m"):
             if finite_positive(name, getattr(self, name)).ndim:
                 raise ValueError(f"{name} must be a number")
@@ -155,8 +195,9 @@ class SimulatedDataset:
         if {np.shape(c) for c in (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db)} != {
                 (np.size(self.pl_db),)}:
             raise ValueError("fc_ghz, d2d_m, d3d_m and pl_db must be 1-D and of one length")
-        _check_seed_and_mode(None if self.seed is None else _seed_text(self.seed),
-                             self.sampling_mode)
+        seed = None if self.seed is None else _seed_text(self.seed)
+        if error := _seed_and_mode_error(seed, self.sampling_mode):
+            raise ValueError(error)
 
     def __len__(self) -> int:
         return self.pl_db.size
@@ -170,8 +211,8 @@ class SimulatedDataset:
         with open(path, "w", newline="") as f:
             f.write(_DATASET_HEADER_LINE)
             # One string and one write per block of rows, converted to Python floats.
-            for start in range(0, len(self), _CSV_BLOCK_ROWS):
-                block = (c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns)
+            for start in range(0, len(self), BLOCK_ROWS):
+                block = (c[start:start + BLOCK_ROWS].tolist() for c in columns)
                 f.write("".join([f"{fc!r},{d2d!r},{d3d!r},{env},{pl!r},{tail}"
                                  for fc, d2d, d3d, pl in zip(*block)]))
 
@@ -218,137 +259,20 @@ def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
                             seed=config.seed, sampling_mode=config.distance_sampling)
 
 
-def _parse_dataset_row(row: list[str]) -> tuple:
-    """The checked fields of one dataset CSV row, in header order, floats parsed."""
-    if len(row) != len(DATASET_CSV_HEADER):
-        raise ValueError(f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
-    fc, d2d, d3d, env, pl, seed, mode = row
-    if env not in _ENVIRONMENT_VALUES:
-        raise ValueError(f"env must be LOS or NLOS, got {env!r}")
-    values = (float(fc), float(d2d), float(d3d), float(pl))
-    if not all(map(math.isfinite, values)):  # cheap test first; find the field on failure
-        for name, value in zip(_DATASET_FLOAT_FIELDS, values):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-    _check_seed_and_mode(seed or None, mode or None)
-    return (*values[:3], env, values[3], seed, mode)
-
-
-def checked_csv_rows(f, header: tuple[str, ...], header_error: Exception, parse_row):
-    """Yield ``parse_row(row)`` for each non-blank row after ``header``.
-
-    Raises ``header_error`` on a wrong header, and after the last row one
-    error of its type with a ``line N: <message>`` per row ``parse_row``
-    rejects with ValueError, N the physical line the row starts on (the
-    header is line 1). A ``csv.Error`` (bad quoting, an oversized field) is
-    one such line too, and the last: its place in a quoted field is lost.
-    """
-    reader = csv.reader(f, strict=True)
-    try:
-        first = next(reader, ())
-    except csv.Error:
-        first = ()
-    if tuple(first) != header:
-        raise header_error
-    errors = []
-    line = reader.line_num + 1
-    try:
-        for row in reader:
-            if row:
-                try:
-                    yield parse_row(row)
-                except ValueError as exc:
-                    errors.append(f"line {line}: {exc}")
-            line = reader.line_num + 1
-    except csv.Error as exc:
-        errors.append(f"line {line}: {exc}")
-    if errors:
-        raise type(header_error)("\n".join(errors))
-
-
-# The count lets both paths allocate once; one-pass readers cost 12-16 MB more peak RSS.
-def _row_bound(path) -> tuple[bool, int]:
-    """Whether the block reader may parse a file, and its count of line breaks.
-
-    LF, CR and CRLF each end a line for the csv module and ``np.loadtxt``, so
-    the count bounds the rows; a CRLF split across two chunks counts twice.
-    ``np.loadtxt`` drops the NULs that end a text field, keeps quotes
-    (``quotechar=None``) and reads a float of any length, where the csv module
-    keeps the NULs, strips quotes and rejects a field over its limit; a line
-    break in every chunk of half the limit keeps each line under it.
-    """
-    size = csv.field_size_limit() // 2
-    plain, breaks = True, 0
-    with open(path, "rb") as f:
-        while chunk := f.read(size):
-            lines = chunk.count(b"\n")
-            if b"\r" in chunk:  # counted only where present: an LF file's scan costs no more
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            plain = plain and not (b"\0" in chunk or b'"' in chunk
-                                   or (len(chunk) == size and not lines))
-            breaks += lines
-    return plain, breaks
-
-
-def read_csv_file(path, header: tuple[str, ...], header_error: Exception, dtype: np.dtype,
-                  parse_row, take_blocks, encoding: str | None = None):
-    """``take_blocks(blocks, rows)`` of a CSV file: its rows as ``dtype`` arrays of up to 8192.
-
-    ``rows`` bounds their count, so that columns are sized once. A plain file
-    (``_row_bound``) with ``header`` first is split by ``np.loadtxt``, one call
-    per block, and ``take_blocks`` raises ValueError where a row may break a
-    row rule. Then, or when ``loadtxt`` rejects or warns of a line, the csv
-    module splits the file and ``checked_csv_rows`` holds each row to
-    ``parse_row``, which gives its fields in ``dtype`` order; it raises
-    ``header_error`` or the row errors once the good rows have been taken.
-    """
-    plain, rows = _row_bound(path)
-    with open(path, encoding=encoding, newline="") as f:
-        if plain and f.readline().rstrip("\r\n") == ",".join(header):
-            # Peeking at each block's first line means loadtxt never meets an
-            # empty input, which it warns of.
-            blocks = (np.loadtxt(itertools.chain((first,), f), dtype=dtype, delimiter=",",
-                                 comments=None, quotechar=None, max_rows=_CSV_BLOCK_ROWS, ndmin=1)
-                      for first in iter(f.readline, ""))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    return take_blocks(blocks, rows)
-                except (ValueError, Warning):
-                    pass
-        f.seek(0)
-        # Blocks of 8192 checked rows, up to the first empty one; no list of rows is kept.
-        checked = checked_csv_rows(f, header, header_error, parse_row)
-        blocks = (np.fromiter(itertools.islice(checked, _CSV_BLOCK_ROWS), dtype)
-                  for _ in itertools.count())
-        return take_blocks(itertools.takewhile(len, blocks), rows)
-
-
-def _distinct(column: np.ndarray) -> set[str]:
-    first = str(column[0])
-    return {first} if (column == first).all() else set(column.tolist())
-
-
-def _take_dataset_blocks(blocks, rows: int):
-    """``(columns, nlos, seeds, modes)`` of blocks of dataset rows, in columns sized once;
-    ValueError where a row may break a row rule."""
+def _take_dataset_blocks(views, rows: int):
+    """``(columns, nlos, seeds, modes)`` of checked dataset views, in columns sized once."""
     values = np.empty((len(_DATASET_FLOAT_FIELDS), rows))
     nlos = np.empty(rows, dtype=bool)
     n = 0
     seeds, modes = set(), set()
-    for block in blocks:
-        end = n + len(block)
-        nlos[n:end] = block["env"] == "NLOS"
+    for view in views:
+        end = n + len(view["env"])
+        nlos[n:end] = view["env", "NLOS"]
         for column, name in zip(values, _DATASET_FLOAT_FIELDS):
-            column[n:end] = block[name]
-        if not ((nlos[n:end] | (block["env"] == "LOS")).all()
-                and np.isfinite(values[:, n:end]).all()):
-            raise ValueError("a row breaks a row rule")
-        seeds |= _distinct(block["seed"])
-        modes |= _distinct(block["sampling_mode"])
+            column[n:end] = view[name]
+        seeds |= view["seeds"]
+        modes |= view["modes"]
         n = end
-    for seed, mode in itertools.zip_longest(seeds, modes, fillvalue=""):
-        _check_seed_and_mode(seed or None, mode or None)
     return values[:, :n], nlos[:n], seeds, modes
 
 
@@ -357,18 +281,14 @@ def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
 
     A file in the shape ``write_csv`` writes is split into fields a block of
     rows at a time by ``np.loadtxt``, any other file one row at a time by the
-    csv module. Either way the columns are sized once, no per-row object is
-    kept, and only the row loop builds error messages. Each dataset carries the
+    csv module; both hold the rows to one rule table. Either way the columns
+    are sized once and no per-row object is kept. Each dataset carries the
     file's seed and sampling mode, or None where that column is not constant
     across rows. Raises ValueError on a wrong header, and with one message
     per malformed row naming the physical line it starts on (the header is
     line 1).
     """
-    header_error = ValueError(
-        f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}")
-    columns, nlos, seeds, modes = read_csv_file(path, DATASET_CSV_HEADER, header_error,
-                                                _DATASET_BLOCK_DTYPE, _parse_dataset_row,
-                                                _take_dataset_blocks)
+    columns, nlos, seeds, modes = read_csv_file(path, _DATASET_FORMAT, _take_dataset_blocks)
     # An empty field is a dataset written without a seed or sampling mode.
     seed = next(iter(seeds)) if len(seeds) == 1 else ""
     mode = next(iter(modes)) if len(modes) == 1 else ""

@@ -24,7 +24,6 @@ from rmapath import (
     pathloss_from_power,
     read_campaign_csv,
 )
-from rmapath import simulate
 
 HEADER = ("location_id,environment,d2d_m,tx_height_m,rx_height_m,"
           "fc_ghz,p_rx_dbm,pl_db,outage")
@@ -67,7 +66,7 @@ def parse_and_read(tmp_path, text):
 BAD_ROWS = [
     "A,LOS,100,110,1.8,73.5,,120.0",              # field count
     "",                                            # blank: skipped, still counted
-    "B,LOS,x,110,1.8,73.5,,120.0,maybe",           # outage literal before float parse
+    "B,LOS,x,110,1.8,73.5,,120.0,maybe",           # float parse before outage literal
     "C,FOO,x,110,1.8,73.5,,120.0,false",           # float parse before tag
     "D,FOO,100,110,1.8,73.5,,nan,false",           # tag before finite
     "E,LOS,-1,110,1.8,73.5,,nan,false",            # finite before positive
@@ -84,7 +83,7 @@ BAD_ROWS = [
 ]
 BAD_ROWS_ERROR = "\n".join([
     "line 2: expected 9 fields, got 8",
-    "line 4: outage must be 'true' or 'false', got 'maybe'",
+    "line 4: could not convert string to float: 'x'",
     "line 5: could not convert string to float: 'x'",
     "line 6: environment 'FOO' not one of LOS/NLOS/LOS-DIFFRACTION",
     "line 7: pl_db must be finite, got nan",
@@ -414,7 +413,7 @@ class TestBlockPath:
         text = benchmark_shaped_text(20_000)  # three blocks of rows
         by_rows = campaign_outcome(quoted_twin(text))
         with monkeypatch.context() as patch:
-            patch.setattr(simulate, "checked_csv_rows", None)  # the row loop would fail
+            patch.setattr("rmapath._csv.checked_csv_rows", None)  # the row loop would fail
             by_blocks = campaign_outcome(text)
         assert by_blocks == by_rows
         assert by_blocks[1].total == 20_000 and by_blocks[2]  # some rows warn
@@ -441,7 +440,7 @@ class TestBlockPath:
         assert campaign_outcome(text) == campaign_outcome(quoted_twin(text))
 
     def test_bundled_fixture_takes_the_block_path(self, monkeypatch):
-        monkeypatch.setattr(simulate, "checked_csv_rows", None)
+        monkeypatch.setattr("rmapath._csv.checked_csv_rows", None)
         assert read_campaign_csv(bundled_campaign_path(), DEFAULT_BUDGET)[1].total == 38
 
     @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["CRLF", "CR"])
@@ -449,8 +448,44 @@ class TestBlockPath:
                                                    line_end):
         text = benchmark_shaped_text(20_000)
         by_lf = campaign_outcome(text)
-        monkeypatch.setattr(simulate, "checked_csv_rows", None)  # the row loop would fail
+        monkeypatch.setattr("rmapath._csv.checked_csv_rows", None)  # the row loop would fail
         assert campaign_outcome(text.replace("\n", line_end)) == by_lf
+
+    # One row per rule of the campaign rule table, in report order, each
+    # breaking that rule alone: a plain file is held to it by the block path,
+    # its quoted twin by the row loop, and both name the row by its message.
+    @pytest.mark.parametrize("field,value,message", [
+        ("outage", "maybe", "outage must be 'true' or 'false', got 'maybe'"),
+        ("environment", "FOO", "environment 'FOO' not one of LOS/NLOS/LOS-DIFFRACTION"),
+        ("d2d_m", "inf", "d2d_m must be finite, got inf"),
+        ("tx_height_m", "nan", "tx_height_m must be finite, got nan"),
+        ("rx_height_m", "-inf", "rx_height_m must be finite, got -inf"),
+        ("fc_ghz", "1e999", "fc_ghz must be finite, got inf"),
+        ("p_rx_dbm", "nan", "p_rx_dbm must be finite, got nan"),
+        ("pl_db", "-1e999", "pl_db must be finite, got -inf"),
+        ("d2d_m", "-1", "d2d_m must be positive"),
+        ("tx_height_m", "0", "tx_height_m must be positive"),
+        ("rx_height_m", "-0", "rx_height_m must be positive"),
+        ("fc_ghz", "-73.5", "fc_ghz must be positive"),
+        ("p_rx_dbm", "-90.0",
+         "exactly one of p_rx_dbm/pl_db required on a non-outage row, got 2"),
+        ("d2d_m", "1e200", "slant distance overflows a float"),
+    ])
+    def test_each_rule_names_its_row_on_both_paths(self, tmp_path, field, value, message):
+        row = "A,LOS,100.0,110.0,1.8,73.5,,120.0,false".split(",")
+        row[CAMPAIGN_CSV_HEADER.index(field)] = value
+        if field == "p_rx_dbm" and value == "nan":
+            row[CAMPAIGN_CSV_HEADER.index("pl_db")] = ""
+        text = "\n".join([HEADER, TWIN_ROWS[0], ",".join(row), TWIN_ROWS[1]]) + "\n"
+        assert parse_and_read(tmp_path, text) == f"line 3: {message}"
+        assert parse_and_read(tmp_path, quoted_twin(text)) == f"line 3: {message}"
+
+    def test_a_long_tag_is_named_in_full(self, tmp_path):
+        # np.loadtxt cuts the tag to its field width; the row loop keeps it whole.
+        tag = "LOS-DIFFRACTION" + "X" * 25
+        text = HEADER + "\n" + f"A,{tag},100.0,110.0,1.8,73.5,,120.0,false\n"
+        assert parse_and_read(tmp_path, text) == (
+            f"line 2: environment {tag!r} not one of LOS/NLOS/LOS-DIFFRACTION")
 
     def test_bad_row_past_the_first_block_names_its_physical_line(self, tmp_path):
         lines = [f"R{i},LOS,100.0,110.0,1.8,73.5,,120.0,false" for i in range(10_000)]
@@ -525,6 +560,22 @@ class TestMaxRange:
         with pytest.raises(OverflowError) as err:
             max_range(1.0, 0.001, 1e308)  # the exponent itself overflows to inf
         assert str(err.value) == "the range at 1e+308 dB and n = 0.001 overflows a float"
+
+    # Under the suite's warnings-as-errors, a numpy overflow warning would fail these first.
+    @pytest.mark.parametrize("to", [np.float64, np.array], ids=["float64", "0-d array"])
+    @pytest.mark.parametrize("args,message", [
+        ((28.0, 0.01, 1e6), "the range at 1e+06 dB and n = 0.01 overflows a float"),
+        ((1.0, 0.001, 1e308), "the range at 1e+308 dB and n = 0.001 overflows a float"),
+    ])
+    def test_numpy_scalar_overflow_is_one_overflow_error(self, to, args, message):
+        with pytest.raises(OverflowError) as err:
+            max_range(*map(to, args))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("to", [np.float64, np.array], ids=["float64", "0-d array"])
+    def test_numpy_scalars_give_the_float_result(self, to):
+        meters = max_range(to(73.5), to(2.16), to(190.0))
+        assert type(meters) is float and meters == max_range(73.5, 2.16, 190.0)
 
     def test_monotonicity(self):
         assert max_range(73.5, 2.16, 180.0) < max_range(73.5, 2.16, 190.0)

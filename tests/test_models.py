@@ -422,3 +422,23 @@ class TestValidateApplicability:
         findings = validate_applicability(RmaParams(h_bs=200.0), 1000.0, 2.0,
                                           Environment.LOS)
         assert [(f.severity, f.field) for f in findings] == [("soft", "h_bs")]
+
+    @pytest.mark.parametrize("d2d,expected", [(7000.0, []), (20_000.0, ["d2d_m"])])
+    def test_environment_value_takes_its_span(self, d2d, expected):
+        findings = validate_applicability(DEFAULTS, d2d, 2.0, "LOS")
+        assert [f.field for f in findings] == expected
+        assert findings == validate_applicability(DEFAULTS, d2d, 2.0, Environment.LOS)
+
+    def test_unknown_environment_is_one_line_value_error(self):
+        with pytest.raises(ValueError) as err:
+            validate_applicability(DEFAULTS, 1000.0, 2.0, "los")
+        assert str(err.value) == "'los' is not a valid Environment"
+
+    @pytest.mark.parametrize("d2d,fc,name", [
+        ("73", 2.0, "d2d_m"), (None, 2.0, "d2d_m"), (b"73", 2.0, "d2d_m"),
+        (1000.0, "28", "fc_ghz"), (1000.0, None, "fc_ghz"), ("73", None, "d2d_m"),
+    ])
+    def test_text_or_none_is_one_line_value_error(self, d2d, fc, name):
+        with pytest.raises(ValueError) as err:
+            validate_applicability(DEFAULTS, d2d, fc, Environment.NLOS)
+        assert str(err.value) == f"{name} must be a number"

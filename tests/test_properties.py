@@ -95,8 +95,9 @@ positive_floats = st.floats(0.0, exclude_min=True, allow_infinity=False)
 # message. Its arguments come from the edge values, positive floats and
 # any float; the functions that take arrays also get 1-D arrays of these,
 # the model kernels, the fit's distances and losses and the received powers
-# object arrays too, and the dB arguments and simulation bounds text and
-# None. An argument that holds text is always rejected.
+# object arrays too, and the dB arguments, simulation bounds and applicability
+# inputs text and None. An argument that holds text is always rejected; an
+# environment may be given as its value.
 EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.5, 5e-324, 1e308, 28.0)
 number = st.one_of(st.sampled_from(EDGE_VALUES), positive_floats, st.floats())
 numbers = st.one_of(number, st.lists(number, max_size=4).map(np.array))
@@ -137,8 +138,9 @@ CONTRACT = {
     "pathloss_from_power": (pathloss_from_power, (budgets, st.one_of(db_values, kernel_numbers))),
     # scalar-only
     "max_range": (max_range, (number, number, db_values)),
-    "validate_applicability": (validate_applicability,
-                               (params, number, number, st.sampled_from(Environment))),
+    "validate_applicability": (validate_applicability, (
+        params, *[st.one_of(number, st.sampled_from(TEXT_AND_NONE))] * 2,
+        st.sampled_from([*Environment, "LOS", "NLOS", "los"]))),
 }
 FLOAT_RESULTS = {"fspl", "ci_pathloss", "breakpoint_distance", "distance_3d", "rma_los",
                  "rma_nlos", "max_range", "pathloss_from_power"}
@@ -155,10 +157,10 @@ def all_finite(value) -> bool:
 
 def holds_text(arg) -> bool:
     """Whether an argument is text, or an object array with text in it (an
-    ``Environment`` is a str too, but no text)."""
+    ``Environment`` or its value is a str too, but no text)."""
     if isinstance(arg, np.ndarray) and arg.dtype.kind == "O":
         return any(map(holds_text, arg.flat))
-    return isinstance(arg, (str, bytes)) and not isinstance(arg, Environment)
+    return isinstance(arg, (str, bytes)) and arg not in {env.value for env in Environment}
 
 
 @pytest.mark.filterwarnings("ignore::rmapath.ModelRangeWarning")

@@ -22,7 +22,6 @@ from rmapath import (
     rma_los,
     rma_nlos,
 )
-from rmapath import simulate
 
 PARAMS = RmaParams()
 HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
@@ -515,6 +514,41 @@ class TestDatasetCsv:
             parsed = read_dataset_csv(path)[Environment.LOS]
             assert (parsed.seed, parsed.sampling_mode, parsed.pl_db.tolist()) == expected
 
+    # One row per rule of the dataset rule table, in report order, each
+    # breaking that rule alone: a plain file is held to it by the block path,
+    # its quoted twin by the row loop, and both name the row by its message.
+    @pytest.mark.parametrize("field,value,message", [
+        ("env", "FOO", "env must be LOS or NLOS, got 'FOO'"),
+        ("fc_ghz", "nan", "fc_ghz must be finite, got nan"),
+        ("d2d_m", "inf", "d2d_m must be finite, got inf"),
+        ("d3d_m", "-inf", "d3d_m must be finite, got -inf"),
+        ("pl_db", "1e999", "pl_db must be finite, got inf"),
+        ("seed", "x", "seed must be an integer, got 'x'"),
+        ("sampling_mode", "linearX", "sampling_mode must be linear or log, got 'linearX'"),
+    ])
+    def test_each_rule_names_its_row_on_both_paths(self, tmp_path, field, value, message):
+        row = "1.0,100.0,105.0,LOS,80.0,7,linear".split(",")
+        row[DATASET_CSV_HEADER.index(field)] = value
+        rows = ["2.0,200.0,205.0,NLOS,90.0,7,linear", ",".join(row)]
+        path = tmp_path / "dataset.csv"
+        for text in (HEADER_LINE + "\n".join(rows) + "\n",
+                     HEADER_LINE + "".join(",".join(f'"{v}"' for v in line.split(",")) + "\n"
+                                           for line in rows)):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                read_dataset_csv(path)
+            assert str(err.value) == f"line 3: {message}"
+
+    def test_a_long_seed_is_named_in_full(self, tmp_path):
+        # np.loadtxt cuts the seed to its field width; the row loop keeps it whole.
+        seed = "1234567890" * 2 + "12345"
+        path = tmp_path / "dataset.csv"
+        path.write_text(HEADER_LINE + f"1.0,100.0,105.0,LOS,80.0,{seed},linear\n")
+        with pytest.raises(ValueError) as err:
+            read_dataset_csv(path)
+        assert str(err.value) == (
+            f"line 2: seed must be a plain decimal integer in [0, 2**64), got '{seed}'")
+
     @pytest.mark.parametrize("rows,blank", [(0, ""), (8192, ""), (3, "\n"), (8192, "\n")],
                              ids=["header-only", "one-whole-block", "blank-line",
                                   "whole-block-and-blank-line"])
@@ -540,7 +574,7 @@ class TestDatasetCsv:
         dataset.write_csv(path)
         path.write_text(path.read_text().replace(end, new_end), newline="")
         if '"' not in new_end:
-            monkeypatch.setattr(simulate, "checked_csv_rows", None)
+            monkeypatch.setattr("rmapath._csv.checked_csv_rows", None)
         parsed = read_dataset_csv(path)[Environment.NLOS]
         assert (parsed.seed, parsed.sampling_mode) == (99, "linear")
         for field in ("fc_ghz", "d2d_m", "d3d_m", "pl_db"):
