@@ -25,12 +25,14 @@ from .models import (
     Environment,
     Finding,
     ModelRangeWarning,
+    NoCoverageError,
     RmaParams,
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
     fspl,
     los_second_slope,
+    max_range,
     rma_los,
     rma_nlos,
     validate_applicability,
@@ -62,9 +64,7 @@ from .campaign import (
     CampaignFormatError,
     ConversionSummary,
     LinkBudget,
-    NoCoverageError,
     bundled_campaign_path,
-    max_range,
     parse_campaign_csv,
     pathloss_from_power,
     read_campaign_csv,

@@ -1,4 +1,4 @@
-"""Measurement campaign ingestion, link budget arithmetic, and coverage range.
+"""Measurement campaign ingestion and link budget arithmetic.
 
 Campaign CSVs carry one row per measured location. Non-outage rows hold
 either a received power or a path loss (never both); outage rows hold
@@ -11,7 +11,6 @@ does not represent. The row rules of the format are one table here
 from __future__ import annotations
 
 import io
-import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import CI_ANCHOR_DB, Environment, distance_3d, finite, finite_positive
+from .models import (Environment, distance_3d, finite, finite_positive, finite_result,
+                     float_errors)
 from ._csv import CsvFormat, checked_csv_rows, finite_rule, read_csv_file
 from .simulate import SimulatedDataset, datasets_by_environment
 
@@ -33,10 +33,6 @@ _HEADER_MESSAGE = "missing or invalid header; expected " + ",".join(CAMPAIGN_CSV
 
 class CampaignFormatError(ValueError):
     """A campaign CSV violates the required header or row format."""
-
-
-class NoCoverageError(ValueError):
-    """The loss budget is below the 1 m anchor loss; no range exists."""
 
 
 class BelowSensitivityWarning(UserWarning):
@@ -105,6 +101,7 @@ class ConversionSummary:
     diffraction_dropped: int
 
 
+@float_errors
 def pathloss_from_power(budget: LinkBudget, p_rx_dbm):
     """Path loss implied by a received power (a scalar or an array): EIRP + rx gain - p_rx.
 
@@ -114,19 +111,15 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm):
     OverflowError, before any warning, where the budget gives a loss past
     the float range. A scalar gives a float.
     """
-    p_rx = finite("p_rx_dbm", p_rx_dbm)
-    with np.errstate(over="ignore"):  # a loss past the float range is inf, reported below
-        pl = np.atleast_1d((budget.eirp_dbm + budget.rx_gain_dbi) - p_rx)
-    if not np.isfinite(pl).all():
-        raise OverflowError("the result overflows a float")
-    for loss in pl[pl > budget.max_measurable_pl_db].tolist():
+    pl = finite_result((budget.eirp_dbm + budget.rx_gain_dbi) - finite("p_rx_dbm", p_rx_dbm))
+    for loss in np.extract(pl > budget.max_measurable_pl_db, pl).tolist():
         warnings.warn(
             f"path loss {loss:.1f} dB exceeds the {budget.max_measurable_pl_db:g} dB "
             "measurable ceiling (outage-equivalent)",
             BelowSensitivityWarning,
-            stacklevel=2,
+            stacklevel=3,  # past the float_errors wrapper, at the caller's line
         )
-    return pl if p_rx.ndim else float(pl[0])
+    return pl
 
 
 def _view(block) -> dict:
@@ -244,30 +237,6 @@ def read_campaign_csv(path, budget: LinkBudget
     summary = ConversionSummary(len(pl) + outage_dropped + diffraction_dropped, len(pl),
                                 outage_dropped, diffraction_dropped)
     return datasets_by_environment((fc, d2d, d3d, pl), nlos), summary
-
-
-def max_range(fc_ghz: float, ple: float, max_pl_db: float) -> float:
-    """Distance in meters at which the mean CI path loss reaches max_pl_db.
-
-    Inverts the mean CI model only: no shadow fading margin and no
-    atmospheric/rain attenuation, so mmWave results at hundreds of km are
-    free-space-like upper bounds, not link predictions.
-    """
-    # Python floats of the gated values: numpy scalar maths would warn of an overflow.
-    fc_ghz, ple = float(finite_positive("fc_ghz", fc_ghz)), float(finite_positive("ple", ple))
-    max_pl_db = float(finite("max_pl_db", max_pl_db))
-    anchor = CI_ANCHOR_DB + 20.0 * math.log10(fc_ghz)
-    if max_pl_db <= anchor:
-        raise NoCoverageError(
-            f"max path loss {max_pl_db:g} dB does not exceed the "
-            f"{anchor:.2f} dB anchor loss at 1 m")
-    try:
-        meters = 10.0 ** ((max_pl_db - anchor) / (10.0 * ple))
-    except OverflowError:
-        meters = math.inf
-    if meters < math.inf:  # an infinite exponent gives inf without raising
-        return meters
-    raise OverflowError(f"the range at {max_pl_db:g} dB and n = {ple:g} overflows a float")
 
 
 def bundled_campaign_path() -> Path:

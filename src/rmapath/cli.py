@@ -27,7 +27,6 @@ from .campaign import (
     CAMPAIGN_CSV_HEADER,
     DEFAULT_BUDGET,
     LinkBudget,
-    max_range,
     read_campaign_csv,
 )
 from .fitting import fit_ci, fit_report_dict
@@ -41,6 +40,7 @@ from .models import (
     ci_pathloss,
     distance_3d,
     finite_positive,
+    max_range,
     rma_los,
     rma_nlos,
     validate_applicability,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CI_ANCHOR_DB, Environment, finite, finite_positive
+from .models import (CI_ANCHOR_DB, Environment, finite, finite_positive, finite_result,
+                     float_errors)
 from .simulate import SimulatedDataset, SimulationConfig, generate_3gpp_dataset
 
 
@@ -42,6 +43,7 @@ class CiFitResult:
     environment: Environment
 
 
+@float_errors
 def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
                   environment: Environment) -> CiFitResult:
     """Fit the CI exponent to columnar data; see ``fit_ci``."""
@@ -59,20 +61,14 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
     if bb == 0.0:
         raise DegenerateFitError(
             "all samples at the 1 m reference distance; exponent unidentifiable")
-    # An overflow is reported once, as the OverflowError below, not as a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        n = float(a @ b) / bb
-        r = a - n * b
-        sigma = float(np.sqrt(np.mean(r * r)))
-        mean = float(np.mean(r))
+    n = float(a @ b) / bb
+    r = a - n * b
     # A finite sigma bounds every residual, so n and the mean are finite too.
-    if not sigma < np.inf:  # NaN fails too
-        raise OverflowError("the CI fit overflows a float")
     return CiFitResult(
         n=n,
-        sigma_db=sigma,
+        sigma_db=finite_result(np.sqrt(np.mean(r * r))),
         count=int(d.size),
-        mean_residual_db=mean,
+        mean_residual_db=float(np.mean(r)),
         environment=environment,
     )
 

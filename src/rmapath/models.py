@@ -1,18 +1,18 @@
 """Deterministic rural-macrocell (RMa) path loss models.
 
 Implements Friis free space path loss, the close-in (CI) reference distance
-model with a 1 m anchor, and the 3GPP TR 38.900 RMa LOS/NLOS mean path loss
-models with their breakpoint geometry and applicability checks.
+model with a 1 m anchor and its inverse, the coverage range, and the 3GPP
+TR 38.900 RMa LOS/NLOS models with their breakpoint and applicability checks.
 
 Unit conventions, used across the whole package: frequency in GHz, distance
 in meters, power in dBm, loss in dB. The 161.04 dB constant in the NLOS
 model exists only because the formula expects GHz; mixed units are the
 classic failure mode here, so every argument name carries its unit.
 
-All functions accept scalars or numpy arrays (broadcast elementwise) for
-their frequency/distance arguments and return a float for scalar input.
-Frequencies, distances, heights and exponents must be finite positive
-numbers, not text, or ValueError is raised; an overflow raises OverflowError.
+All functions but ``validate_applicability`` take scalars or numpy arrays
+(broadcast elementwise) and return a float for scalar input. Frequencies,
+distances, heights and exponents must be finite positive numbers, not text,
+or ValueError is raised; an overflow raises OverflowError (``finite_result``).
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from enum import Enum
 import numpy as np
 
 SPEED_OF_LIGHT_M_S = 3.0e8  # propagation constant used by the 3GPP formulas
-# The public kernels' float state: _result reports an overflow once, with no numpy warning.
-_float_errors = np.errstate(all="ignore")
+# The float state of every function that returns a number, as a decorator (numpy refuses
+# a second ``with`` of one errstate): finite_result reports an overflow once, unwarned.
+float_errors = np.errstate(all="ignore")
 
 # The CI model anchors at the free space loss in the first meter, with the
 # 1 GHz constant rounded to 32.4 dB (exact value: 32.4418 dB) so that fitted
@@ -64,6 +65,10 @@ class Environment(str, Enum):
 
 class ApplicabilityError(ValueError):
     """A distance lies outside the hard span a model is defined on."""
+
+
+class NoCoverageError(ValueError):
+    """The loss budget is below the 1 m anchor loss; no range exists."""
 
 
 class ModelRangeWarning(UserWarning):
@@ -149,7 +154,7 @@ def finite(name: str, value) -> np.ndarray | np.float64:
     return finite_positive(name, value, lower=-math.inf)
 
 
-def _result(x):
+def finite_result(x):
     """A float for a scalar result (a numpy scalar, or the 0-d array of an
     ``np.where``), the array otherwise; OverflowError unless all finite."""
     lo, hi = _bounds(x)
@@ -158,7 +163,7 @@ def _result(x):
     raise OverflowError("the result overflows a float")
 
 
-@_float_errors
+@float_errors
 def fspl(fc_ghz, d_m):
     """Friis free space path loss in dB: 20*log10(4*pi*fc*d*1e9 / c).
 
@@ -166,10 +171,10 @@ def fspl(fc_ghz, d_m):
     rounded 1 m anchor (the two differ by a constant 0.042 dB at n=2).
     """
     fc, d = finite_positive("fc_ghz", fc_ghz), finite_positive("d_m", d_m)
-    return _result(20.0 * np.log10(4.0 * np.pi * fc * d * 1e9 / SPEED_OF_LIGHT_M_S))
+    return finite_result(20.0 * np.log10(4.0 * np.pi * fc * d * 1e9 / SPEED_OF_LIGHT_M_S))
 
 
-@_float_errors
+@float_errors
 def ci_pathloss(fc_ghz, d_m, ple):
     """Mean close-in reference distance path loss in dB.
 
@@ -194,16 +199,38 @@ def ci_pathloss(fc_ghz, d_m, ple):
             f"frequency outside the {lo:g}-{hi:g} GHz span the CI RMa "
             "coefficients were validated over",
             ModelRangeWarning,
-            stacklevel=3,  # past the _float_errors wrapper, at the caller's line
+            stacklevel=3,  # past the float_errors wrapper, at the caller's line
         )
-    return _result(CI_ANCHOR_DB + 10.0 * n * np.log10(d) + 20.0 * np.log10(fc))
+    return finite_result(CI_ANCHOR_DB + 10.0 * n * np.log10(d) + 20.0 * np.log10(fc))
+
+
+@float_errors
+def max_range(fc_ghz, ple, max_pl_db):
+    """Distance in meters at which the mean CI path loss reaches max_pl_db.
+
+    Inverts ``ci_pathloss`` only, as MacCartney and Rappaport (IEEE JSAC
+    2017) do for rural coverage: no shadow fading margin and no
+    atmospheric/rain attenuation, so mmWave results at hundreds of km are
+    free-space-like upper bounds, not link predictions. A budget at or below
+    the 1 m anchor loss is NoCoverageError, naming its first broadcast element.
+    """
+    fc, n = finite_positive("fc_ghz", fc_ghz), finite_positive("ple", ple)
+    max_pl = finite("max_pl_db", max_pl_db)
+    anchor = CI_ANCHOR_DB + 20.0 * np.log10(fc)
+    excess = max_pl - anchor
+    if not _bounds(excess)[0] > 0.0:
+        pl, at = (np.broadcast_to(x, excess.shape)[excess <= 0.0][0] for x in (max_pl, anchor))
+        raise NoCoverageError(
+            f"max path loss {pl:g} dB does not exceed the {at:.2f} dB anchor loss at 1 m")
+    # A ufunc, as the array loop is: a numpy scalar's ** is C pow, an ulp off it at times.
+    return finite_result(np.power(10.0, excess / (10.0 * n)))
 
 
 def _breakpoint(h_bs, h_ut, fc):
     return 2.0 * np.pi * h_bs * h_ut * fc * 1e9 / SPEED_OF_LIGHT_M_S
 
 
-@_float_errors
+@float_errors
 def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
     """Breakpoint distance of the RMa LOS dual-slope model, in meters.
 
@@ -212,7 +239,7 @@ def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
     which the dual-slope model degenerates to its first slope.
     """
     h_bs, h_ut = finite_positive("h_bs_m", h_bs_m), finite_positive("h_ut_m", h_ut_m)
-    return _result(_breakpoint(h_bs, h_ut, finite_positive("fc_ghz", fc_ghz)))
+    return finite_result(_breakpoint(h_bs, h_ut, finite_positive("fc_ghz", fc_ghz)))
 
 
 def _slant(d2d, h_bs, h_ut):
@@ -220,11 +247,11 @@ def _slant(d2d, h_bs, h_ut):
     return np.sqrt(d2d * d2d + dh * dh)
 
 
-@_float_errors
+@float_errors
 def distance_3d(d2d_m, h_bs_m, h_ut_m):
     """Slant (3D) T-R distance from ground distance and antenna heights."""
-    return _result(_slant(finite_positive("d2d_m", d2d_m),
-                          finite_positive("h_bs_m", h_bs_m), finite_positive("h_ut_m", h_ut_m)))
+    d2d, h_bs = finite_positive("d2d_m", d2d_m), finite_positive("h_bs_m", h_bs_m)
+    return finite_result(_slant(d2d, h_bs, finite_positive("h_ut_m", h_ut_m)))
 
 
 def _second_slope(d3d, dbp):
@@ -233,7 +260,7 @@ def _second_slope(d3d, dbp):
     return (dbp < RMA_LOS_D2D_RANGE_M[1]) & (d3d > dbp)
 
 
-@_float_errors
+@float_errors
 def los_second_slope(params: RmaParams, d3d_m, fc_ghz):
     """Mask of the 3D distances where the RMa LOS model takes its second slope."""
     fc, d3d = finite_positive("fc_ghz", fc_ghz), finite_positive("d3d_m", d3d_m)
@@ -283,7 +310,7 @@ def _nlos_mean(params: RmaParams, d3d, fc):
 
 
 def _checked(params: RmaParams, d3d_m, fc_ghz, span, label: str):
-    """Gated (d3d, fc) arrays, with d3d inside the 3D image of a 2D span."""
+    """Gated (d3d, fc) arrays, d3d from the span's lower end to the 3D image of its upper."""
     d3d, fc = finite_positive("d3d_m", d3d_m), finite_positive("fc_ghz", fc_ghz)
     lo, hi = span[0], _slant(span[1], params.h_bs, params.h_ut)
     d3d_lo, d3d_hi = _bounds(d3d)
@@ -295,7 +322,7 @@ def _checked(params: RmaParams, d3d_m, fc_ghz, span, label: str):
     return d3d, fc
 
 
-@_float_errors
+@float_errors
 def rma_los(params: RmaParams, d3d_m, fc_ghz):
     """Mean LOS path loss in dB from the TR 38.900 RMa dual-slope model.
 
@@ -307,10 +334,10 @@ def rma_los(params: RmaParams, d3d_m, fc_ghz):
 
     Args:
         params: environment geometry.
-        d3d_m: 3D T-R separation in meters. The standard states its span on
-            the 2D ground distance, [10 m, 10 km]; the 3D distances it maps
-            to are admitted, i.e. [10 m, sqrt(10 km^2 + (h_bs - h_ut)^2)].
-            Convert ground distances with ``distance_3d``.
+        d3d_m: 3D T-R separation in meters, in [10 m, sqrt(10 km^2 + (h_bs -
+            h_ut)^2)]: the 2D span [10 m, 10 km] with its upper end mapped to
+            3D, so from below ``distance_3d(10, h_bs, h_ut)`` (34.96 m at
+            default heights). Convert ground distances with ``distance_3d``.
         fc_ghz: carrier frequency in GHz.
 
     Raises:
@@ -318,23 +345,24 @@ def rma_los(params: RmaParams, d3d_m, fc_ghz):
         ApplicabilityError: distance outside the 3D span.
     """
     d3d, fc = _checked(params, d3d_m, fc_ghz, RMA_LOS_D2D_RANGE_M, "RMa LOS")
-    return _result(_los_mean(params, d3d, fc))
+    return finite_result(_los_mean(params, d3d, fc))
 
 
-@_float_errors
+@float_errors
 def rma_nlos(params: RmaParams, d3d_m, fc_ghz):
     """Mean NLOS path loss in dB from the TR 38.900 RMa model.
 
     Returns max(LOS, raw NLOS): the raw expression underestimates loss close
-    in, so the LOS model acts as a lower bound. ``d3d_m`` is the 3D distance
-    of a 2D distance in [10 m, 5 km]: [10 m, sqrt(5 km^2 + (h_bs - h_ut)^2)].
+    in, so the LOS model acts as a lower bound. ``d3d_m`` is admitted in
+    [10 m, sqrt(5 km^2 + (h_bs - h_ut)^2)], the 2D span [10 m, 5 km] with its
+    upper end mapped to 3D; its lower end is the 2D one, as in ``rma_los``.
 
     Raises:
         ValueError: a distance or frequency that is not finite and positive.
         ApplicabilityError: distance outside the 3D span.
     """
     d3d, fc = _checked(params, d3d_m, fc_ghz, RMA_NLOS_D2D_RANGE_M, "RMa NLOS")
-    return _result(_nlos_mean(params, d3d, fc))
+    return finite_result(_nlos_mean(params, d3d, fc))
 
 
 def validate_applicability(params: RmaParams, d2d_m: float, fc_ghz: float,

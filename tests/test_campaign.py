@@ -131,6 +131,12 @@ class TestLinkBudget:
                                                          "path loss 198.7 dB "]
         assert all(w.category is BelowSensitivityWarning for w in caught)
 
+    def test_ceiling_warning_names_the_callers_line(self):
+        # Python's once-per-location filter keys on this, so each caller is warned.
+        with pytest.warns(BelowSensitivityWarning) as record:
+            pathloss_from_power(DEFAULT_BUDGET, -130.0)
+        assert record[0].filename == __file__
+
     @pytest.mark.parametrize("p_rx", [-88.1, np.float64(-88.1), np.array(-88.1)])
     def test_scalar_power_gives_a_float(self, p_rx):
         assert type(pathloss_from_power(DEFAULT_BUDGET, p_rx)) is float
@@ -523,8 +529,28 @@ class TestMaxRange:
         assert max_range(73.5, 2.16, anchor + 1e-9) == pytest.approx(1.0, abs=1e-9)
 
     def test_budget_below_anchor_rejected(self):
-        with pytest.raises(NoCoverageError):
+        with pytest.raises(NoCoverageError) as err:
             max_range(73.5, 2.16, 60.0)
+        assert str(err.value) == ("max path loss 60 dB does not exceed the 69.73 dB anchor loss "
+                                  "at 1 m")
+
+    def test_arrays_broadcast(self):
+        meters = max_range(np.array([28.0, 73.5]), 2.16, 190.0)
+        assert meters.tolist() == pytest.approx([904347.1123023183, 370043.2305791837],
+                                                rel=1e-12)
+        assert meters.tolist() == [max_range(28.0, 2.16, 190.0), max_range(73.5, 2.16, 190.0)]
+
+    def test_scalars_equal_their_array_elements(self):
+        # A scalar taking C pow, not numpy's power loop, is an ulp off on about 5 % of these.
+        fc, ple = np.linspace(0.5, 100.0, 400), np.linspace(1.0, 6.0, 400)
+        assert max_range(fc, ple, 190.0).tolist() == [
+            max_range(f, n, 190.0) for f, n in zip(fc.tolist(), ple.tolist())]
+
+    def test_array_without_coverage_names_its_first_element(self):
+        with pytest.raises(NoCoverageError) as err:
+            max_range(np.array([73.5, 28.0, 1.0]), 2.16, np.array([190.0, 60.0, 30.0]))
+        assert str(err.value) == ("max path loss 60 dB does not exceed the 61.34 dB anchor loss "
+                                  "at 1 m")
 
     def test_inverts_ci_pathloss(self):
         for ple in (2.0, 2.16, 2.75):
@@ -559,18 +585,15 @@ class TestMaxRange:
     def test_infinite_exponent_is_one_overflow_error(self):
         with pytest.raises(OverflowError) as err:
             max_range(1.0, 0.001, 1e308)  # the exponent itself overflows to inf
-        assert str(err.value) == "the range at 1e+308 dB and n = 0.001 overflows a float"
+        assert str(err.value) == "the result overflows a float"
 
     # Under the suite's warnings-as-errors, a numpy overflow warning would fail these first.
     @pytest.mark.parametrize("to", [np.float64, np.array], ids=["float64", "0-d array"])
-    @pytest.mark.parametrize("args,message", [
-        ((28.0, 0.01, 1e6), "the range at 1e+06 dB and n = 0.01 overflows a float"),
-        ((1.0, 0.001, 1e308), "the range at 1e+308 dB and n = 0.001 overflows a float"),
-    ])
-    def test_numpy_scalar_overflow_is_one_overflow_error(self, to, args, message):
+    @pytest.mark.parametrize("args", [(28.0, 0.01, 1e6), (1.0, 0.001, 1e308)])
+    def test_numpy_scalar_overflow_is_one_overflow_error(self, to, args):
         with pytest.raises(OverflowError) as err:
             max_range(*map(to, args))
-        assert str(err.value) == message
+        assert str(err.value) == "the result overflows a float"
 
     @pytest.mark.parametrize("to", [np.float64, np.array], ids=["float64", "0-d array"])
     def test_numpy_scalars_give_the_float_result(self, to):

@@ -141,7 +141,7 @@ def test_overflowing_coverage_is_one_line_domain_error(capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv,message", [
     (("coverage", "--max-pl", "1e308", "--ple", "0.001", "--freq-ghz", "1"),
-     "the range at 1e+308 dB and n = 0.001 overflows a float"),
+     "the result overflows a float"),
     (("predict", "--model", "ci", "--env", "los", "--freq-ghz", "1", "--dist-m", "1e300",
       "--ple", "1e307"), "the result overflows a float"),
     (("predict", "--model", "3gpp-rma", "--env", "nlos", "--freq-ghz", "1e306",
@@ -426,7 +426,7 @@ class TestFit:
                         "1.0,100.0,105.0,LOS,1e308,7,linear\n")
         status, out, err = run(capsys, "fit", "--input", str(data))
         assert (status, out) == (1, "")
-        assert err == "error: the CI fit overflows a float\n"
+        assert err == "error: the result overflows a float\n"
 
     @pytest.mark.parametrize("header,good,bad,message", [
         (DATASET_CSV_HEADER, "1.0,100.0,105.0,LOS,80.0,7,linear",

@@ -91,7 +91,7 @@ class TestFitCi:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError) as err:
                 fit_ci_arrays([73.5, 73.5], [10.0, 100.0], pl, Environment.LOS)
-        assert str(err.value) == "the CI fit overflows a float"
+        assert str(err.value) == "the result overflows a float"
 
     def test_frequency_shift_absorbed_by_anchor(self):
         # scaling every frequency by k and adding 20*log10(k) to every loss

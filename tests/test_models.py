@@ -208,6 +208,11 @@ class TestRmaLos:
         rma_los(DEFAULTS, 10.0, 1.0)
         rma_los(DEFAULTS, 10_000.0, 1.0)
 
+    def test_3d_distances_below_the_image_of_10m_evaluate(self):
+        # The span starts at 10 m, below the 34.96 m slant that no ground distance reaches.
+        assert distance_3d(10.0, DEFAULTS.h_bs, DEFAULTS.h_ut) > 20.0
+        assert rma_los(DEFAULTS, 20.0, 28.0) == pytest.approx(87.35433145890008, rel=1e-12)
+
     def test_second_slope_mask(self):
         dbp = breakpoint_distance(DEFAULTS.h_bs, DEFAULTS.h_ut, 1.0)
         d = np.array([10.0, dbp, np.nextafter(dbp, np.inf), 10_000.0])

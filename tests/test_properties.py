@@ -136,8 +136,9 @@ CONTRACT = {
     "fit_ci_arrays": (fit_ci_arrays, (st.one_of(numbers, st.just(28.0)), fit_columns,
                                       fit_columns, st.sampled_from(Environment))),
     "pathloss_from_power": (pathloss_from_power, (budgets, st.one_of(db_values, kernel_numbers))),
+    "max_range": (max_range, (kernel_numbers, kernel_numbers,
+                              st.one_of(db_values, kernel_numbers))),
     # scalar-only
-    "max_range": (max_range, (number, number, db_values)),
     "validate_applicability": (validate_applicability, (
         params, *[st.one_of(number, st.sampled_from(TEXT_AND_NONE))] * 2,
         st.sampled_from([*Environment, "LOS", "NLOS", "los"]))),
@@ -183,7 +184,7 @@ def test_finite_result_or_one_error(name, data):
 
 
 KERNELS = ("fspl", "ci_pathloss", "breakpoint_distance", "distance_3d", "los_second_slope",
-           "rma_los", "rma_nlos")
+           "rma_los", "rma_nlos", "max_range")
 
 
 def outcome(function, args):
