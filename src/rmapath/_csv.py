@@ -1,4 +1,5 @@
-"""The one reader of the package's CSV formats, dataset and campaign CSVs.
+"""The one reader of the package's CSV formats, dataset and campaign CSVs: it decodes
+UTF-8, and a header is the first record as the csv module reads it (``first_record``).
 
 A format (``CsvFormat``) writes each row rule once, in an ordered table of
 ``(test, message)``: ``test(view)`` marks the rows of a block that break the
@@ -24,14 +25,12 @@ BLOCK_ROWS = 8192
 class CsvFormat(NamedTuple):
     """A CSV format: the ``np.loadtxt`` dtype of a block, whose names are the
     header (the row loop keeps each text field whole, as an object); the type
-    of its errors and the text of the header error; the rule table, run in
-    report order after the field count and the float parses; ``view(block)``,
-    what the rules and the column builder read, each value parsed once; and
-    the text fields that hold a float or nothing."""
+    of its errors; the rule table, run in report order after the field count
+    and the float parses; ``view(block)``, what the rules and the column builder
+    read, each value parsed once; and the text fields that hold a float or nothing."""
 
     dtype: np.dtype
     error: type[ValueError]
-    header_message: str
     rules: tuple
     view: Callable
     optional: tuple[str, ...] = ()
@@ -51,8 +50,7 @@ def _views(fmt: CsvFormat, blocks, errors: list | None = None):
     """
     for lines, block in blocks:
         view = fmt.view(block)
-        with np.errstate(all="ignore"):  # a bad row's floats may overflow a rule's sum
-            broken = [test(view) for test, _ in fmt.rules]
+        broken = [test(view) for test, _ in fmt.rules]
         bad = np.logical_or.reduce(broken)
         if bad.any():
             if errors is None:
@@ -67,6 +65,14 @@ def _views(fmt: CsvFormat, blocks, errors: list | None = None):
         yield view
 
 
+def first_record(reader) -> tuple:
+    """A csv reader's next record, or ``()`` at the end of the file or on a ``csv.Error``."""
+    try:
+        return tuple(next(reader, ()))
+    except csv.Error:
+        return ()
+
+
 def checked_csv_rows(f, fmt: CsvFormat):
     """Yield the views of an open CSV file's good rows, up to 8192 at a time.
 
@@ -78,12 +84,8 @@ def checked_csv_rows(f, fmt: CsvFormat):
     """
     header = fmt.dtype.names
     reader = csv.reader(f, strict=True)
-    try:
-        first = next(reader, ())
-    except csv.Error:
-        first = ()
-    if tuple(first) != header:
-        raise fmt.error(fmt.header_message)
+    if first_record(reader) != header:
+        raise fmt.error(f"missing or invalid header; expected {','.join(header)}")
     dtype = np.dtype([(name, "f8" if fmt.dtype[name].kind == "f" else "O") for name in header])
     floats = [(i, name not in fmt.optional) for i, name in enumerate(header)
               if dtype[i] != object or name in fmt.optional]
@@ -139,7 +141,7 @@ def _row_bound(path) -> tuple[bool, int]:
     return plain, breaks
 
 
-def read_csv_file(path, fmt: CsvFormat, take_blocks, encoding: str | None = None):
+def read_csv_file(path, fmt: CsvFormat, take_blocks):
     """``take_blocks(views, rows)`` of a CSV file: the views of its good rows, 8192 at a time.
 
     ``rows`` bounds their count, so that columns are sized once. A plain file
@@ -150,8 +152,8 @@ def read_csv_file(path, fmt: CsvFormat, take_blocks, encoding: str | None = None
     row errors once the good rows have been taken.
     """
     plain, rows = _row_bound(path)
-    with open(path, encoding=encoding, newline="") as f:
-        if plain and f.readline().rstrip("\r\n") == ",".join(fmt.dtype.names):
+    with open(path, encoding="utf-8", newline="") as f:
+        if plain and first_record(csv.reader(f)) == fmt.dtype.names:
             # Peeking at each block's first line means loadtxt never meets an
             # empty input, which it warns of.
             blocks = (np.loadtxt(itertools.chain((first,), f), dtype=fmt.dtype, delimiter=",",

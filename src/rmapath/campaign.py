@@ -24,11 +24,8 @@ from .models import (Environment, distance_3d, finite, finite_positive, finite_r
 from ._csv import CsvFormat, checked_csv_rows, finite_rule, read_csv_file
 from .simulate import SimulatedDataset, datasets_by_environment
 
-CAMPAIGN_CSV_HEADER = ("location_id", "environment", "d2d_m", "tx_height_m",
-                       "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db", "outage")
 CAMPAIGN_TAGS = ("LOS", "NLOS", "LOS-DIFFRACTION")
 DIFFRACTION_TAG = "LOS-DIFFRACTION"
-_HEADER_MESSAGE = "missing or invalid header; expected " + ",".join(CAMPAIGN_CSV_HEADER)
 
 
 class CampaignFormatError(ValueError):
@@ -75,6 +72,7 @@ _BLOCK_DTYPE = np.dtype([
     ("location_id", "U1"), ("environment", "U16"), ("d2d_m", "f8"), ("tx_height_m", "f8"),
     ("rx_height_m", "f8"), ("fc_ghz", "f8"), ("p_rx_dbm", f"U{_POWER_WIDTH}"),
     ("pl_db", f"U{_POWER_WIDTH}"), ("outage", "U6")])
+CAMPAIGN_CSV_HEADER = _BLOCK_DTYPE.names
 
 
 class MeasurementRecord(NamedTuple):
@@ -153,6 +151,7 @@ def _fitted(view) -> np.ndarray:
     return view["outage", "false"] & ~view["environment", DIFFRACTION_TAG]
 
 
+@float_errors
 def _slant_overflows(view) -> np.ndarray:
     """The fitted rows whose slant distance sum, as ``distance_3d`` forms it, overflows."""
     d2d, dh = view["d2d_m"], view["tx_height_m"] - view["rx_height_m"]
@@ -160,7 +159,7 @@ def _slant_overflows(view) -> np.ndarray:
 
 
 # The campaign row rules in report order, after the field count and the float parses.
-_FORMAT = CsvFormat(_BLOCK_DTYPE, CampaignFormatError, _HEADER_MESSAGE, (
+_FORMAT = CsvFormat(_BLOCK_DTYPE, CampaignFormatError, (
     (lambda view: ~(view["outage", "true"] | view["outage", "false"]),
      lambda row: f"outage must be 'true' or 'false', got {row['outage']!r}"),
     (lambda view: ~np.logical_or.reduce([view["environment", tag] for tag in CAMPAIGN_TAGS]),
@@ -230,7 +229,7 @@ def read_campaign_csv(path, budget: LinkBudget
     and OverflowError where a budget near the float range gives a loss past it.
     """
     (d2d, tx_h, rx_h, fc, pl), from_power, nlos, outage_dropped, diffraction_dropped = (
-        read_csv_file(path, _FORMAT, _take_blocks, encoding="utf-8"))
+        read_csv_file(path, _FORMAT, _take_blocks))
     # Converted only once every row has passed, so a rejected file warns of nothing.
     pl[from_power] = pathloss_from_power(budget, pl[from_power])
     d3d = distance_3d(d2d, tx_h, rx_h)  # cannot overflow: the rows passed the row rules

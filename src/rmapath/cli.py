@@ -19,10 +19,12 @@ import csv
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
+from ._csv import first_record
 from .campaign import (
     CAMPAIGN_CSV_HEADER,
     DEFAULT_BUDGET,
@@ -198,7 +200,8 @@ def cmd_breakpoint_curve(args) -> int:
     else:
         fcs = np.linspace(args.fmin, args.fmax, args.steps)
     dbp = breakpoint_distance(args.hbs, args.hut, fcs)
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as f:
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as f:
         # csv.writer streams the rows; one joined string cost 11.6 MB more peak RSS at 100k points.
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(("fc_ghz", "dbp_m"))
@@ -221,12 +224,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     path = Path(args.input)
-    with path.open() as f:
-        first_line = f.readline().strip()
-    source = path.name
-    if first_line == ",".join(DATASET_CSV_HEADER):
+    with path.open(encoding="utf-8", newline="") as f:
+        header = first_record(csv.reader(f, strict=True))
+    if header == DATASET_CSV_HEADER:
         datasets = read_dataset_csv(path)
-    elif first_line == ",".join(CAMPAIGN_CSV_HEADER):
+    elif header == CAMPAIGN_CSV_HEADER:
         budget = LinkBudget(args.tx_power_dbm, args.tx_gain_dbi, args.rx_gain_dbi,
                             args.max_pl_db)
         datasets, summary = read_campaign_csv(path, budget)
@@ -238,7 +240,7 @@ def cmd_fit(args) -> int:
             f"{path}: unrecognized input; expected a dataset CSV "
             f"({DATASET_CSV_HEADER[0]},...) or campaign CSV "
             f"({CAMPAIGN_CSV_HEADER[0]},...) header")
-    reports = [fit_report_dict(fit_ci(ds), source, ds.seed, ds.sampling_mode)
+    reports = [fit_report_dict(fit_ci(ds), path.name, ds.seed, ds.sampling_mode)
                for ds in datasets.values()]
     if not reports:
         raise ValueError(f"{path}: no fittable samples")
@@ -279,8 +281,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        with warnings.catch_warnings():  # one line a warning; under -W error, an error line
+            warnings.showwarning = lambda text, *_: print(f"warning: {text}", file=sys.stderr)
+            return args.func(args)
+    except (ValueError, OSError, OverflowError, MemoryError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

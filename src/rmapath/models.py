@@ -91,7 +91,8 @@ class RmaParams:
 
     def __post_init__(self):
         for name in ("h_bs", "h_ut", "w", "h"):
-            finite_positive(name, getattr(self, name))
+            if finite_positive(name, getattr(self, name)).ndim:
+                raise ValueError(f"{name} must be a number")
 
 
 # Table of soft applicability ranges for RmaParams fields.

@@ -42,16 +42,15 @@ SIGMA_NLOS_DB = 8.0
 
 SAMPLING_MODES = ("linear", "log")
 
-DATASET_CSV_HEADER = ("fc_ghz", "d2d_m", "d3d_m", "env", "pl_db", "seed", "sampling_mode")
 _ENVIRONMENT_VALUES = tuple(env.value for env in Environment)
 _DATASET_FLOAT_FIELDS = ("fc_ghz", "d2d_m", "d3d_m", "pl_db")
-_DATASET_HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
 # Each text field is one character wider than its longest accepted value
 # (NLOS, a 20-digit seed, linear), so a longer value, cut to that width,
 # never passes the row rules.
 _DATASET_BLOCK_DTYPE = np.dtype([
     ("fc_ghz", "f8"), ("d2d_m", "f8"), ("d3d_m", "f8"), ("env", "U5"), ("pl_db", "f8"),
     ("seed", "U21"), ("sampling_mode", "U7")])
+DATASET_CSV_HEADER = _DATASET_BLOCK_DTYPE.names
 
 
 def _seed_and_mode_error(seed: str | None = None, sampling_mode: str | None = None) -> str:
@@ -100,15 +99,13 @@ def _bad_seed_or_mode(view) -> np.ndarray:
 
 
 # The dataset row rules in report order, after the field count and the float parses.
-_DATASET_FORMAT = CsvFormat(
-    _DATASET_BLOCK_DTYPE, ValueError,
-    f"not a dataset CSV: expected header {','.join(DATASET_CSV_HEADER)}", (
-        (lambda view: ~(view["env", "LOS"] | view["env", "NLOS"]),
-         lambda row: f"env must be LOS or NLOS, got {row['env']!r}"),
-        *map(finite_rule, _DATASET_FLOAT_FIELDS),
-        (_bad_seed_or_mode,
-         lambda row: _seed_and_mode_error(row["seed"] or None, row["sampling_mode"] or None)),
-    ), _dataset_view)
+_DATASET_FORMAT = CsvFormat(_DATASET_BLOCK_DTYPE, ValueError, (
+    (lambda view: ~(view["env", "LOS"] | view["env", "NLOS"]),
+     lambda row: f"env must be LOS or NLOS, got {row['env']!r}"),
+    *map(finite_rule, _DATASET_FLOAT_FIELDS),
+    (_bad_seed_or_mode,
+     lambda row: _seed_and_mode_error(row["seed"] or None, row["sampling_mode"] or None)),
+), _dataset_view)
 
 
 def _seed_text(seed) -> str:
@@ -208,8 +205,8 @@ class SimulatedDataset:
         # No env, seed or mode the rules admit needs quoting; None is an empty field.
         tail = f"{'' if self.seed is None else self.seed},{self.sampling_mode or ''}\n"
         columns = (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db)
-        with open(path, "w", newline="") as f:
-            f.write(_DATASET_HEADER_LINE)
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(",".join(DATASET_CSV_HEADER) + "\n")
             # One string and one write per block of rows, converted to Python floats.
             for start in range(0, len(self), BLOCK_ROWS):
                 block = (c[start:start + BLOCK_ROWS].tolist() for c in columns)

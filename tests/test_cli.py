@@ -1,7 +1,11 @@
 """Command line behavior: outputs, exit codes, env var overrides."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +169,23 @@ def test_huge_building_height_gives_a_finite_los_loss(capsys):
     expected = rma_los(RmaParams(h=1e300), distance_3d(100.0, 35.0, 1.5), 10.0)
     assert (status, out) == (0, f"{expected:.2f} dB\n")
     assert err.startswith("warning: ")  # h is outside its applicability range
+
+
+PREDICT_PAST_THE_CI_SPAN = ("predict", "--model", "ci", "--env", "los",
+                            "--freq-ghz", "150", "--dist-m", "100")
+CI_SPAN_WARNING = ("frequency outside the 0.5-100 GHz span the CI RMa coefficients "
+                   "were validated over")
+
+
+@pytest.mark.parametrize("flags,expected", [
+    ((), (0, "119.12 dB\n", f"warning: {CI_SPAN_WARNING}\n")),
+    (("-W", "error"), (1, "", f"error: {CI_SPAN_WARNING}\n")),
+])
+def test_a_library_warning_is_one_line(flags, expected):
+    done = subprocess.run([sys.executable, *flags, "-m", "rmapath.cli", *PREDICT_PAST_THE_CI_SPAN],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (done.returncode, done.stdout, done.stderr) == expected
 
 
 def test_geometry_defaults_are_the_rma_params_defaults():
@@ -354,6 +375,37 @@ class TestFit:
         assert (status, out) == (1, "")
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
+
+    def test_non_utf8_dataset_is_one_line_domain_error(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--env", "los", "--seed", "5", "--samples", "20",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        lines = data.read_bytes().split(b"\n")
+        lines[20] = lines[20].replace(b"LOS", b"L\xffS")
+        data.write_bytes(b"\n".join(lines))
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["campaign", "dataset"])
+    def test_quoted_copy_fits_as_the_plain_file(self, capsys, tmp_path, source):
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        if source == "campaign":
+            plain.write_bytes(bundled_campaign_path().read_bytes())
+        else:
+            assert main(["simulate", "--env", "nlos", "--seed", "8", "--samples", "40",
+                         "--out", str(plain)]) == 0
+            capsys.readouterr()
+        with plain.open(newline="") as f, quoted.open("w", newline="") as g:
+            csv.writer(g, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(csv.reader(f))
+        assert quoted.read_text().startswith('"')
+        plain_run, quoted_run = (run(capsys, "fit", "--input", str(path))
+                                 for path in (plain, quoted))
+        assert plain_run[0] == quoted_run[0] == 0
+        assert plain_run[1] == quoted_run[1].replace('"quoted.csv"', '"plain.csv"')
+        assert plain_run[2] == quoted_run[2]
 
     def test_all_outage_campaign_has_nothing_to_fit(self, capsys, tmp_path):
         lines = bundled_campaign_path().read_text().splitlines()

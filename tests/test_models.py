@@ -385,6 +385,12 @@ class TestRmaParams:
         # out-of-range values are a validation finding, not a hard failure
         RmaParams(h=60.0)
 
+    @pytest.mark.parametrize("field", ["h_bs", "h_ut", "w", "h"])
+    def test_rejects_an_array(self, field):
+        with pytest.raises(ValueError) as err:
+            RmaParams(**{field: np.array([5.0, 10.0])})
+        assert str(err.value) == f"{field} must be a number"
+
 
 class TestValidateApplicability:
     def test_all_in_range_is_clean(self):

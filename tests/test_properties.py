@@ -202,7 +202,8 @@ def outcome(function, args):
 def test_a_scalar_is_its_one_element_array(name, data):
     # One path per kernel: scalars run the same expression as arrays do.
     function, arguments = CONTRACT[name]
-    args = data.draw(st.tuples(*(a if a is params else number for a in arguments)))
+    value = st.one_of(number, st.floats(0.1, 1e4))  # edge values and ordinary ones
+    args = data.draw(st.tuples(*(a if a is params else value for a in arguments)))
     scalar = outcome(function, args)
     array = outcome(function, [a if isinstance(a, RmaParams) else np.array([a]) for a in args])
     if isinstance(scalar, tuple):

@@ -353,7 +353,7 @@ class TestDatasetCsv:
             path.write_text(text)
             with pytest.raises(ValueError) as err:
                 read_dataset_csv(path)
-            assert str(err.value) == ("not a dataset CSV: expected header "
+            assert str(err.value) == ("missing or invalid header; expected "
                                       "fc_ghz,d2d_m,d3d_m,env,pl_db,seed,sampling_mode")
 
     def test_rows_are_numbered_by_the_physical_line_they_start_on(self, tmp_path):
