@@ -11,10 +11,12 @@ calibration point.
 
 Usage: python scripts/generate_campaign_fixture.py
 
-The script checks what it wrote by reading the file back and fitting it.
+The script then runs the acceptance check on what it wrote (the fit of the
+file must recover the published exponents) and exits 1 if it fails.
 """
 
 import csv
+import sys
 
 import numpy as np
 
@@ -25,13 +27,11 @@ from rmapath import (
     RURAL_73GHZ_LOS_SIGMA_DB,
     RURAL_73GHZ_NLOS_PLE,
     RURAL_73GHZ_NLOS_SIGMA_DB,
-    Environment,
     bundled_campaign_path,
     ci_pathloss,
     distance_3d,
-    fit_ci,
-    read_campaign_csv,
 )
+from rmapath.acceptance import check_campaign_fixture_recovery
 
 SEED = 7524
 FC_GHZ = 73.5
@@ -92,20 +92,14 @@ def write_fixture(path) -> None:
         writer.writerows(build_rows())
 
 
-def main():
+def main() -> int:
     path = bundled_campaign_path()
     write_fixture(path)
-
-    samples, summary = read_campaign_csv(path, DEFAULT_BUDGET)
-    los = fit_ci(samples[Environment.LOS])
-    nlos = fit_ci(samples[Environment.NLOS])
-    print(f"wrote {path} ({summary.total} rows)")
-    print(f"LOS  fit: n={los.n:.4f} sigma={los.sigma_db:.4f} ({los.count} pts)")
-    print(f"NLOS fit: n={nlos.n:.4f} sigma={nlos.sigma_db:.4f} ({nlos.count} pts)")
-    if not (abs(los.n - RURAL_73GHZ_LOS_PLE) < 0.25
-            and abs(nlos.n - RURAL_73GHZ_NLOS_PLE) < 0.35):
-        raise SystemExit("the written fixture does not recover the published exponents")
+    print(f"wrote {path}")
+    result = check_campaign_fixture_recovery()
+    print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
+    return 0 if result.passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,5 +1,7 @@
 """The one reader of the package's CSV formats, dataset and campaign CSVs: it decodes
 UTF-8, and a header is the first record as the csv module reads it (``first_record``).
+A byte that is not UTF-8 is a ``line N:`` error, found as the file is first scanned,
+before any row is parsed.
 
 A format (``CsvFormat``) writes each row rule once, in an ordered table of
 ``(test, message)``: ``test(view)`` marks the rows of a block that break the
@@ -12,6 +14,7 @@ as it is read, and the table holds blocks of the rows that parse.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 import warnings
@@ -117,28 +120,48 @@ def checked_csv_rows(f, fmt: CsvFormat):
         raise fmt.error("\n".join(f"line {line}: {message}" for line, message in sorted(errors)))
 
 
-# The count lets both paths allocate once; one-pass readers cost 12-16 MB more peak RSS.
-def _row_bound(path) -> tuple[bool, int]:
-    """Whether the block reader may parse a file, and its count of line breaks.
+def _breaks(data: bytes, after_cr: bool) -> int:
+    """The line breaks in ``data``, which follows a CR where ``after_cr``: LF, CR and
+    CRLF each end one line for the csv module and ``np.loadtxt``, also a CRLF split
+    across two chunks."""
+    lines = data.count(b"\n") - (after_cr and data[:1] == b"\n")
+    if b"\r" in data:  # counted only where present: an LF file's scan costs no more
+        lines += data.count(b"\r") - data.count(b"\r\n")
+    return lines
 
-    LF, CR and CRLF each end a line for the csv module and ``np.loadtxt``, so
-    the count bounds the rows; a CRLF split across two chunks counts twice.
+
+# The count lets both paths allocate once; one-pass readers cost 12-16 MB more peak RSS.
+def _row_bound(path, error: type[ValueError]) -> tuple[bool, int]:
+    """Whether the block reader may parse a file, and its count of line breaks,
+    which bounds the rows.
+
+    Each chunk is decoded as it is counted, so a byte that is not UTF-8 raises
+    ``error`` as ``line N: <the decoder's reason>`` before any row is parsed.
     ``np.loadtxt`` drops the NULs that end a text field, keeps quotes
     (``quotechar=None``) and reads a float of any length, where the csv module
     keeps the NULs, strips quotes and rejects a field over its limit; a line
     break in every chunk of half the limit keeps each line under it.
     """
     size = csv.field_size_limit() // 2
-    plain, breaks = True, 0
+    plain, breaks, after_cr = True, 0, False
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     with open(path, "rb") as f:
-        while chunk := f.read(size):
-            lines = chunk.count(b"\n")
-            if b"\r" in chunk:  # counted only where present: an LF file's scan costs no more
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        while True:
+            chunk = f.read(size)
+            try:
+                decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # The decoder holds back only the start of a character, never a line
+                # break, so the breaks before the fault are those of this chunk.
+                line = breaks + _breaks(exc.object[:exc.start], after_cr) + 1
+                raise error(f"line {line}: 'utf-8' codec can't decode byte "
+                            f"0x{exc.object[exc.start]:02x}: {exc.reason}") from exc
+            if not chunk:
+                return plain, breaks
+            lines = _breaks(chunk, after_cr)
             plain = plain and not (b"\0" in chunk or b'"' in chunk
                                    or (len(chunk) == size and not lines))
-            breaks += lines
-    return plain, breaks
+            breaks, after_cr = breaks + lines, chunk.endswith(b"\r")
 
 
 def read_csv_file(path, fmt: CsvFormat, take_blocks):
@@ -151,7 +174,7 @@ def read_csv_file(path, fmt: CsvFormat, take_blocks):
     (``checked_csv_rows``) reads the file; it raises the header error or the
     row errors once the good rows have been taken.
     """
-    plain, rows = _row_bound(path)
+    plain, rows = _row_bound(path, fmt.error)
     with open(path, encoding="utf-8", newline="") as f:
         if plain and first_record(csv.reader(f)) == fmt.dtype.names:
             # Peeking at each block's first line means loadtxt never meets an

@@ -47,8 +47,10 @@ class LinkBudget:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if finite(name, value).ndim:
+            value = finite(name, value)
+            if value.ndim:
                 raise ValueError(f"{name} must be a number")
+            object.__setattr__(self, name, float(value))
         finite_positive("max_measurable_pl_db", self.max_measurable_pl_db)
 
     @property
@@ -121,14 +123,15 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm):
 
 
 def _view(block) -> dict:
-    """A campaign block's columns by name, the numbers copied out of it once,
-    with a mask per literal of a text field (``view["outage", "true"]``) and
-    each power parsed once (an empty one reads as 0) and marked in ``given``;
+    """A campaign block's columns by name, with a mask per literal of a text
+    field (``view["outage", "true"]``), the mask of the rows a fit takes
+    (``view["fitted"]``: neither an outage nor LOS-DIFFRACTION), and each power
+    parsed once (an empty one reads as 0) and marked in ``given``;
     ValueError where a power fills its ``np.loadtxt`` width, which may have cut it."""
     view = {name: block[name] for name in CAMPAIGN_CSV_HEADER}
-    view.update(zip(_RECORD_NUMBERS[:4], np.stack([block[n] for n in _RECORD_NUMBERS[:4]])))
     for name, literals in (("outage", ("true", "false")), ("environment", CAMPAIGN_TAGS)):
         view.update(((name, text), block[name] == text) for text in literals)
+    view["fitted"] = view["outage", "false"] & ~view["environment", DIFFRACTION_TAG]
     view["given"] = []
     for name in _RECORD_NUMBERS[4:]:
         text = block[name]
@@ -146,16 +149,11 @@ def _positive(name: str) -> tuple:
     return lambda view: ~(view[name] > 0.0), lambda row: f"{name} must be positive"
 
 
-def _fitted(view) -> np.ndarray:
-    """The rows a fit takes: neither an outage nor LOS-DIFFRACTION."""
-    return view["outage", "false"] & ~view["environment", DIFFRACTION_TAG]
-
-
 @float_errors
 def _slant_overflows(view) -> np.ndarray:
     """The fitted rows whose slant distance sum, as ``distance_3d`` forms it, overflows."""
     d2d, dh = view["d2d_m"], view["tx_height_m"] - view["rx_height_m"]
-    return _fitted(view) & ~(d2d * d2d + dh * dh < np.inf)
+    return view["fitted"] & ~(d2d * d2d + dh * dh < np.inf)
 
 
 # The campaign row rules in report order, after the field count and the float parses.
@@ -197,12 +195,10 @@ def _take_blocks(views, rows: int):
     from_power, nlos = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
     n = outage_dropped = diffraction_dropped = 0
     for view in views:
-        fitted = _fitted(view)
+        fitted, given_pl = view["fitted"], view["given"][1]
         end = n + int(np.count_nonzero(fitted))
-        for column, name in zip(columns, _RECORD_NUMBERS[:4]):
-            column[n:end] = view[name][fitted]
-        given_pl = view["given"][1]
-        columns[4, n:end] = np.where(given_pl, view["pl_db"], view["p_rx_dbm"])[fitted]
+        columns[:, n:end] = [*(view[name][fitted] for name in _RECORD_NUMBERS[:4]),
+                             np.where(given_pl, view["pl_db"], view["p_rx_dbm"])[fitted]]
         from_power[n:end] = ~given_pl[fitted]
         nlos[n:end] = view["environment", "NLOS"][fitted]
         outage_dropped += int(np.count_nonzero(view["outage", "true"]))

@@ -7,19 +7,23 @@ error. Every flag can also be set through an environment variable named
 RMA_<FLAG> (dashes as underscores, e.g. --freq-ghz -> RMA_FREQ_GHZ); an
 explicit flag wins. A variable is read only when its subcommand runs.
 
+A bad RMA_* variable is one ``error: invalid value for RMA_<FLAG>: ...``
+line and exit 2, as argparse's own usage errors exit 2.
+
 Numeric output on stdout uses fixed 2-decimal formatting; files written by
-simulate/fit/breakpoint-curve keep full float precision.
+simulate/fit/breakpoint-curve keep full float precision, in UTF-8 with ``\n``
+line ends.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +60,6 @@ from .simulate import (
 )
 
 
-class _EnvVarError(Exception):
-    """An RMA_* environment variable held an unusable value."""
-
-
 class _EnvDefault:
     """A flag's set RMA_* variable; ``main`` casts it for the chosen subcommand only."""
 
@@ -68,13 +68,13 @@ class _EnvDefault:
 
     def resolve(self):
         raw = os.environ[self.key]
+        error = f"error: invalid value for {self.key}: {raw!r}"
         try:
             value = self.cast(raw)
         except (TypeError, ValueError) as exc:
-            raise _EnvVarError(f"invalid value for {self.key}: {raw!r}") from exc
+            raise SystemExit(error) from exc
         if self.choices is not None and value not in self.choices:
-            raise _EnvVarError(
-                f"invalid value for {self.key}: {raw!r} (choose from {self.choices})")
+            raise SystemExit(f"{error} (choose from {self.choices})")
         return value
 
 
@@ -102,6 +102,11 @@ def _add_budget(parser):
     _add(parser, "--max-pl-db", cast=float,
          default=DEFAULT_BUDGET.max_measurable_pl_db,
          help="maximum measurable path loss dB")
+
+
+def _open_out(path):
+    """The file an ``--out`` names, UTF-8 with no newline translation, or stdout without one."""
+    return open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,8 +205,7 @@ def cmd_breakpoint_curve(args) -> int:
     else:
         fcs = np.linspace(args.fmin, args.fmax, args.steps)
     dbp = breakpoint_distance(args.hbs, args.hut, fcs)
-    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
-          else contextlib.nullcontext(sys.stdout)) as f:
+    with _open_out(args.out) as f:
         # csv.writer streams the rows; one joined string cost 11.6 MB more peak RSS at 100k points.
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(("fc_ghz", "dbp_m"))
@@ -224,7 +228,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     path = Path(args.input)
-    with path.open(encoding="utf-8", newline="") as f:
+    with path.open(encoding="utf-8", errors="replace", newline="") as f:
         header = first_record(csv.reader(f, strict=True))
     if header == DATASET_CSV_HEADER:
         datasets = read_dataset_csv(path)
@@ -245,7 +249,7 @@ def cmd_fit(args) -> int:
     if not reports:
         raise ValueError(f"{path}: no fittable samples")
     payload = reports[0] if len(reports) == 1 else reports
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as f:
+    with _open_out(args.out) as f:
         f.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
@@ -275,15 +279,14 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, _EnvDefault):
                 setattr(args, name, value.resolve())
-    except _EnvVarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         with warnings.catch_warnings():  # one line a warning; under -W error, an error line
             warnings.showwarning = lambda text, *_: print(f"warning: {text}", file=sys.stderr)
             return args.func(args)
+    except SystemExit as exc:  # argparse's status, or the text of a bad RMA_* variable
+        if isinstance(exc.code, int):
+            return exc.code
+        print(exc.code, file=sys.stderr)
+        return 2
     except (ValueError, OSError, OverflowError, MemoryError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

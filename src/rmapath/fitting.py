@@ -96,7 +96,7 @@ def reproduce_3gpp_ci(environment: Environment, seed: int = 0) -> CiFitResult:
     Expected results: n close to 2.31 with sigma close to 5.9 dB in LOS,
     n close to 3.04 with sigma close to 8.3 dB in NLOS.
     """
-    config = SimulationConfig(environment=Environment(environment), seed=seed)
+    config = SimulationConfig(environment=environment, seed=seed)
     return fit_ci(generate_3gpp_dataset(config))
 
 

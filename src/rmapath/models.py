@@ -91,8 +91,10 @@ class RmaParams:
 
     def __post_init__(self):
         for name in ("h_bs", "h_ut", "w", "h"):
-            if finite_positive(name, getattr(self, name)).ndim:
+            value = finite_positive(name, getattr(self, name))
+            if value.ndim:
                 raise ValueError(f"{name} must be a number")
+            object.__setattr__(self, name, float(value))
 
 
 # Table of soft applicability ranges for RmaParams fields.

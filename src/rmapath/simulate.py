@@ -78,11 +78,10 @@ def _distinct(column: np.ndarray) -> set[str]:
 
 
 def _dataset_view(block) -> dict:
-    """A dataset block's columns by name, the floats copied out of it once, with
-    a mask per environment (``view["env", "LOS"]``) and the distinct seeds and
-    modes (``view["seeds"]``, ``view["modes"]``)."""
+    """A dataset block's columns by name, with a mask per environment
+    (``view["env", "LOS"]``) and the distinct seeds and modes (``view["seeds"]``,
+    ``view["modes"]``)."""
     view = {name: block[name] for name in DATASET_CSV_HEADER}
-    view.update(zip(_DATASET_FLOAT_FIELDS, np.stack([block[n] for n in _DATASET_FLOAT_FIELDS])))
     view.update((("env", env), block["env"] == env) for env in _ENVIRONMENT_VALUES)
     view["seeds"], view["modes"] = _distinct(block["seed"]), _distinct(block["sampling_mode"])
     return view
@@ -140,8 +139,7 @@ class SimulationConfig:
     include_shadow_fading: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.environment, Environment):
-            object.__setattr__(self, "environment", Environment(self.environment))
+        object.__setattr__(self, "environment", Environment(self.environment))
         span = (RMA_LOS_D2D_RANGE_M if self.environment is Environment.LOS
                 else RMA_NLOS_D2D_RANGE_M)
         if self.d2d_max_m is None:
@@ -159,8 +157,10 @@ class SimulationConfig:
         if error := _seed_and_mode_error(_seed_text(self.seed), str(self.distance_sampling)):
             raise ValueError(error)
         for name in ("d2d_min_m", "d2d_max_m"):
-            if finite_positive(name, getattr(self, name)).ndim:
+            value = finite_positive(name, getattr(self, name))
+            if value.ndim:
                 raise ValueError(f"{name} must be a number")
+            object.__setattr__(self, name, float(value))
         if not self.d2d_min_m < self.d2d_max_m:
             raise ValueError("d2d_min_m must be less than d2d_max_m")
         if self.d2d_min_m < span[0] or self.d2d_max_m > span[1]:
@@ -265,8 +265,7 @@ def _take_dataset_blocks(views, rows: int):
     for view in views:
         end = n + len(view["env"])
         nlos[n:end] = view["env", "NLOS"]
-        for column, name in zip(values, _DATASET_FLOAT_FIELDS):
-            column[n:end] = view[name]
+        values[:, n:end] = [view[name] for name in _DATASET_FLOAT_FIELDS]
         seeds |= view["seeds"]
         modes |= view["modes"]
         n = end

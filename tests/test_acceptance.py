@@ -40,3 +40,10 @@ def test_recalibration_fails_when_repeats_disagree(monkeypatch):
     result = acceptance.check_recalibration_los()
     assert not result.passed
     assert "repeats identical: False" in result.detail
+
+
+def test_simulate_determinism_fails_when_simulate_fails(monkeypatch):
+    monkeypatch.setattr("rmapath.cli.main", lambda argv: 1)
+    result = acceptance.check_simulate_determinism()
+    assert not result.passed
+    assert result.detail == "simulate exited with status 1"

@@ -1,8 +1,10 @@
 """Campaign ingestion, link budget arithmetic, and coverage inversion."""
 
 import importlib.util
+import itertools
 import math
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +154,14 @@ class TestLinkBudget:
         with pytest.raises(ValueError) as err:
             LinkBudget(np.array([14.7, 20.0]), 27.0, 27.0, 190.0)
         assert str(err.value) == "tx_power_dbm must be a number"
+
+    @pytest.mark.parametrize("value", [Decimal("14.7"), np.float32(14.7), True],
+                             ids=["Decimal", "float32", "True"])
+    def test_holds_the_float_its_gate_returns(self, value):
+        budget = LinkBudget(value, 27.0, 27.0, 190.0)
+        assert budget == LinkBudget(float(value), 27.0, 27.0, 190.0)
+        assert {type(field) for field in vars(budget).values()} == {float}
+        assert pathloss_from_power(budget, -100.0) == float(value) + 27.0 + 27.0 + 100.0
 
     def test_non_positive_ceiling_rejected(self):
         with pytest.raises(ValueError, match="^max_measurable_pl_db must be finite and positive$"):
@@ -504,6 +514,70 @@ class TestBlockPath:
         assert str(err.value) == (
             "line 9002: exactly one of p_rx_dbm/pl_db required on a non-outage row, got 2\n"
             "line 9502: slant distance overflows a float")
+
+
+class TestUndecodableByte:
+    """A byte that is not UTF-8 is a ``line N:`` error, found before any row is parsed."""
+
+    CHUNK = 65_536  # the scan reads half the csv module's field size limit at a time
+
+    @staticmethod
+    def lines(count: int = 3_000) -> list[bytes]:
+        rows = [f"R{i:05d},LOS,{100.0 + i!r},110.0,1.8,73.5,,120.0,false" for i in range(count)]
+        return [HEADER.encode(), *(row.encode() for row in rows)]
+
+    @staticmethod
+    def read_error(tmp_path, data: bytes) -> str:
+        path = tmp_path / "campaign.csv"
+        path.write_bytes(data)
+        with pytest.raises(CampaignFormatError) as err:
+            read_campaign_csv(path, DEFAULT_BUDGET)
+        return str(err.value)
+
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_bad_byte_past_the_first_chunk_names_its_line(self, tmp_path, line_end):
+        lines = self.lines()
+        lines[2_499] = b"\xff" + lines[2_499]
+        data = line_end.join(lines) + line_end
+        assert data.index(b"\xff") > self.CHUNK
+        assert self.read_error(tmp_path, data) == (
+            "line 2500: 'utf-8' codec can't decode byte 0xff: invalid start byte")
+
+    def test_crlf_split_between_chunks_counts_once(self, tmp_path):
+        lines = self.lines()
+        # Pad the first row's path loss (120.0 reads as 120.000...) so that the last line
+        # to end in the first chunk ends one byte past it, with its CR as the chunk's last byte.
+        ends = itertools.accumulate(len(line) + 2 for line in lines)
+        lines[1] += b"0" * (self.CHUNK + 1 - max(end for end in ends if end <= self.CHUNK))
+        lines[2_499] = b"\xff" + lines[2_499]
+        data = b"\r\n".join(lines) + b"\r\n"
+        assert data[self.CHUNK - 1:self.CHUNK + 1] == b"\r\n"
+        assert self.read_error(tmp_path, data) == (
+            "line 2500: 'utf-8' codec can't decode byte 0xff: invalid start byte")
+
+    def test_character_cut_at_the_end_of_the_file_names_the_last_line(self, tmp_path):
+        data = b"\n".join(self.lines()) + b"\xe2\x82"
+        assert self.read_error(tmp_path, data) == (
+            "line 3001: 'utf-8' codec can't decode byte 0xe2: unexpected end of data")
+
+    def test_character_split_between_chunks_reads(self, tmp_path):
+        lines = self.lines()
+        data = b"\n".join(lines) + b"\n"
+        start = data.rindex(b"\n", 0, self.CHUNK) + 1  # the line on the chunk boundary
+        euro = "\u20ac".encode()  # a location id, which no rule reads
+        data = data[:start] + b"x" * (self.CHUNK - 1 - start) + euro + data[start:]
+        assert data[self.CHUNK - 1:self.CHUNK + 2] == euro
+        path = tmp_path / "campaign.csv"
+        path.write_bytes(data)
+        assert read_campaign_csv(path, DEFAULT_BUDGET)[1].total == 3_000
+
+    def test_nothing_is_parsed(self, tmp_path, monkeypatch):
+        lines = self.lines()
+        lines[-1] = lines[-1].replace(b"LOS", b"L\xffS")
+        monkeypatch.setattr("rmapath._csv._views", None)
+        monkeypatch.setattr("rmapath._csv.checked_csv_rows", None)
+        assert self.read_error(tmp_path, b"\n".join(lines) + b"\n") == (
+            "line 3001: 'utf-8' codec can't decode byte 0xff: invalid start byte")
 
 
 class TestFixtureScript:

@@ -223,6 +223,13 @@ class TestBreakpointCurve:
         # per-point oracle: each row's value is the scalar formula at its frequency
         assert dbp == [2 * math.pi * 25.0 * 3.0 * f * 1e9 / 3e8 for f in fc]
 
+    def test_linear_spacing(self, capsys):
+        status, out, err = run(capsys, "breakpoint-curve", "--spacing", "linear", "--fmin", "1",
+                               "--fmax", "3", "--steps", "3")
+        assert (status, err) == (0, "")
+        assert out == ("fc_ghz,dbp_m\n1.0,1099.5574287564277\n2.0,2199.1148575128555\n"
+                       "3.0,3298.672286269283\n")
+
     def test_bad_steps_is_domain_error(self, capsys):
         status, _, _ = run(capsys, "breakpoint-curve", "--steps", "0")
         assert status == 1
@@ -283,6 +290,14 @@ class TestSimulate:
                              "--out", str(tmp_path / "x.csv"))
         assert status == 2
         assert "RMA_SEED" in err
+
+    def test_env_var_outside_its_choices_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("RMA_ENV", "bogus")
+        out = tmp_path / "x.csv"
+        status, stdout, err = run(capsys, "simulate", "--out", str(out))
+        assert (status, stdout) == (2, "")
+        assert err == "error: invalid value for RMA_ENV: 'bogus' (choose from ('los', 'nlos'))\n"
+        assert not out.exists()
 
 
 class TestFit:
@@ -372,9 +387,8 @@ class TestFit:
         data = tmp_path / "campaign.csv"
         data.write_bytes(b"\n".join(lines))
         status, out, err = run(capsys, "fit", "--input", str(data))
-        assert (status, out) == (1, "")
-        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
-        assert err.count("\n") == 1
+        assert (status, out, err) == (
+            1, "", "error: line 21: 'utf-8' codec can't decode byte 0xff: invalid start byte\n")
 
     def test_non_utf8_dataset_is_one_line_domain_error(self, capsys, tmp_path):
         data = tmp_path / "data.csv"
@@ -385,9 +399,8 @@ class TestFit:
         lines[20] = lines[20].replace(b"LOS", b"L\xffS")
         data.write_bytes(b"\n".join(lines))
         status, out, err = run(capsys, "fit", "--input", str(data))
-        assert (status, out) == (1, "")
-        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
-        assert err.count("\n") == 1
+        assert (status, out, err) == (
+            1, "", "error: line 21: 'utf-8' codec can't decode byte 0xff: invalid start byte\n")
 
     @pytest.mark.parametrize("source", ["campaign", "dataset"])
     def test_quoted_copy_fits_as_the_plain_file(self, capsys, tmp_path, source):
@@ -437,6 +450,13 @@ class TestFit:
         assert (status, out) == (1, "")
         assert err == ("error: line 3: slant distance overflows a float\n"
                        "line 5: slant distance overflows a float\n")
+
+    def test_non_utf8_header_is_unrecognized_input(self, capsys, tmp_path):
+        data = tmp_path / "campaign.csv"
+        data.write_bytes(b"\xff" + bundled_campaign_path().read_bytes())
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {data}: unrecognized input;") and err.count("\n") == 1
 
     def test_unrecognized_file_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -5,6 +5,7 @@ formulas (c = 3e8 m/s throughout) before the implementation existed.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -390,6 +391,19 @@ class TestRmaParams:
         with pytest.raises(ValueError) as err:
             RmaParams(**{field: np.array([5.0, 10.0])})
         assert str(err.value) == f"{field} must be a number"
+
+    @pytest.mark.parametrize("value,stored", [
+        (Decimal(5), 5.0), (np.float32(7.3), float(np.float32(7.3))), (True, 1.0),
+    ], ids=["Decimal", "float32", "True"])
+    def test_holds_the_float_its_gate_returns(self, value, stored):
+        params = RmaParams(h=value)
+        assert params.h == stored and type(params.h) is float
+        assert rma_nlos(params, 1000.0, 28.0) == rma_nlos(RmaParams(h=stored), 1000.0, 28.0)
+
+    def test_every_field_is_a_float(self):
+        params = RmaParams(h_bs=np.int64(35), h_ut=Decimal("1.5"), w=np.float32(20.0), h=True)
+        assert params == RmaParams(35.0, 1.5, 20.0, 1.0)
+        assert {type(value) for value in vars(params).values()} == {float}
 
 
 class TestValidateApplicability:

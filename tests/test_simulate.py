@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ class TestSimulationConfig:
         assert config.samples_per_frequency == 50_000
         assert (config.d2d_min_m, config.d2d_max_m) == (10.0, 10_000.0)
         assert config.distance_sampling == "linear"
+
+    def test_environment_is_taken_by_its_value(self):
+        assert SimulationConfig(environment="LOS").environment is Environment.LOS
+        with pytest.raises(ValueError):
+            SimulationConfig(environment="los")
+
+    @pytest.mark.parametrize("low,high", [(Decimal("20.5"), Decimal(500)),
+                                          (np.float32(20.5), np.int64(500))],
+                             ids=["Decimal", "numpy"])
+    def test_bounds_are_held_as_floats(self, low, high):
+        config = SimulationConfig(environment=Environment.LOS, d2d_min_m=low, d2d_max_m=high)
+        assert (config.d2d_min_m, config.d2d_max_m) == (20.5, 500.0)
+        assert type(config.d2d_min_m) is type(config.d2d_max_m) is float
 
     def test_nlos_span_default(self):
         assert SimulationConfig(environment=Environment.NLOS).d2d_max_m == 5_000.0
