@@ -11,8 +11,9 @@ classic failure mode here, so every argument name carries its unit.
 
 All functions but ``validate_applicability`` take scalars or numpy arrays
 (broadcast elementwise) and return a float for scalar input. Frequencies,
-distances, heights and exponents must be finite positive numbers, not text,
-or ValueError is raised; an overflow raises OverflowError (``finite_result``).
+distances, heights and exponents must be finite positive numbers, not text
+or an int past the float range, or ValueError is raised; a result that
+overflows raises OverflowError (``finite_result``).
 """
 
 from __future__ import annotations
@@ -120,10 +121,11 @@ class Finding:
 
 
 def _bounds(a) -> tuple:
-    """(min, max) of a numpy value, for every range test: ``float(a)`` twice
-    for a 0-d input, which skips two reductions that would cost more than
-    the scalar maths; NaN propagated for an array; and (inf, -inf) for an
-    empty array, so that every "all elements satisfy" test passes vacuously."""
+    """(min, max) of a numpy value, for the range tests past the gate's float
+    test: ``float(a)`` twice for a 0-d input, which skips two reductions that
+    would cost more than the scalar maths; NaN propagated for an array; and
+    (inf, -inf) for an empty array, so that every "all elements satisfy" test
+    passes vacuously."""
     if not a.ndim:
         a = float(a)
         return a, a
@@ -134,15 +136,20 @@ def finite_positive(name: str, value, *, lower: float = 0.0) -> np.ndarray | np.
     """The argument gate: ``value`` as floats, all finite and > ``lower``; text is rejected.
 
     A 0-d input comes back as a ``np.float64``, so the kernels do numpy
-    scalar maths on it; an array input comes back as a float array.
+    scalar maths on it; an array input comes back as a float array. A
+    ``float`` or ``np.float64``, what a link query passes, takes two
+    comparisons, not ``np.asarray``, and gives the same value or text.
     """
+    # NaN fails both comparisons; a float that fails takes the array path to its error.
+    if (type(value) is float or type(value) is np.float64) and lower < value < math.inf:
+        return np.float64(value)
     a = np.asarray(value)
     kind = a.dtype.kind
     # astype(float) parses text, so an object array holding text stays kind "O".
     if kind == "O" and not any(isinstance(v, (str, bytes)) for v in a.flat):
         try:
             a, kind = a.astype(float), "f"
-        except (TypeError, ValueError):  # an object that is not a number
+        except (TypeError, ValueError, OverflowError):  # not a number, or an int past floats
             pass
     if kind in "biuf":
         a = a.astype(float, copy=False)
@@ -392,7 +399,7 @@ def validate_applicability(params: RmaParams, d2d_m: float, fc_ghz: float,
                 f"2D distance {d2d_m:g} m outside the [{lo:g} m, {hi:g} m] "
                 f"RMa {environment.value} span",
             ))
-    except TypeError:
+    except (TypeError, OverflowError):  # text, None or an int past floats
         raise ValueError("d2d_m must be a number") from None
     for name, (plo, phi) in _PARAM_RANGES_M.items():
         value = getattr(params, name)
@@ -409,6 +416,6 @@ def validate_applicability(params: RmaParams, d2d_m: float, fc_ghz: float,
                 findings.append(Finding(
                     "soft", "fc_ghz",
                     f"frequency {fc_ghz:g} GHz outside the [{flo:g}, {fhi:g}] GHz {span}"))
-        except TypeError:
+        except (TypeError, OverflowError):
             raise ValueError("fc_ghz must be a number") from None
     return findings

@@ -13,13 +13,16 @@ import pytest
 from rmapath import (
     ApplicabilityError,
     Environment,
+    LinkBudget,
     ModelRangeWarning,
     RmaParams,
+    SimulationConfig,
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
     fspl,
     los_second_slope,
+    max_range,
     rma_los,
     rma_nlos,
     validate_applicability,
@@ -251,7 +254,8 @@ class TestNonFiniteInputs:
                                      "73", b"73", ["1.0", "2.0"],
                                      np.array(["73", 5.0], dtype=object),
                                      np.array([b"73"], dtype=object),
-                                     np.array([1.0, {}], dtype=object)])
+                                     np.array([1.0, {}], dtype=object),
+                                     10**400, -10**400, np.array([1.0, 10**400], dtype=object)])
     @pytest.mark.parametrize("call", [
         lambda x: fspl(x, 100.0),
         lambda x: fspl(28.0, x),
@@ -272,6 +276,19 @@ class TestNonFiniteInputs:
     def test_rejected_with_value_error(self, call, bad):
         with pytest.raises(ValueError, match="must be finite and positive"):
             call(bad)
+
+    # An int past the float range is the gate's ValueError, not "int too large to convert".
+    @pytest.mark.parametrize("call,text", [
+        (lambda: RmaParams(h=10**400), "h must be finite and positive"),
+        (lambda: max_range(28.0, 2.0, 10**400), "max_pl_db must be finite"),
+        (lambda: LinkBudget(10**400, 1.0, 1.0, 190.0), "tx_power_dbm must be finite"),
+        (lambda: SimulationConfig("LOS", frequencies_ghz=(10**400,)),
+         "frequencies must be finite and positive"),
+    ])
+    def test_int_past_the_float_range_is_the_gates_value_error(self, call, text):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == text
 
     @pytest.mark.parametrize("field", ["h_bs", "h_ut", "w", "h"])
     def test_rma_params_rejects_infinite_height(self, field):
@@ -462,8 +479,35 @@ class TestValidateApplicability:
     @pytest.mark.parametrize("d2d,fc,name", [
         ("73", 2.0, "d2d_m"), (None, 2.0, "d2d_m"), (b"73", 2.0, "d2d_m"),
         (1000.0, "28", "fc_ghz"), (1000.0, None, "fc_ghz"), ("73", None, "d2d_m"),
+        (10**400, 2.0, "d2d_m"), (1000.0, -10**400, "fc_ghz"),
     ])
     def test_text_or_none_is_one_line_value_error(self, d2d, fc, name):
         with pytest.raises(ValueError) as err:
             validate_applicability(DEFAULTS, d2d, fc, Environment.NLOS)
         assert str(err.value) == f"{name} must be a number"
+
+
+# The link-query chain over the benchmark's frequencies and height pairs,
+# with ground distances across each environment's hard span.
+QUERY_FREQS_GHZ = (0.9, 2.0, 3.5, 6.0, 15.0, 28.0, 38.0, 60.0, 73.5, 100.0)
+QUERY_HEIGHTS_M = ((35.0, 1.5), (25.0, 1.5), (60.0, 2.0))
+
+
+def link_query(params, d2d, fc, model, ple):
+    d3d = distance_3d(d2d, params.h_bs, params.h_ut)
+    pl = model(params, d3d, fc)
+    return d3d, pl, ci_pathloss(fc, d3d, ple), max_range(fc, ple, pl)
+
+
+@pytest.mark.parametrize("model,ple,span_2d", [(rma_los, 2.31, 10_000.0),
+                                               (rma_nlos, 3.04, 5_000.0)])
+@pytest.mark.parametrize("h_bs,h_ut", QUERY_HEIGHTS_M)
+def test_link_query_chain_is_its_one_element_array_chain(model, ple, span_2d, h_bs, h_ut):
+    # Scalars take the gate's float test, one-element arrays np.asarray: the same bits.
+    params = RmaParams(h_bs=h_bs, h_ut=h_ut)
+    for fc in QUERY_FREQS_GHZ:
+        for d2d in np.geomspace(10.0, span_2d, 20).tolist():
+            scalar = link_query(params, d2d, fc, model, ple)
+            array = link_query(params, np.array([d2d]), np.array([fc]), model, np.array([ple]))
+            assert all(type(s) is float for s in scalar)
+            assert scalar == tuple(a[0] for a in array)

@@ -2,6 +2,7 @@
 the campaign and dataset readers."""
 
 import dataclasses
+import functools
 import math
 import re
 import tempfile
@@ -99,7 +100,9 @@ positive_floats = st.floats(0.0, exclude_min=True, allow_infinity=False)
 # inputs text and None. An argument that holds text is always rejected; an
 # environment may be given as its value.
 EDGE_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.5, 5e-324, 1e308, 28.0)
-number = st.one_of(st.sampled_from(EDGE_VALUES), positive_floats, st.floats())
+# Ints past the float range, which the gate's float test does not see.
+HUGE_INTS = (10**400, -10**400)
+number = st.one_of(st.sampled_from(EDGE_VALUES + HUGE_INTS), positive_floats, st.floats())
 numbers = st.one_of(number, st.lists(number, max_size=4).map(np.array))
 # Object arrays as numpy builds them from mixed lists: numbers with numeric
 # text, None or a dict among them. Text is rejected, though numpy parses it.
@@ -175,8 +178,11 @@ def test_finite_result_or_one_error(name, data):
     args = data.draw(st.tuples(*arguments))
     try:
         value = function(*args)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         assert str(exc) and not re.fullmatch(r"\(\d+, '.*'\)", str(exc))  # no bare errno tuple
+        return
+    except OverflowError as exc:
+        assert str(exc) == "the result overflows a float"  # the one text of an overflow
         return
     assert all_finite(value) and not any(map(holds_text, args))
     if name in FLOAT_RESULTS and not any(isinstance(a, np.ndarray) for a in args):
@@ -216,6 +222,37 @@ def test_the_gate_passes_a_scalar_on_as_a_numpy_scalar():
     # The kernels' scalar speed rests on numpy scalar maths, not on 0-d array ufunc calls.
     assert type(models.finite_positive("x", 73.0)) is np.float64
     assert type(models.finite_positive("x", [73.0])) is np.ndarray
+
+
+@pytest.mark.parametrize("lower", [0.0, -math.inf])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=st.one_of(st.sampled_from((-0.0, *EDGE_VALUES)), st.floats()))
+def test_the_float_test_agrees_with_the_array_path(lower, x):
+    # A float or np.float64 skips np.asarray; a 0-d array does not.
+    gate = functools.partial(models.finite_positive, lower=lower)
+    expected = outcome(gate, ("x", np.array(x)))
+    for value in (x, np.float64(x)):
+        got = outcome(gate, ("x", value))
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:  # the same bytes: -0.0 keeps its sign under finite
+            assert type(got) is np.float64 and got.tobytes() == expected.tobytes()
+
+
+class FloatSubclass(float):
+    pass
+
+
+@pytest.mark.parametrize("value,expected", [
+    (FloatSubclass(7.5), 7.5),
+    (True, 1.0),
+    (np.float32(7.3), 7.300000190734863),
+    (np.array(73.0), 73.0),
+    (73, 73.0),
+])
+def test_the_gate_takes_other_scalars_through_np_asarray(value, expected):
+    result = models.finite_positive("x", value)
+    assert type(result) is np.float64 and result == expected
 
 
 finite_db = st.floats(-300.0, 300.0)
