@@ -1,5 +1,6 @@
-"""The one reader of the package's CSV formats, dataset and campaign CSVs: it decodes
-UTF-8, and a header is the first record as the csv module reads it (``first_record``).
+"""The one reader and writer of the package's CSV formats (dataset, campaign, curve): it
+reads UTF-8, a header is the first record as the csv module reads it (``first_record``),
+and ``write_blocks`` writes floats as their ``repr``, a block of rows to one string.
 A byte that is not UTF-8 is a ``line N:`` error, found as the file is first scanned,
 before any row is parsed.
 
@@ -118,6 +119,14 @@ def checked_csv_rows(f, fmt: CsvFormat):
         yield from _views(fmt, [(lines, np.fromiter(fields, dtype, len(fields)))], errors)
     if errors:
         raise fmt.error("\n".join(f"line {line}: {message}" for line, message in sorted(errors)))
+
+
+def write_blocks(f, header, columns, rows) -> None:
+    """Write ``header``, then each block of up to 8192 rows of the float arrays ``columns``
+    as the one string ``rows(*lists)`` makes of the block's columns as lists of floats."""
+    f.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        f.write(rows(*(c[start:start + BLOCK_ROWS].tolist() for c in columns)))
 
 
 def _breaks(data: bytes, after_cr: bool) -> int:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._csv import first_record
+from ._csv import first_record, write_blocks
 from .campaign import (
     CAMPAIGN_CSV_HEADER,
     DEFAULT_BUDGET,
@@ -200,16 +200,17 @@ def cmd_breakpoint_curve(args) -> int:
         raise ValueError("--fmax must be >= --fmin")
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
+    finite_positive("--hbs", args.hbs)
+    finite_positive("--hut", args.hut)
     if args.spacing == "log":
         fcs = np.geomspace(args.fmin, args.fmax, args.steps)
     else:
         fcs = np.linspace(args.fmin, args.fmax, args.steps)
     dbp = breakpoint_distance(args.hbs, args.hut, fcs)
     with _open_out(args.out) as f:
-        # csv.writer streams the rows; one joined string cost 11.6 MB more peak RSS at 100k points.
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(("fc_ghz", "dbp_m"))
-        writer.writerows(zip(map(repr, fcs.tolist()), map(repr, dbp.tolist())))
+        # One string of about 8192 x 40 B = 330 KB a block, never both whole .tolist() columns.
+        write_blocks(f, ("fc_ghz", "dbp_m"), (fcs, dbp),
+                     lambda *block: "".join([f"{fc!r},{d!r}\n" for fc, d in zip(*block)]))
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csv import BLOCK_ROWS, CsvFormat, finite_rule, read_csv_file
+from ._csv import CsvFormat, finite_rule, read_csv_file, write_blocks
 from .models import (
     Environment,
     RmaParams,
@@ -154,6 +154,13 @@ class SimulationConfig:
         count = self.samples_per_frequency  # an integer, numpy's too, but not a bool
         if isinstance(count, bool) or not hasattr(count, "__index__") or count <= 0:
             raise ValueError("samples_per_frequency must be a positive integer")
+        most = np.iinfo(np.intp).max // (8 * frequencies.size)  # one float64 column of all rows
+        if count.__index__() > most:
+            raise ValueError(f"samples_per_frequency must be at most {most} "
+                             f"for {frequencies.size} frequencies")
+        if not isinstance(shadow := self.include_shadow_fading, (bool, np.bool_)):
+            raise ValueError(f"include_shadow_fading must be a bool, got {type(shadow).__name__}")
+        object.__setattr__(self, "include_shadow_fading", bool(shadow))
         if error := _seed_and_mode_error(_seed_text(self.seed), str(self.distance_sampling)):
             raise ValueError(error)
         for name in ("d2d_min_m", "d2d_max_m"):
@@ -204,14 +211,10 @@ class SimulatedDataset:
         env = self.environment.value
         # No env, seed or mode the rules admit needs quoting; None is an empty field.
         tail = f"{'' if self.seed is None else self.seed},{self.sampling_mode or ''}\n"
-        columns = (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db)
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(",".join(DATASET_CSV_HEADER) + "\n")
-            # One string and one write per block of rows, converted to Python floats.
-            for start in range(0, len(self), BLOCK_ROWS):
-                block = (c[start:start + BLOCK_ROWS].tolist() for c in columns)
-                f.write("".join([f"{fc!r},{d2d!r},{d3d!r},{env},{pl!r},{tail}"
-                                 for fc, d2d, d3d, pl in zip(*block)]))
+            write_blocks(f, DATASET_CSV_HEADER, (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db),
+                         lambda *block: "".join([f"{fc!r},{d2d!r},{d3d!r},{env},{pl!r},{tail}"
+                                                 for fc, d2d, d3d, pl in zip(*block)]))
 
 
 def _frequency_rng(seed: int, freq_index: int) -> np.random.Generator:

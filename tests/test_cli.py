@@ -1,12 +1,14 @@
 """Command line behavior: outputs, exit codes, env var overrides."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rmapath import (
@@ -14,6 +16,7 @@ from rmapath import (
     DATASET_CSV_HEADER,
     DEFAULT_BUDGET,
     RmaParams,
+    breakpoint_distance,
     bundled_campaign_path,
     distance_3d,
     pathloss_from_power,
@@ -126,9 +129,22 @@ def test_allocation_past_the_memory_is_one_line_domain_error(capsys, tmp_path, a
     assert not out_path.exists()
 
 
+def test_a_sample_count_past_a_numpy_dimension_names_the_field(capsys, tmp_path):
+    out_path = tmp_path / "x.csv"
+    status, out, err = run(capsys, "simulate", "--env", "los", "--samples", str(10**23),
+                           "--out", str(out_path))
+    most = np.iinfo(np.intp).max // (8 * 9)
+    assert (status, out) == (1, "")
+    assert err == f"error: samples_per_frequency must be at most {most} for 9 frequencies\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (("--fmax", "inf"), "--fmax must be finite and positive"),
     (("--fmin", "10", "--fmax", "5"), "--fmax must be >= --fmin"),
+    (("--hut", "0"), "--hut must be finite and positive"),
+    (("--hbs", "-1"), "--hbs must be finite and positive"),
+    (("--hbs", "nan", "--steps", str(10**15)), "--hbs must be finite and positive"),
 ])
 def test_bad_breakpoint_curve_span_is_one_line_domain_error(capsys, argv, message):
     status, out, err = run(capsys, "breakpoint-curve", *argv)
@@ -229,6 +245,29 @@ class TestBreakpointCurve:
         assert (status, err) == (0, "")
         assert out == ("fc_ghz,dbp_m\n1.0,1099.5574287564277\n2.0,2199.1148575128555\n"
                        "3.0,3298.672286269283\n")
+
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    @pytest.mark.parametrize("argv", [
+        *[("--steps", str(steps), "--hbs", "40", "--hut", "2")
+          for steps in (1, 8191, 8192, 8193, 20_000)],  # either side of one 8192-row block
+        # repr's exponent form, from subnormal to near the float ceiling
+        ("--fmin", "5e-324", "--fmax", "1e308", "--steps", "300", "--hbs", "1e-5",
+         "--hut", "1e-5"),
+    ], ids=["1", "8191", "8192", "8193", "20000", "exponents"])
+    def test_rows_are_the_csv_writers_rows(self, capsys, tmp_path, spacing, argv):
+        args = build_parser().parse_args(["breakpoint-curve", "--spacing", spacing, *argv])
+        grid = np.geomspace if spacing == "log" else np.linspace
+        fcs = grid(args.fmin, args.fmax, args.steps)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("fc_ghz", "dbp_m"))
+        writer.writerows(zip(fcs.tolist(), breakpoint_distance(args.hbs, args.hut, fcs).tolist()))
+        out_file = tmp_path / "curve.csv"
+        assert run(capsys, "breakpoint-curve", "--spacing", spacing, *argv) == (
+            0, expected.getvalue(), "")
+        assert run(capsys, "breakpoint-curve", "--spacing", spacing, *argv,
+                   "--out", str(out_file)) == (0, "", "")
+        assert out_file.read_bytes() == expected.getvalue().encode()
 
     def test_bad_steps_is_domain_error(self, capsys):
         status, _, _ = run(capsys, "breakpoint-curve", "--steps", "0")

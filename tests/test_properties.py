@@ -28,6 +28,7 @@ from rmapath import (
     distance_3d,
     fit_ci_arrays,
     fspl,
+    generate_3gpp_dataset,
     los_second_slope,
     max_range,
     pathloss_from_power,
@@ -38,6 +39,7 @@ from rmapath import (
     validate_applicability,
 )
 from rmapath import models
+from rmapath.simulate import SAMPLING_MODES
 
 # Heights over the TR 38.900 RMa applicability ranges.
 params_in_range = st.builds(
@@ -121,6 +123,35 @@ params = st.one_of(st.just(RmaParams()), st.builds(
 budgets = st.builds(LinkBudget, *[st.one_of(st.sampled_from(EDGE_VALUES[3:]),
                                             st.floats(allow_nan=False, allow_infinity=False))] * 3,
                     st.one_of(st.sampled_from((5e-324, 28.0, 1e308)), positive_floats))
+# Every SimulationConfig field, in field order: a value the config takes, and
+# what is drawn in its place: edge numbers, counts past a numpy dimension,
+# text, None and bools.
+CONFIG_FIELDS = (
+    (Environment.LOS, st.sampled_from(["LOS", "NLOS", Environment.NLOS, "los", None, 28.0, True])),
+    ((28.0,), st.one_of(numbers, st.lists(number, max_size=4).map(tuple),
+                        st.sampled_from(TEXT_AND_NONE))),
+    (3, st.one_of(st.sampled_from((np.int64(3), 10**400, 2**62, 0, -1, True, None, "3", 3.0)),
+                  st.integers())),
+    (10.0, st.one_of(number, st.sampled_from(TEXT_AND_NONE))),
+    (None, st.one_of(number, st.sampled_from(TEXT_AND_NONE))),
+    (RmaParams(), params),
+    (0, st.one_of(st.sampled_from((2**64 - 1, 2**64, -1, True, None, "7", 7.0, 10**400)),
+                  st.integers())),
+    ("linear", st.sampled_from(("log", "Log", "", None, 28.0, True))),
+    (True, st.sampled_from(("False", "", "True", None, 0, 1.0, False, np.False_))),
+)
+# The generator's entry draws only tiny sample counts.
+TINY_CONFIG_FIELDS = (*CONFIG_FIELDS[:2], (3, st.integers(1, 4)), *CONFIG_FIELDS[3:])
+
+
+def config_fields(fields):
+    """A tuple of config fields, up to three of them drawn in place of the value
+    the config takes: one bad field at a time is how a fault shows."""
+    return st.sets(st.integers(0, len(fields) - 1), max_size=3).flatmap(
+        lambda drawn: st.tuples(*(other if i in drawn else st.just(value)
+                                  for i, (value, other) in enumerate(fields))))
+
+
 CONTRACT = {
     "fspl": (fspl, (kernel_numbers, kernel_numbers)),
     "ci_pathloss": (ci_pathloss, (kernel_numbers, kernel_numbers, kernel_numbers)),
@@ -136,6 +167,10 @@ CONTRACT = {
     "SimulationConfig bounds": (
         lambda lo, hi: SimulationConfig(Environment.LOS, d2d_min_m=lo, d2d_max_m=hi),
         (st.one_of(numbers, st.sampled_from(TEXT_AND_NONE)),) * 2),
+    "SimulationConfig fields": (lambda fields: SimulationConfig(*fields),
+                                (config_fields(CONFIG_FIELDS),)),
+    "generate_3gpp_dataset": (lambda fields: generate_3gpp_dataset(SimulationConfig(*fields)),
+                              (config_fields(TINY_CONFIG_FIELDS),)),
     "fit_ci_arrays": (fit_ci_arrays, (st.one_of(numbers, st.just(28.0)), fit_columns,
                                       fit_columns, st.sampled_from(Environment))),
     "pathloss_from_power": (pathloss_from_power, (budgets, st.one_of(db_values, kernel_numbers))),
@@ -160,11 +195,14 @@ def all_finite(value) -> bool:
 
 
 def holds_text(arg) -> bool:
-    """Whether an argument is text, or an object array with text in it (an
-    ``Environment`` or its value is a str too, but no text)."""
+    """Whether an argument is text, or a tuple or object array with text in it (an
+    ``Environment`` or its value, or a sampling mode, is a str too, but no text)."""
     if isinstance(arg, np.ndarray) and arg.dtype.kind == "O":
-        return any(map(holds_text, arg.flat))
-    return isinstance(arg, (str, bytes)) and arg not in {env.value for env in Environment}
+        arg = tuple(arg.flat)
+    if isinstance(arg, tuple):
+        return any(map(holds_text, arg))
+    return isinstance(arg, (str, bytes)) and arg not in {
+        *(env.value for env in Environment), *SAMPLING_MODES}
 
 
 @pytest.mark.filterwarnings("ignore::rmapath.ModelRangeWarning")

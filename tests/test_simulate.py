@@ -26,6 +26,8 @@ from rmapath import (
 
 PARAMS = RmaParams()
 HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
+SAMPLES_PAST_A_DIMENSION = (f"samples_per_frequency must be at most "
+                            f"{np.iinfo(np.intp).max // 24} for 3 frequencies")
 
 
 def small_config(environment=Environment.NLOS, **overrides):
@@ -136,11 +138,20 @@ class TestSimulationConfig:
         (dict(frequencies_ghz=np.array([])), "frequencies_ghz must not be empty"),
         (dict(frequencies_ghz=np.array([1.0, math.nan])),
          "frequencies must be finite and positive"),
+        # Past one numpy dimension of float64 over all rows, not numpy's own late error.
+        (dict(samples_per_frequency=10**400), SAMPLES_PAST_A_DIMENSION),
+        (dict(samples_per_frequency=2**62), SAMPLES_PAST_A_DIMENSION),
+        (dict(samples_per_frequency=np.iinfo(np.intp).max // 24 + 1), SAMPLES_PAST_A_DIMENSION),
+        (dict(include_shadow_fading="False"), "include_shadow_fading must be a bool, got str"),
+        (dict(include_shadow_fading=None), "include_shadow_fading must be a bool, got NoneType"),
+        (dict(include_shadow_fading=0), "include_shadow_fading must be a bool, got int"),
         (dict(samples_per_frequency=np.int64(3), frequencies_ghz=(np.float64(2.0), 6)), None),
         (dict(samples_per_frequency=3, frequencies_ghz=np.array([2.0, 6.0])), None),
     ], ids=["samples-float", "samples-bool", "samples-negative-numpy", "frequency-str",
             "frequency-None", "frequency-nested", "frequency-scalar", "frequency-2d-array",
             "frequency-empty", "frequency-empty-array", "frequency-nan-array",
+            "samples-10**400", "samples-2**62", "samples-one-past-the-bound",
+            "shadow-str", "shadow-None", "shadow-int",
             "numpy-numbers-accepted", "numpy-array-accepted"])
     def test_config_input_types(self, overrides, message):
         if message is None:
@@ -149,6 +160,15 @@ class TestSimulationConfig:
         with pytest.raises(ValueError) as err:
             small_config(**overrides)
         assert str(err.value) == message
+
+    def test_the_largest_sample_count_is_accepted(self):
+        count = np.iinfo(np.intp).max // 24  # three frequencies of 8-byte floats
+        assert small_config(samples_per_frequency=count).samples_per_frequency == count
+
+    def test_a_numpy_bool_shadow_flag_is_held_as_a_bool(self):
+        config = small_config(include_shadow_fading=np.False_)
+        assert config.include_shadow_fading is False
+        assert config == small_config(include_shadow_fading=False)
 
     def test_frequencies_are_held_as_a_tuple_of_floats(self):
         by_array = small_config(frequencies_ghz=np.array([1, 28, 73]))
