@@ -10,7 +10,9 @@ rule, and ``message(row)`` names the fault of one of them. ``np.loadtxt``
 splits a plain file a block of rows at a time, and a bad row sends the file
 to the row loop. There the csv module splits one row at a time, so that each
 row's physical line is known: its field count and float parses are checked
-as it is read, and the table holds blocks of the rows that parse.
+as it is read, and the table holds blocks of the rows that parse. Both formats
+feed one column builder, ``_take``: a format names the columns a reader keeps,
+and each view the rows kept (``view["kept"]``) and its counts (``view["tally"]``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import codecs
 import csv
 import itertools
 import warnings
+from collections import Counter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,12 +34,15 @@ class CsvFormat(NamedTuple):
     header (the row loop keeps each text field whole, as an object); the type
     of its errors; the rule table, run in report order after the field count
     and the float parses; ``view(block)``, what the rules and the column builder
-    read, each value parsed once; and the text fields that hold a float or nothing."""
+    read, each value parsed once; the ``(view key, dtype)`` of each column a reader
+    keeps, filled from ``view[key][view["kept"]]``, while the builder sums each view's
+    ``view["tally"]`` (a mapping of counts); and the text fields that hold a float or nothing."""
 
     dtype: np.dtype
     error: type[ValueError]
     rules: tuple
     view: Callable
+    columns: tuple
     optional: tuple[str, ...] = ()
 
 
@@ -173,15 +179,33 @@ def _row_bound(path, error: type[ValueError]) -> tuple[bool, int]:
             breaks, after_cr = breaks + lines, chunk.endswith(b"\r")
 
 
-def read_csv_file(path, fmt: CsvFormat, take_blocks):
-    """``take_blocks(views, rows)`` of a CSV file: the views of its good rows, 8192 at a time.
+def _take(views, rows: int, fmt: CsvFormat) -> tuple[list[np.ndarray], Counter]:
+    """The kept rows of checked views, one array per ``(key, dtype)`` of ``fmt.columns``,
+    each sized once from the row bound ``rows``; and the sum of the views' tallies."""
+    # One 2-D block per dtype, whose rows are the columns. An allocation per column
+    # made a 200 000-row campaign read take ~3 700 more page faults (glibc heap trims).
+    blocks = {dtype: iter(np.empty((count, rows), dtype))
+              for dtype, count in Counter(dtype for _, dtype in fmt.columns).items()}
+    taken = [next(blocks[dtype]) for _, dtype in fmt.columns]
+    n, tally = 0, Counter()
+    for view in views:
+        for column, (key, _) in zip(taken, fmt.columns):
+            values = view[key][view["kept"]]
+            column[n:n + len(values)] = values
+        n += len(values)
+        tally.update(view["tally"])
+    return [column[:n] for column in taken], tally
 
-    ``rows`` bounds their count, so that columns are sized once. A plain file
-    (``_row_bound``) with the header first is split by ``np.loadtxt``, one
-    call per block. When a row breaks a rule there, or ``loadtxt`` or
-    ``fmt.view`` rejects or warns of a block, the row loop
-    (``checked_csv_rows``) reads the file; it raises the header error or the
-    row errors once the good rows have been taken.
+
+def read_csv_file(path, fmt: CsvFormat) -> tuple[list[np.ndarray], Counter]:
+    """The kept columns (``fmt.columns``) and summed tally of a CSV file's good rows.
+
+    The row bound sizes each column once. A plain file (``_row_bound``) with
+    the header first is split by ``np.loadtxt``, one call per block of 8192
+    rows. When a row breaks a rule there, or ``loadtxt`` or ``fmt.view``
+    rejects or warns of a block, the row loop (``checked_csv_rows``) reads
+    the file; it raises the header error or the row errors once the good rows
+    have been taken.
     """
     plain, rows = _row_bound(path, fmt.error)
     with open(path, encoding="utf-8", newline="") as f:
@@ -194,8 +218,8 @@ def read_csv_file(path, fmt: CsvFormat, take_blocks):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
-                    return take_blocks(_views(fmt, ((None, block) for block in blocks)), rows)
+                    return _take(_views(fmt, ((None, block) for block in blocks)), rows, fmt)
                 except (ValueError, Warning):
                     pass
         f.seek(0)
-        return take_blocks(checked_csv_rows(f, fmt), rows)
+        return _take(checked_csv_rows(f, fmt), rows, fmt)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .models import (Environment, distance_3d, finite, finite_positive, finite_result,
-                     float_errors)
+                     float_errors, hold_floats)
 from ._csv import CsvFormat, checked_csv_rows, finite_rule, read_csv_file
 from .simulate import SimulatedDataset, datasets_by_environment
 
@@ -46,11 +46,7 @@ class LinkBudget:
     max_measurable_pl_db: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            value = finite(name, value)
-            if value.ndim:
-                raise ValueError(f"{name} must be a number")
-            object.__setattr__(self, name, float(value))
+        hold_floats(self, tuple(vars(self)), finite)
         finite_positive("max_measurable_pl_db", self.max_measurable_pl_db)
 
     @property
@@ -125,13 +121,15 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm):
 def _view(block) -> dict:
     """A campaign block's columns by name, with a mask per literal of a text
     field (``view["outage", "true"]``), the mask of the rows a fit takes
-    (``view["fitted"]``: neither an outage nor LOS-DIFFRACTION), and each power
+    (``view["kept"]``: neither an outage nor LOS-DIFFRACTION), and each power
     parsed once (an empty one reads as 0) and marked in ``given``;
-    ValueError where a power fills its ``np.loadtxt`` width, which may have cut it."""
+    ValueError where a power fills its ``np.loadtxt`` width, which may have cut it.
+    ``view["pl"]`` is each row's path loss, or its received power where ``view["from_power"]``
+    is set, and ``view["tally"]`` counts the dropped outage and diffraction rows."""
     view = {name: block[name] for name in CAMPAIGN_CSV_HEADER}
     for name, literals in (("outage", ("true", "false")), ("environment", CAMPAIGN_TAGS)):
         view.update(((name, text), block[name] == text) for text in literals)
-    view["fitted"] = view["outage", "false"] & ~view["environment", DIFFRACTION_TAG]
+    view["kept"] = view["outage", "false"] & ~view["environment", DIFFRACTION_TAG]
     view["given"] = []
     for name in _RECORD_NUMBERS[4:]:
         text = block[name]
@@ -141,6 +139,11 @@ def _view(block) -> dict:
         view[name] = np.zeros(len(block))
         view[name][has] = text[has].astype(float)  # parsed as float() parses it
         view["given"].append(has)
+    view["pl"] = np.where(view["given"][1], view["pl_db"], view["p_rx_dbm"])
+    view["from_power"] = ~view["given"][1]
+    diffraction = view["environment", DIFFRACTION_TAG] & view["outage", "false"]
+    view["tally"] = {"outage": int(np.count_nonzero(view["outage", "true"])),
+                     "diffraction": int(np.count_nonzero(diffraction))}
     return view
 
 
@@ -153,7 +156,7 @@ def _positive(name: str) -> tuple:
 def _slant_overflows(view) -> np.ndarray:
     """The fitted rows whose slant distance sum, as ``distance_3d`` forms it, overflows."""
     d2d, dh = view["d2d_m"], view["tx_height_m"] - view["rx_height_m"]
-    return view["fitted"] & ~(d2d * d2d + dh * dh < np.inf)
+    return view["kept"] & ~(d2d * d2d + dh * dh < np.inf)
 
 
 # The campaign row rules in report order, after the field count and the float parses.
@@ -168,7 +171,8 @@ _FORMAT = CsvFormat(_BLOCK_DTYPE, CampaignFormatError, (
      lambda row: "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
                  f"got {(row['p_rx_dbm'] != '') + (row['pl_db'] != '')}"),
     (_slant_overflows, lambda row: "slant distance overflows a float"),
-), _view, optional=_RECORD_NUMBERS[4:])
+), _view, (*((name, float) for name in _RECORD_NUMBERS[:4]), ("pl", float),
+            ("from_power", bool), (("environment", "NLOS"), bool)), optional=_RECORD_NUMBERS[4:])
 
 
 def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
@@ -182,30 +186,6 @@ def parse_campaign_csv(text: str) -> list[MeasurementRecord]:
             for view in checked_csv_rows(io.StringIO(text), _FORMAT)
             for *fields, p_rx, pl, outage, has_p_rx, has_pl in zip(
                 *(view[name].tolist() for name in CAMPAIGN_CSV_HEADER), *view["given"])]
-
-
-def _take_blocks(views, rows: int):
-    """``(columns, from_power, nlos, outage_dropped, diffraction_dropped)`` of checked
-    campaign views.
-
-    The columns, sized once, hold each fitted row's d2d_m, heights, fc_ghz and
-    path loss, or its received power where ``from_power`` is set.
-    """
-    columns = np.empty((5, rows))
-    from_power, nlos = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
-    n = outage_dropped = diffraction_dropped = 0
-    for view in views:
-        fitted, given_pl = view["fitted"], view["given"][1]
-        end = n + int(np.count_nonzero(fitted))
-        columns[:, n:end] = [*(view[name][fitted] for name in _RECORD_NUMBERS[:4]),
-                             np.where(given_pl, view["pl_db"], view["p_rx_dbm"])[fitted]]
-        from_power[n:end] = ~given_pl[fitted]
-        nlos[n:end] = view["environment", "NLOS"][fitted]
-        outage_dropped += int(np.count_nonzero(view["outage", "true"]))
-        diffraction_dropped += int(np.count_nonzero(view["environment", DIFFRACTION_TAG]
-                                                    & view["outage", "false"]))
-        n = end
-    return columns[:, :n], from_power[:n], nlos[:n], outage_dropped, diffraction_dropped
 
 
 def read_campaign_csv(path, budget: LinkBudget
@@ -224,13 +204,12 @@ def read_campaign_csv(path, budget: LinkBudget
     ``line N:`` message per bad row, N the physical line it starts on (header: 1),
     and OverflowError where a budget near the float range gives a loss past it.
     """
-    (d2d, tx_h, rx_h, fc, pl), from_power, nlos, outage_dropped, diffraction_dropped = (
-        read_csv_file(path, _FORMAT, _take_blocks))
+    (d2d, tx_h, rx_h, fc, pl, from_power, nlos), dropped = read_csv_file(path, _FORMAT)
     # Converted only once every row has passed, so a rejected file warns of nothing.
     pl[from_power] = pathloss_from_power(budget, pl[from_power])
     d3d = distance_3d(d2d, tx_h, rx_h)  # cannot overflow: the rows passed the row rules
-    summary = ConversionSummary(len(pl) + outage_dropped + diffraction_dropped, len(pl),
-                                outage_dropped, diffraction_dropped)
+    summary = ConversionSummary(len(pl) + dropped.total(), len(pl), dropped["outage"],
+                                dropped["diffraction"])
     return datasets_by_environment((fc, d2d, d3d, pl), nlos), summary
 
 

@@ -53,6 +53,8 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
         raise DegenerateFitError("need at least 2 samples to fit an exponent")
     fc = finite_positive("fc_ghz", fc_ghz)
     pl = finite("pl_db", pl_db)
+    if d.ndim != 1 or pl.shape != d.shape or fc.shape not in {(), d.shape}:
+        raise ValueError("fc_ghz (or one number), d_m and pl_db must be 1-D and of one length")
     if d.min() < 1.0:
         raise ValueError("CI fit requires all distances >= 1 m")
     a = pl - CI_ANCHOR_DB - 20.0 * np.log10(fc)

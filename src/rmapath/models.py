@@ -91,11 +91,7 @@ class RmaParams:
     h: float = 5.0      # average building height
 
     def __post_init__(self):
-        for name in ("h_bs", "h_ut", "w", "h"):
-            value = finite_positive(name, getattr(self, name))
-            if value.ndim:
-                raise ValueError(f"{name} must be a number")
-            object.__setattr__(self, name, float(value))
+        hold_floats(self, ("h_bs", "h_ut", "w", "h"))
 
 
 # Table of soft applicability ranges for RmaParams fields.
@@ -162,6 +158,16 @@ def finite_positive(name: str, value, *, lower: float = 0.0) -> np.ndarray | np.
 def finite(name: str, value) -> np.ndarray | np.float64:
     """The gate of a dB value of any sign: ``finite_positive`` with no lower bound."""
     return finite_positive(name, value, lower=-math.inf)
+
+
+def hold_floats(config, names, gate=finite_positive) -> None:
+    """Set each field ``names`` of the frozen dataclass ``config`` to the float that
+    ``gate`` passes; an array is ValueError ``<name> must be a number``."""
+    for name in names:
+        value = gate(name, getattr(config, name))
+        if value.ndim:
+            raise ValueError(f"{name} must be a number")
+        object.__setattr__(config, name, float(value))
 
 
 def finite_result(x):

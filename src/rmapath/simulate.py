@@ -25,6 +25,7 @@ from .models import (
     RMA_NLOS_D2D_RANGE_M,
     distance_3d,
     finite_positive,
+    hold_floats,
     los_second_slope,
     rma_los,
     rma_nlos,
@@ -79,21 +80,22 @@ def _distinct(column: np.ndarray) -> set[str]:
 
 def _dataset_view(block) -> dict:
     """A dataset block's columns by name, with a mask per environment
-    (``view["env", "LOS"]``) and the distinct seeds and modes (``view["seeds"]``,
-    ``view["modes"]``)."""
+    (``view["env", "LOS"]``), the rows a reader keeps (``view["kept"]``: all of them)
+    and the distinct seeds and modes (``view["tally"]``, keyed ``(name, text)``)."""
     view = {name: block[name] for name in DATASET_CSV_HEADER}
     view.update((("env", env), block["env"] == env) for env in _ENVIRONMENT_VALUES)
-    view["seeds"], view["modes"] = _distinct(block["seed"]), _distinct(block["sampling_mode"])
+    view["kept"], view["tally"] = slice(None), {
+        (name, text): 1 for name in ("seed", "sampling_mode") for text in _distinct(block[name])}
     return view
 
 
 def _bad_seed_or_mode(view) -> np.ndarray:
     """The rows whose seed or mode breaks its rule; each distinct value is checked once."""
     bad = np.zeros(len(view["seed"]), dtype=bool)
-    for name, texts in (("seed", view["seeds"]), ("sampling_mode", view["modes"])):
-        rejected = [text for text in texts if _seed_and_mode_error(**{name: text or None})]
-        if rejected:  # as objects: numpy drops the NULs that end a text it converts
-            bad |= np.isin(view[name], np.array(rejected, dtype=object))
+    for name, text in view["tally"]:
+        if _seed_and_mode_error(**{name: text or None}):
+            # As an object: numpy drops the NULs that end a text it converts.
+            bad |= np.isin(view[name], np.array([text], dtype=object))
     return bad
 
 
@@ -104,7 +106,7 @@ _DATASET_FORMAT = CsvFormat(_DATASET_BLOCK_DTYPE, ValueError, (
     *map(finite_rule, _DATASET_FLOAT_FIELDS),
     (_bad_seed_or_mode,
      lambda row: _seed_and_mode_error(row["seed"] or None, row["sampling_mode"] or None)),
-), _dataset_view)
+), _dataset_view, (*((name, float) for name in _DATASET_FLOAT_FIELDS), (("env", "NLOS"), bool)))
 
 
 def _seed_text(seed) -> str:
@@ -163,11 +165,9 @@ class SimulationConfig:
         object.__setattr__(self, "include_shadow_fading", bool(shadow))
         if error := _seed_and_mode_error(_seed_text(self.seed), str(self.distance_sampling)):
             raise ValueError(error)
-        for name in ("d2d_min_m", "d2d_max_m"):
-            value = finite_positive(name, getattr(self, name))
-            if value.ndim:
-                raise ValueError(f"{name} must be a number")
-            object.__setattr__(self, name, float(value))
+        if not isinstance(self.params, RmaParams):
+            raise ValueError(f"params must be an RmaParams, got {type(self.params).__name__}")
+        hold_floats(self, ("d2d_min_m", "d2d_max_m"))
         if not self.d2d_min_m < self.d2d_max_m:
             raise ValueError("d2d_min_m must be less than d2d_max_m")
         if self.d2d_min_m < span[0] or self.d2d_max_m > span[1]:
@@ -196,6 +196,7 @@ class SimulatedDataset:
     sampling_mode: str | None
 
     def __post_init__(self):
+        object.__setattr__(self, "environment", Environment(self.environment))
         if {np.shape(c) for c in (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db)} != {
                 (np.size(self.pl_db),)}:
             raise ValueError("fc_ghz, d2d_m, d3d_m and pl_db must be 1-D and of one length")
@@ -259,22 +260,6 @@ def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
                             seed=config.seed, sampling_mode=config.distance_sampling)
 
 
-def _take_dataset_blocks(views, rows: int):
-    """``(columns, nlos, seeds, modes)`` of checked dataset views, in columns sized once."""
-    values = np.empty((len(_DATASET_FLOAT_FIELDS), rows))
-    nlos = np.empty(rows, dtype=bool)
-    n = 0
-    seeds, modes = set(), set()
-    for view in views:
-        end = n + len(view["env"])
-        nlos[n:end] = view["env", "NLOS"]
-        values[:, n:end] = [view[name] for name in _DATASET_FLOAT_FIELDS]
-        seeds |= view["seeds"]
-        modes |= view["modes"]
-        n = end
-    return values[:, :n], nlos[:n], seeds, modes
-
-
 def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
     """Read a dataset CSV back into one dataset per environment, LOS first.
 
@@ -287,10 +272,12 @@ def read_dataset_csv(path) -> dict[Environment, SimulatedDataset]:
     per malformed row naming the physical line it starts on (the header is
     line 1).
     """
-    columns, nlos, seeds, modes = read_csv_file(path, _DATASET_FORMAT, _take_dataset_blocks)
+    (*columns, nlos), tally = read_csv_file(path, _DATASET_FORMAT)
+    seeds, modes = ([text for key, text in tally if key == name]
+                    for name in ("seed", "sampling_mode"))
     # An empty field is a dataset written without a seed or sampling mode.
-    seed = next(iter(seeds)) if len(seeds) == 1 else ""
-    mode = next(iter(modes)) if len(modes) == 1 else ""
+    seed = seeds[0] if len(seeds) == 1 else ""
+    mode = modes[0] if len(modes) == 1 else ""
     return datasets_by_environment(columns, nlos, int(seed) if seed else None, mode or None)
 
 

@@ -15,6 +15,7 @@ from rmapath import (
     DEFAULT_BUDGET,
     BelowSensitivityWarning,
     CampaignFormatError,
+    ConversionSummary,
     Environment,
     LinkBudget,
     NoCoverageError,
@@ -433,6 +434,23 @@ class TestBlockPath:
             by_blocks = campaign_outcome(text)
         assert by_blocks == by_rows
         assert by_blocks[1].total == 20_000 and by_blocks[2]  # some rows warn
+
+    def test_a_block_with_no_fitted_row_reads_as_its_quoted_twin(self, campaign_outcome,
+                                                                monkeypatch):
+        # The first 8192-row block holds only outage and LOS-DIFFRACTION rows.
+        dropped = [TWIN_ROWS[3] if i % 3 else TWIN_ROWS[2] for i in range(8192)]
+        text = "\n".join([HEADER, *dropped, *TWIN_ROWS[:2] * 50, ",".join(CHANGED)]) + "\n"
+        by_rows = campaign_outcome(quoted_twin(text))
+        with monkeypatch.context() as patch:
+            patch.setattr("rmapath._csv.checked_csv_rows", None)  # the row loop would fail
+            by_blocks = campaign_outcome(text)
+        assert by_blocks == by_rows
+        columns, summary, warned = by_blocks
+        assert summary == ConversionSummary(8293, 101, 5461, 2731)
+        assert [len(columns[env][0]) for env in (Environment.LOS, Environment.NLOS)] == [
+            8 * 51, 8 * 50]  # bytes of the float64 columns
+        assert warned == ["path loss 158.7 dB exceeds the 150 dB measurable ceiling "
+                          "(outage-equivalent)"]  # the last row's; the others are below it
 
     @pytest.mark.parametrize("field,value", [
         ("location_id", ""), ("location_id", 'A"B'), ("environment", " LOS"),

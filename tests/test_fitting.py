@@ -84,6 +84,21 @@ class TestFitCi:
             fit_ci_arrays(fc, d, pl, Environment.LOS)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("fc,d,pl", [
+        (28.0, [[10.0, 100.0], [20.0, 200.0]], [100.0, 120.0]),
+        (28.0, [10.0, 100.0], [[100.0, 120.0], [110.0, 130.0]]),
+        ([[28.0], [73.5]], [10.0, 100.0], [100.0, 120.0]),
+        (28.0, [10.0, 100.0, 1000.0], 120.0),
+        (28.0, [10.0, 100.0, 1000.0], [100.0, 120.0]),
+        ([28.0, 28.0], [10.0, 100.0, 1000.0], [100.0, 120.0, 140.0]),
+        ([28.0], [10.0, 100.0], [100.0, 120.0]),
+    ], ids=["d-2d", "pl-2d", "fc-2d", "pl-scalar", "pl-shorter", "fc-shorter", "fc-one-row"])
+    def test_columns_of_another_shape_rejected(self, fc, d, pl):
+        with pytest.raises(ValueError) as err:
+            fit_ci_arrays(fc, d, pl, Environment.LOS)
+        assert str(err.value) == ("fc_ghz (or one number), d_m and pl_db must be 1-D and of "
+                                  "one length")
+
     @pytest.mark.parametrize("pl", [[1e308, 1e308], [1e200, -1e200]],
                              ids=["sum-overflows", "residual-square-overflows"])
     def test_overflowing_fit_raises_without_a_numpy_warning(self, pl):

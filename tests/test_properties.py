@@ -114,9 +114,14 @@ object_arrays = st.lists(st.one_of(number, st.sampled_from((*TEXT_AND_NONE, {}))
 kernel_numbers = st.one_of(numbers, object_arrays)
 # The fit also gets three-row columns that it would accept but for numeric
 # text among them: in generic draws, text is rarely an argument's only fault.
+# Square 2-D columns and a lone number, of values it would accept, are faults
+# of shape alone.
 fit_columns = st.one_of(kernel_numbers, st.lists(
     st.one_of(st.floats(1.0, 1e4), st.sampled_from(("150", b"150"))),
-    min_size=3, max_size=3).map(lambda xs: np.array(xs, dtype=object)))
+    min_size=3, max_size=3).map(lambda xs: np.array(xs, dtype=object)),
+    *(st.lists(st.floats(1.0, 1e4), min_size=k * k, max_size=k * k).map(
+        lambda xs, k=k: np.reshape(xs, (k, k))) for k in (2, 3)),
+    st.floats(1.0, 1e4))
 db_values = st.one_of(number, st.sampled_from(TEXT_AND_NONE))
 params = st.one_of(st.just(RmaParams()), st.builds(
     RmaParams, *[st.one_of(st.sampled_from((5e-324, 1.0, 1e308)), positive_floats)] * 4))
@@ -125,7 +130,7 @@ budgets = st.builds(LinkBudget, *[st.one_of(st.sampled_from(EDGE_VALUES[3:]),
                     st.one_of(st.sampled_from((5e-324, 28.0, 1e308)), positive_floats))
 # Every SimulationConfig field, in field order: a value the config takes, and
 # what is drawn in its place: edge numbers, counts past a numpy dimension,
-# text, None and bools.
+# text, None and bools, and geometry that is no RmaParams.
 CONFIG_FIELDS = (
     (Environment.LOS, st.sampled_from(["LOS", "NLOS", Environment.NLOS, "los", None, 28.0, True])),
     ((28.0,), st.one_of(numbers, st.lists(number, max_size=4).map(tuple),
@@ -134,7 +139,7 @@ CONFIG_FIELDS = (
                   st.integers())),
     (10.0, st.one_of(number, st.sampled_from(TEXT_AND_NONE))),
     (None, st.one_of(number, st.sampled_from(TEXT_AND_NONE))),
-    (RmaParams(), params),
+    (RmaParams(), st.one_of(params, st.none(), st.just((35.0, 1.5, 20.0, 5.0)))),
     (0, st.one_of(st.sampled_from((2**64 - 1, 2**64, -1, True, None, "7", 7.0, 10**400)),
                   st.integers())),
     ("linear", st.sampled_from(("log", "Log", "", None, 28.0, True))),

@@ -145,13 +145,15 @@ class TestSimulationConfig:
         (dict(include_shadow_fading="False"), "include_shadow_fading must be a bool, got str"),
         (dict(include_shadow_fading=None), "include_shadow_fading must be a bool, got NoneType"),
         (dict(include_shadow_fading=0), "include_shadow_fading must be a bool, got int"),
+        (dict(params=None), "params must be an RmaParams, got NoneType"),
+        (dict(params=(35.0, 1.5, 20.0, 5.0)), "params must be an RmaParams, got tuple"),
         (dict(samples_per_frequency=np.int64(3), frequencies_ghz=(np.float64(2.0), 6)), None),
         (dict(samples_per_frequency=3, frequencies_ghz=np.array([2.0, 6.0])), None),
     ], ids=["samples-float", "samples-bool", "samples-negative-numpy", "frequency-str",
             "frequency-None", "frequency-nested", "frequency-scalar", "frequency-2d-array",
             "frequency-empty", "frequency-empty-array", "frequency-nan-array",
             "samples-10**400", "samples-2**62", "samples-one-past-the-bound",
-            "shadow-str", "shadow-None", "shadow-int",
+            "shadow-str", "shadow-None", "shadow-int", "params-None", "params-tuple",
             "numpy-numbers-accepted", "numpy-array-accepted"])
     def test_config_input_types(self, overrides, message):
         if message is None:
@@ -314,6 +316,20 @@ class TestDatasetColumns:
 
     def test_empty_columns_are_a_dataset(self):
         assert len(SimulatedDataset(Environment.LOS, *[np.ones(0)] * 4, None, None)) == 0
+
+    def test_environment_is_taken_by_its_value(self, tmp_path):
+        columns = [np.array([28.0, 28.0]), np.array([10.0, 20.0]), np.array([35.0, 40.0]),
+                   np.array([90.0, 95.5])]
+        by_value, by_member = tmp_path / "value.csv", tmp_path / "member.csv"
+        SimulatedDataset("LOS", *columns, 7, "log").write_csv(by_value)
+        SimulatedDataset(Environment.LOS, *columns, 7, "log").write_csv(by_member)
+        assert by_value.read_bytes() == by_member.read_bytes()
+
+    @pytest.mark.parametrize("environment", ["los", "bogus"])
+    def test_an_environment_that_is_no_value_is_rejected(self, environment):
+        with pytest.raises(ValueError) as err:
+            SimulatedDataset(environment, *[np.ones(2)] * 4, None, None)
+        assert str(err.value) == f"{environment!r} is not a valid Environment"
 
 
 class TestDatasetCsv:
