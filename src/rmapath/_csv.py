@@ -13,6 +13,8 @@ row's physical line is known: its field count and float parses are checked
 as it is read, and the table holds blocks of the rows that parse. Both formats
 feed one column builder, ``_take``: a format names the columns a reader keeps,
 and each view the rows kept (``view["kept"]``) and its counts (``view["tally"]``).
+The builder, like the dataset generator, allocates its columns as the rows of
+one ``column_block``.
 """
 
 from __future__ import annotations
@@ -179,12 +181,18 @@ def _row_bound(path, error: type[ValueError]) -> tuple[bool, int]:
             breaks, after_cr = breaks + lines, chunk.endswith(b"\r")
 
 
+def column_block(count: int, rows: int, dtype) -> np.ndarray:
+    """An uninitialised ``(count, rows)`` array whose rows are ``count`` columns."""
+    # One 2-D block, not an allocation per column: one per column made a 200 000-row
+    # campaign read take ~3 700 more page faults (glibc heap trims).
+    return np.empty((count, rows), dtype)
+
+
 def _take(views, rows: int, fmt: CsvFormat) -> tuple[list[np.ndarray], Counter]:
     """The kept rows of checked views, one array per ``(key, dtype)`` of ``fmt.columns``,
-    each sized once from the row bound ``rows``; and the sum of the views' tallies."""
-    # One 2-D block per dtype, whose rows are the columns. An allocation per column
-    # made a 200 000-row campaign read take ~3 700 more page faults (glibc heap trims).
-    blocks = {dtype: iter(np.empty((count, rows), dtype))
+    each sized once from the row bound ``rows``, a ``column_block`` row per column of a
+    dtype; and the sum of the views' tallies."""
+    blocks = {dtype: iter(column_block(count, rows, dtype))
               for dtype, count in Counter(dtype for _, dtype in fmt.columns).items()}
     taken = [next(blocks[dtype]) for _, dtype in fmt.columns]
     n, tally = 0, Counter()

@@ -57,18 +57,25 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
         raise ValueError("fc_ghz (or one number), d_m and pl_db must be 1-D and of one length")
     if d.min() < 1.0:
         raise ValueError("CI fit requires all distances >= 1 m")
-    a = pl - CI_ANCHOR_DB - 20.0 * np.log10(fc)
-    b = 10.0 * np.log10(d)
+    # a = pl - 32.4 - 20*log10(fc), b = 10*log10(d) and the residual a - n*b, each
+    # operation as written and in that order, in two new arrays: never in an input.
+    a = pl - CI_ANCHOR_DB
+    b = np.log10(fc)
+    b *= 20.0
+    a -= b
+    b = np.log10(d, out=b if b.shape == d.shape else None)
+    b *= 10.0
     bb = float(b @ b)
     if bb == 0.0:
         raise DegenerateFitError(
             "all samples at the 1 m reference distance; exponent unidentifiable")
     n = float(a @ b) / bb
-    r = a - n * b
+    b *= n
+    r = np.subtract(a, b, out=b)
     # A finite sigma bounds every residual, so n and the mean are finite too.
     return CiFitResult(
         n=n,
-        sigma_db=finite_result(np.sqrt(np.mean(r * r))),
+        sigma_db=finite_result(np.sqrt(np.mean(np.multiply(r, r, out=a)))),
         count=int(d.size),
         mean_residual_db=float(np.mean(r)),
         environment=environment,

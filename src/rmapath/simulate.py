@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._csv import CsvFormat, finite_rule, read_csv_file, write_blocks
+from ._csv import CsvFormat, column_block, finite_rule, read_csv_file, write_blocks
 from .models import (
     Environment,
     RmaParams,
@@ -24,6 +24,7 @@ from .models import (
     RMA_LOS_D2D_RANGE_M,
     RMA_NLOS_D2D_RANGE_M,
     distance_3d,
+    finite,
     finite_positive,
     hold_floats,
     los_second_slope,
@@ -156,7 +157,8 @@ class SimulationConfig:
         count = self.samples_per_frequency  # an integer, numpy's too, but not a bool
         if isinstance(count, bool) or not hasattr(count, "__index__") or count <= 0:
             raise ValueError("samples_per_frequency must be a positive integer")
-        most = np.iinfo(np.intp).max // (8 * frequencies.size)  # one float64 column of all rows
+        # The generator's (4, rows) float64 block must fit one numpy array.
+        most = np.iinfo(np.intp).max // (32 * frequencies.size)
         if count.__index__() > most:
             raise ValueError(f"samples_per_frequency must be at most {most} "
                              f"for {frequencies.size} frequencies")
@@ -184,7 +186,9 @@ class SimulatedDataset:
     The one sample type of the package: generated, read back from a
     dataset CSV, or converted from campaign records. CI fits run against
     ``d3d_m``. ``seed`` and ``sampling_mode`` are None when not known
-    (campaign data) or not constant across the rows of a dataset CSV.
+    (campaign data) or not constant across the rows of a dataset CSV. The
+    columns may be rows of one block (``generate_3gpp_dataset``) or views
+    of a reader's arrays; their values are checked when written.
     """
 
     environment: Environment
@@ -208,12 +212,18 @@ class SimulatedDataset:
         return self.pl_db.size
 
     def write_csv(self, path) -> None:
-        """Write the dataset with full float precision (repr round-trip)."""
+        """Write the dataset with full float precision (repr round-trip).
+
+        Raises ValueError (``pl_db must be finite``), before the file is
+        opened, on a column holding text or a value that is not finite, so
+        that every file written is one ``read_dataset_csv`` reads.
+        """
+        columns = [finite(name, getattr(self, name)) for name in _DATASET_FLOAT_FIELDS]
         env = self.environment.value
         # No env, seed or mode the rules admit needs quoting; None is an empty field.
         tail = f"{'' if self.seed is None else self.seed},{self.sampling_mode or ''}\n"
         with open(path, "w", encoding="utf-8", newline="") as f:
-            write_blocks(f, DATASET_CSV_HEADER, (self.fc_ghz, self.d2d_m, self.d3d_m, self.pl_db),
+            write_blocks(f, DATASET_CSV_HEADER, columns,
                          lambda *block: "".join([f"{fc!r},{d2d!r},{d3d!r},{env},{pl!r},{tail}"
                                                  for fc, d2d, d3d, pl in zip(*block)]))
 
@@ -233,30 +243,41 @@ def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
     ceiling; NLOS: 8 dB). The 2D span was validated against the model's
     applicability range at config construction; ``rma_los``/``rma_nlos``
     admit the 3D distances that span maps to.
+
+    The dataset's four columns are the rows of one ``(4, N)`` float block,
+    each frequency's samples one slice of it.
     """
     params = config.params
     n = config.samples_per_frequency
     log_bounds = (np.log10(config.d2d_min_m), np.log10(config.d2d_max_m))
     los = config.environment is Environment.LOS
 
-    blocks = []  # (fc, d2d, d3d, pl) columns of each frequency
+    block = column_block(4, n * len(config.frequencies_ghz), float)  # fc, d2d, d3d, pl rows
     for index, fc in enumerate(config.frequencies_ghz):
         rng = _frequency_rng(config.seed, index)
+        fc_column, d2d, d3d, pl = block[:, index * n:(index + 1) * n]
+        fc_column.fill(fc)
+        # Generator.uniform, not random(out=) and arithmetic, whose rounding a
+        # compiler may change by fusing the multiply and add.
         if config.distance_sampling == "linear":
-            d2d = rng.uniform(config.d2d_min_m, config.d2d_max_m, n)
+            d2d[:] = rng.uniform(config.d2d_min_m, config.d2d_max_m, n)
         else:
-            d2d = 10.0 ** rng.uniform(log_bounds[0], log_bounds[1], n)
-        d3d = distance_3d(d2d, params.h_bs, params.h_ut)
+            np.power(10.0, rng.uniform(log_bounds[0], log_bounds[1], n), out=d2d)
+        d3d[:] = distance_3d(d2d, params.h_bs, params.h_ut)
+        mean_pl = (rma_los if los else rma_nlos)(params, d3d, fc)
+        if not config.include_shadow_fading:
+            pl[:] = mean_pl
+            continue
+        sigma = SIGMA_NLOS_DB
         if los:
-            mean_pl = rma_los(params, d3d, fc)
-            sigma = np.where(los_second_slope(params, d3d, fc),
-                             SIGMA_LOS_POST_BP_DB, SIGMA_LOS_PRE_BP_DB)
-        else:
-            mean_pl = rma_nlos(params, d3d, fc)
-            sigma = SIGMA_NLOS_DB
-        pl = mean_pl + rng.normal(0.0, sigma, n) if config.include_shadow_fading else mean_pl
-        blocks.append((np.full(n, float(fc)), d2d, d3d, pl))
-    return SimulatedDataset(config.environment, *map(np.concatenate, zip(*blocks)),
+            second = los_second_slope(params, d3d, fc)
+            sigma = (np.where(second, SIGMA_LOS_POST_BP_DB, SIGMA_LOS_PRE_BP_DB)
+                     if second.any() else SIGMA_LOS_PRE_BP_DB)
+        # normal(0, sigma) draws sigma * standard_normal(), draw for draw.
+        rng.standard_normal(out=pl)
+        pl *= sigma
+        pl += mean_pl
+    return SimulatedDataset(config.environment, *block,
                             seed=config.seed, sampling_mode=config.distance_sampling)
 
 

@@ -115,17 +115,18 @@ def test_non_finite_input_is_one_line_domain_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-# 10**15 float64 values are 7.11 PiB, past the address space, so numpy's
-# allocation fails at once, before any memory is touched.
-@pytest.mark.parametrize("argv", [
-    ("simulate", "--env", "los", "--samples", str(10**15)),
-    ("breakpoint-curve", "--steps", str(10**15)),
+# 10**15 float64 values are 7.11 PiB, and simulate's block of four rows of
+# 9 * 10**15 is 256 PiB, past the address space, so numpy's allocation fails
+# at once, before any memory is touched.
+@pytest.mark.parametrize("argv,size", [
+    (("simulate", "--env", "los", "--samples", str(10**15)), "256. PiB"),
+    (("breakpoint-curve", "--steps", str(10**15)), "7.11 PiB"),
 ], ids=["simulate", "breakpoint-curve"])
-def test_allocation_past_the_memory_is_one_line_domain_error(capsys, tmp_path, argv):
+def test_allocation_past_the_memory_is_one_line_domain_error(capsys, tmp_path, argv, size):
     out_path = tmp_path / "x.csv"
     status, out, err = run(capsys, *argv, "--out", str(out_path))
     assert (status, out) == (1, "")
-    assert err.startswith("error: Unable to allocate 7.11 PiB") and err.count("\n") == 1
+    assert err.startswith(f"error: Unable to allocate {size}") and err.count("\n") == 1
     assert not out_path.exists()
 
 
@@ -133,7 +134,7 @@ def test_a_sample_count_past_a_numpy_dimension_names_the_field(capsys, tmp_path)
     out_path = tmp_path / "x.csv"
     status, out, err = run(capsys, "simulate", "--env", "los", "--samples", str(10**23),
                            "--out", str(out_path))
-    most = np.iinfo(np.intp).max // (8 * 9)
+    most = np.iinfo(np.intp).max // (32 * 9)
     assert (status, out) == (1, "")
     assert err == f"error: samples_per_frequency must be at most {most} for 9 frequencies\n"
     assert not out_path.exists()

@@ -157,6 +157,42 @@ class TestFitCi:
                                                   generated.pl_db, Environment.NLOS)
 
 
+class TestFitInPlace:
+    """``fit_ci_arrays`` computes its terms in place, with the operations of the
+    expression below in the same order, and never in an input array."""
+
+    @staticmethod
+    def expression(fc, d, pl):
+        a = pl - 32.4 - 20.0 * np.log10(fc)
+        b = 10.0 * np.log10(d)
+        n = float(a @ b) / float(b @ b)
+        r = a - n * b
+        return n, float(np.sqrt(np.mean(r * r))), float(np.mean(r))
+
+    @pytest.mark.parametrize("scalar_fc", [False, True], ids=["fc-column", "fc-number"])
+    @pytest.mark.parametrize("environment", list(Environment))
+    def test_equals_the_expression_bit_for_bit(self, environment, scalar_fc):
+        generated = generate_3gpp_dataset(SimulationConfig(
+            environment, frequencies_ghz=(2.0, 28.0, 73.0), samples_per_frequency=5_000,
+            seed=73))
+        fc = np.float64(28.0) if scalar_fc else generated.fc_ghz
+        fit = fit_ci_arrays(fc, generated.d3d_m, generated.pl_db, environment)
+        assert (fit.n, fit.sigma_db, fit.mean_residual_db) == self.expression(
+            fc, generated.d3d_m, generated.pl_db)
+
+    @pytest.mark.parametrize("writeable", [False, True], ids=["read-only", "caller-owned"])
+    def test_inputs_are_left_unchanged(self, writeable):
+        generated = generate_3gpp_dataset(SimulationConfig(
+            Environment.LOS, frequencies_ghz=(28.0, 73.0), samples_per_frequency=500, seed=5))
+        columns = [generated.fc_ghz.copy(), generated.d3d_m.copy(), generated.pl_db.copy()]
+        for column in columns:
+            column.flags.writeable = writeable
+        expected = [column.copy() for column in columns]
+        fit_ci_arrays(*columns, Environment.LOS)
+        for column, before in zip(columns, expected):
+            assert np.array_equal(column, before)
+
+
 class TestReproduce3gppCi:
     def test_los_matches_published_recalibration(self):
         fit = reproduce_3gpp_ci(Environment.LOS, seed=0)

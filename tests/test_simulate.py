@@ -18,7 +18,9 @@ from rmapath import (
     SimulatedDataset,
     SimulationConfig,
     breakpoint_distance,
+    distance_3d,
     generate_3gpp_dataset,
+    los_second_slope,
     read_dataset_csv,
     rma_los,
     rma_nlos,
@@ -27,7 +29,7 @@ from rmapath import (
 PARAMS = RmaParams()
 HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
 SAMPLES_PAST_A_DIMENSION = (f"samples_per_frequency must be at most "
-                            f"{np.iinfo(np.intp).max // 24} for 3 frequencies")
+                            f"{np.iinfo(np.intp).max // 96} for 3 frequencies")
 
 
 def small_config(environment=Environment.NLOS, **overrides):
@@ -138,10 +140,10 @@ class TestSimulationConfig:
         (dict(frequencies_ghz=np.array([])), "frequencies_ghz must not be empty"),
         (dict(frequencies_ghz=np.array([1.0, math.nan])),
          "frequencies must be finite and positive"),
-        # Past one numpy dimension of float64 over all rows, not numpy's own late error.
+        # Past one numpy array of four float64 rows of all samples, not numpy's own late error.
         (dict(samples_per_frequency=10**400), SAMPLES_PAST_A_DIMENSION),
         (dict(samples_per_frequency=2**62), SAMPLES_PAST_A_DIMENSION),
-        (dict(samples_per_frequency=np.iinfo(np.intp).max // 24 + 1), SAMPLES_PAST_A_DIMENSION),
+        (dict(samples_per_frequency=np.iinfo(np.intp).max // 96 + 1), SAMPLES_PAST_A_DIMENSION),
         (dict(include_shadow_fading="False"), "include_shadow_fading must be a bool, got str"),
         (dict(include_shadow_fading=None), "include_shadow_fading must be a bool, got NoneType"),
         (dict(include_shadow_fading=0), "include_shadow_fading must be a bool, got int"),
@@ -164,7 +166,7 @@ class TestSimulationConfig:
         assert str(err.value) == message
 
     def test_the_largest_sample_count_is_accepted(self):
-        count = np.iinfo(np.intp).max // 24  # three frequencies of 8-byte floats
+        count = np.iinfo(np.intp).max // 96  # four 8-byte float rows of three frequencies
         assert small_config(samples_per_frequency=count).samples_per_frequency == count
 
     def test_a_numpy_bool_shadow_flag_is_held_as_a_bool(self):
@@ -188,7 +190,50 @@ class TestSimulationConfig:
         assert dataset.seed == 5
 
 
+def per_frequency_columns(config):
+    """The dataset columns as a generator of fresh arrays per frequency makes them:
+    ``rng.normal`` with a sigma array for the shadow fading, then ``np.concatenate``."""
+    params, n = config.params, config.samples_per_frequency
+    blocks = []
+    for index, fc in enumerate(config.frequencies_ghz):
+        rng = np.random.default_rng([config.seed, index])
+        if config.distance_sampling == "linear":
+            d2d = rng.uniform(config.d2d_min_m, config.d2d_max_m, n)
+        else:
+            d2d = 10.0 ** rng.uniform(np.log10(config.d2d_min_m), np.log10(config.d2d_max_m), n)
+        d3d = distance_3d(d2d, params.h_bs, params.h_ut)
+        if config.environment is Environment.LOS:
+            mean_pl = rma_los(params, d3d, fc)
+            sigma = np.where(los_second_slope(params, d3d, fc), 6.0, 4.0)
+        else:
+            mean_pl, sigma = rma_nlos(params, d3d, fc), 8.0
+        pl = mean_pl + rng.normal(0.0, sigma, n) if config.include_shadow_fading else mean_pl
+        blocks.append((np.full(n, fc), d2d, d3d, pl))
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("shadow", [True, False], ids=["shadow", "mean"])
+    @pytest.mark.parametrize("mode", ["linear", "log"])
+    @pytest.mark.parametrize("environment", list(Environment))
+    def test_columns_equal_the_per_frequency_generator(self, environment, mode, shadow):
+        # 1, 6 and 9 GHz have a LOS breakpoint inside the 10 km span, 9.2 and 28 GHz past it
+        config = small_config(environment, frequencies_ghz=(1.0, 6.0, 9.0, 9.2, 28.0),
+                              samples_per_frequency=2_000, seed=73, distance_sampling=mode,
+                              include_shadow_fading=shadow)
+        dataset = generate_3gpp_dataset(config)
+        columns = [dataset.fc_ghz, dataset.d2d_m, dataset.d3d_m, dataset.pl_db]
+        for column, expected in zip(columns, per_frequency_columns(config), strict=True):
+            assert np.array_equal(column, expected)
+
+    def test_columns_are_rows_of_one_block(self):
+        dataset = generate_3gpp_dataset(small_config())
+        block = dataset.fc_ghz.base
+        assert block.shape == (4, 600)
+        for row, field in enumerate(("fc_ghz", "d2d_m", "d3d_m", "pl_db")):
+            assert getattr(dataset, field).base is block
+            assert np.shares_memory(getattr(dataset, field), block[row])
+
     def test_sample_count(self):
         dataset = generate_3gpp_dataset(small_config())
         assert len(dataset) == 3 * 200
@@ -324,6 +369,25 @@ class TestDatasetColumns:
         SimulatedDataset("LOS", *columns, 7, "log").write_csv(by_value)
         SimulatedDataset(Environment.LOS, *columns, 7, "log").write_csv(by_member)
         assert by_value.read_bytes() == by_member.read_bytes()
+
+    @pytest.mark.parametrize("field,values", [
+        ("fc_ghz", np.array(["28", "28"])),
+        ("fc_ghz", np.array([28.0, math.nan])),
+        ("d2d_m", np.array([10.0, math.inf])),
+        ("d3d_m", np.array([35.0, -math.inf])),
+        ("pl_db", np.array([math.nan, 95.5])),
+        ("pl_db", np.array([None, 95.5], dtype=object)),
+    ], ids=["text", "nan", "inf", "minus-inf", "nan-first", "none"])
+    def test_write_rejects_a_column_the_reader_rejects(self, tmp_path, field, values):
+        columns = dict(fc_ghz=np.array([28.0, 28.0]), d2d_m=np.array([10.0, 20.0]),
+                       d3d_m=np.array([35.0, 40.0]), pl_db=np.array([90.0, 95.5]))
+        columns[field] = values
+        dataset = SimulatedDataset(Environment.LOS, **columns, seed=None, sampling_mode=None)
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError) as err:
+            dataset.write_csv(path)
+        assert str(err.value) == f"{field} must be finite"
+        assert not path.exists()
 
     @pytest.mark.parametrize("environment", ["los", "bogus"])
     def test_an_environment_that_is_no_value_is_rejected(self, environment):
