@@ -133,8 +133,8 @@ def check_campaign_fixture_recovery() -> CriterionResult:
     nlos = fit_ci(samples[Environment.NLOS])
     ok = (abs(los.n - RURAL_73GHZ_LOS_PLE) <= 0.25
           and abs(nlos.n - RURAL_73GHZ_NLOS_PLE) <= 0.35)
-    detail = (f"LOS n={los.n:.4f} (target 2.16+-0.25, {los.count} pts), "
-              f"NLOS n={nlos.n:.4f} (target 2.75+-0.35, {nlos.count} pts)")
+    detail = (f"LOS n={los.n:.4f} (target {RURAL_73GHZ_LOS_PLE}+-0.25, {los.count} pts), "
+              f"NLOS n={nlos.n:.4f} (target {RURAL_73GHZ_NLOS_PLE}+-0.35, {nlos.count} pts)")
     return CriterionResult("campaign-fixture-recovery", ok, detail)
 
 
@@ -152,7 +152,7 @@ def check_dual_slope_continuity() -> CriterionResult:
 
 def check_link_budget_ceiling() -> CriterionResult:
     ceiling = pathloss_from_power(DEFAULT_BUDGET, -121.3)
-    far_los = ci_pathloss(73.5, 10_800.0, 2.16)
+    far_los = ci_pathloss(73.5, 10_800.0, RURAL_73GHZ_LOS_PLE)
     ok = (abs(ceiling - 190.0) < 1e-9
           and abs(far_los - 156.85) <= 0.05
           and far_los < 190.0)

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import (Environment, distance_3d, finite, finite_positive, finite_result,
-                     float_errors, hold_floats)
+from .models import (Environment, finite, finite_positive, finite_result, float_errors,
+                     hold_floats, slant)
 from ._csv import CsvFormat, checked_csv_rows, finite_rule, read_csv_file
 from .simulate import SimulatedDataset, datasets_by_environment
 
@@ -118,15 +118,18 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm):
     return pl
 
 
+@float_errors
 def _view(block) -> dict:
     """A campaign block's columns by name, with a mask per literal of a text
     field (``view["outage", "true"]``), the mask of the rows a fit takes
     (``view["kept"]``: neither an outage nor LOS-DIFFRACTION), and each power
     parsed once (an empty one reads as 0) and marked in ``given``;
     ValueError where a power fills its ``np.loadtxt`` width, which may have cut it.
-    ``view["pl"]`` is each row's path loss, or its received power where ``view["from_power"]``
+    ``view["d3d_m"]`` is each row's slant distance, as ``distance_3d`` forms it,
+    ``view["pl"]`` its path loss, or its received power where ``view["from_power"]``
     is set, and ``view["tally"]`` counts the dropped outage and diffraction rows."""
     view = {name: block[name] for name in CAMPAIGN_CSV_HEADER}
+    view["d3d_m"] = slant(view["d2d_m"], view["tx_height_m"], view["rx_height_m"])
     for name, literals in (("outage", ("true", "false")), ("environment", CAMPAIGN_TAGS)):
         view.update(((name, text), block[name] == text) for text in literals)
     view["kept"] = view["outage", "false"] & ~view["environment", DIFFRACTION_TAG]
@@ -152,13 +155,6 @@ def _positive(name: str) -> tuple:
     return lambda view: ~(view[name] > 0.0), lambda row: f"{name} must be positive"
 
 
-@float_errors
-def _slant_overflows(view) -> np.ndarray:
-    """The fitted rows whose slant distance sum, as ``distance_3d`` forms it, overflows."""
-    d2d, dh = view["d2d_m"], view["tx_height_m"] - view["rx_height_m"]
-    return view["kept"] & ~(d2d * d2d + dh * dh < np.inf)
-
-
 # The campaign row rules in report order, after the field count and the float parses.
 _FORMAT = CsvFormat(_BLOCK_DTYPE, CampaignFormatError, (
     (lambda view: ~(view["outage", "true"] | view["outage", "false"]),
@@ -170,8 +166,9 @@ _FORMAT = CsvFormat(_BLOCK_DTYPE, CampaignFormatError, (
     (lambda view: view["outage", "false"] & (view["given"][0] == view["given"][1]),
      lambda row: "exactly one of p_rx_dbm/pl_db required on a non-outage row, "
                  f"got {(row['p_rx_dbm'] != '') + (row['pl_db'] != '')}"),
-    (_slant_overflows, lambda row: "slant distance overflows a float"),
-), _view, (*((name, float) for name in _RECORD_NUMBERS[:4]), ("pl", float),
+    (lambda view: view["kept"] & ~(view["d3d_m"] < np.inf),
+     lambda row: "slant distance overflows a float"),
+), _view, (("d2d_m", float), ("d3d_m", float), ("fc_ghz", float), ("pl", float),
             ("from_power", bool), (("environment", "NLOS"), bool)), optional=_RECORD_NUMBERS[4:])
 
 
@@ -199,15 +196,15 @@ def read_campaign_csv(path, budget: LinkBudget
     Outage and LOS-DIFFRACTION rows are dropped (counted in the summary,
     never fitted). Path loss comes from the row directly or from its
     received power via the link budget; the fit distance is the 3D slant
-    distance from the row's heights. The datasets carry no seed or
-    sampling mode. Raises CampaignFormatError on a wrong header, or with one
-    ``line N:`` message per bad row, N the physical line it starts on (header: 1),
-    and OverflowError where a budget near the float range gives a loss past it.
+    distance from the row's heights, formed in the view the row rules read.
+    The datasets carry no seed or sampling mode. Raises CampaignFormatError on a
+    wrong header, or with one ``line N:`` message per bad row, N the physical line
+    it starts on (header: 1), and OverflowError where a budget near the float
+    range gives a loss past it.
     """
-    (d2d, tx_h, rx_h, fc, pl, from_power, nlos), dropped = read_csv_file(path, _FORMAT)
+    (d2d, d3d, fc, pl, from_power, nlos), dropped = read_csv_file(path, _FORMAT)
     # Converted only once every row has passed, so a rejected file warns of nothing.
     pl[from_power] = pathloss_from_power(budget, pl[from_power])
-    d3d = distance_3d(d2d, tx_h, rx_h)  # cannot overflow: the rows passed the row rules
     summary = ConversionSummary(len(pl) + dropped.total(), len(pl), dropped["outage"],
                                 dropped["diffraction"])
     return datasets_by_environment((fc, d2d, d3d, pl), nlos), summary

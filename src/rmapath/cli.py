@@ -54,6 +54,7 @@ from .models import (
 from .simulate import (
     DATASET_CSV_HEADER,
     DEFAULT_SAMPLES_PER_FREQUENCY,
+    SAMPLING_MODES,
     SimulationConfig,
     generate_3gpp_dataset,
     read_dataset_csv,
@@ -142,10 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo RMa dataset as CSV")
     _add(p, "--env", choices=("los", "nlos"), required=True)
-    _add(p, "--seed", cast=int, default=0)
+    _add(p, "--seed", cast=int, default=SimulationConfig.seed)
     _add(p, "--samples", cast=int, default=DEFAULT_SAMPLES_PER_FREQUENCY,
          help="samples per frequency")
-    _add(p, "--sampling", choices=("linear", "log"), default="linear",
+    _add(p, "--sampling", choices=SAMPLING_MODES, default=SimulationConfig.distance_sampling,
          help="2D distance sampling distribution")
     _add(p, "--out", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (CI_ANCHOR_DB, Environment, finite, finite_positive, finite_result,
-                     float_errors)
+from .models import (CI_ANCHOR_DB, CI_REFERENCE_DISTANCE_M, Environment, finite,
+                     finite_positive, finite_result, float_errors)
 from .simulate import SimulatedDataset, SimulationConfig, generate_3gpp_dataset
 
 
@@ -50,13 +50,14 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
     environment = Environment(environment)
     d = finite_positive("d_m", d_m)
     if d.size < 2:
-        raise DegenerateFitError("need at least 2 samples to fit an exponent")
+        raise DegenerateFitError(
+            f"need at least 2 {environment.value} samples to fit an exponent")
     fc = finite_positive("fc_ghz", fc_ghz)
     pl = finite("pl_db", pl_db)
     if d.ndim != 1 or pl.shape != d.shape or fc.shape not in {(), d.shape}:
         raise ValueError("fc_ghz (or one number), d_m and pl_db must be 1-D and of one length")
-    if d.min() < 1.0:
-        raise ValueError("CI fit requires all distances >= 1 m")
+    if d.min() < CI_REFERENCE_DISTANCE_M:
+        raise ValueError(f"CI fit requires all distances >= {CI_REFERENCE_DISTANCE_M:g} m")
     # a = pl - 32.4 - 20*log10(fc), b = 10*log10(d) and the residual a - n*b, each
     # operation as written and in that order, in two new arrays: never in an input.
     a = pl - CI_ANCHOR_DB
@@ -67,8 +68,9 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
     b *= 10.0
     bb = float(b @ b)
     if bb == 0.0:
-        raise DegenerateFitError(
-            "all samples at the 1 m reference distance; exponent unidentifiable")
+        raise DegenerateFitError(f"all {environment.value} samples at the "
+                                 f"{CI_REFERENCE_DISTANCE_M:g} m reference distance; "
+                                 "exponent unidentifiable")
     n = float(a @ b) / bb
     b *= n
     r = np.subtract(a, b, out=b)
@@ -113,7 +115,7 @@ def fit_report_dict(result: CiFitResult, source: str, seed: int | None = None,
                     sampling_mode: str | None = None) -> dict:
     """Assemble the JSON-ready fit report for one fit."""
     return {
-        "environment": result.environment.value if result.environment else None,
+        "environment": result.environment.value,
         "n": result.n,
         "sigma_db": result.sigma_db,
         "count": result.count,

@@ -258,7 +258,8 @@ def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
     return finite_result(_breakpoint(h_bs, h_ut, finite_positive("fc_ghz", fc_ghz)))
 
 
-def _slant(d2d, h_bs, h_ut):
+def slant(d2d, h_bs, h_ut):
+    """Slant distance of checked float arrays; the package's one form of it."""
     dh = h_bs - h_ut
     return np.sqrt(d2d * d2d + dh * dh)
 
@@ -267,7 +268,7 @@ def _slant(d2d, h_bs, h_ut):
 def distance_3d(d2d_m, h_bs_m, h_ut_m):
     """Slant (3D) T-R distance from ground distance and antenna heights."""
     d2d, h_bs = finite_positive("d2d_m", d2d_m), finite_positive("h_bs_m", h_bs_m)
-    return finite_result(_slant(d2d, h_bs, finite_positive("h_ut_m", h_ut_m)))
+    return finite_result(slant(d2d, h_bs, finite_positive("h_ut_m", h_ut_m)))
 
 
 def _second_slope(d3d, dbp):
@@ -328,7 +329,7 @@ def _nlos_mean(params: RmaParams, d3d, fc):
 def _checked(params: RmaParams, d3d_m, fc_ghz, span, label: str):
     """Gated (d3d, fc) arrays, d3d from the span's lower end to the 3D image of its upper."""
     d3d, fc = finite_positive("d3d_m", d3d_m), finite_positive("fc_ghz", fc_ghz)
-    lo, hi = span[0], _slant(span[1], params.h_bs, params.h_ut)
+    lo, hi = span[0], slant(span[1], params.h_bs, params.h_ut)
     d3d_lo, d3d_hi = _bounds(d3d)
     if d3d_lo < lo or d3d_hi > hi:
         raise ApplicabilityError(

@@ -70,7 +70,7 @@ def _seed_and_mode_error(seed: str | None = None, sampling_mode: str | None = No
             return f"seed must be an integer, got {seed!r}"
         return f"seed must be a plain decimal integer in [0, 2**64), got {seed!r}"
     if sampling_mode is not None and sampling_mode not in SAMPLING_MODES:
-        return f"sampling_mode must be linear or log, got {sampling_mode!r}"
+        return f"sampling_mode must be {' or '.join(SAMPLING_MODES)}, got {sampling_mode!r}"
     return ""
 
 
@@ -127,8 +127,8 @@ class SimulationConfig:
 
     ``distance_sampling`` selects uniform-linear ("linear") or uniform in
     log-distance ("log"); the mode is recorded in exported datasets since
-    it changes the fitted CI coefficients. ``include_shadow_fading=False``
-    emits the mean model only, which is useful for oracle checks.
+    it changes the fitted CI coefficients. The mean model at a dataset's
+    samples is ``rma_los``/``rma_nlos(params, ds.d3d_m, ds.fc_ghz)``.
     """
 
     environment: Environment
@@ -139,7 +139,6 @@ class SimulationConfig:
     params: RmaParams = field(default_factory=RmaParams)
     seed: int = 0
     distance_sampling: str = "linear"
-    include_shadow_fading: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "environment", Environment(self.environment))
@@ -162,9 +161,6 @@ class SimulationConfig:
         if count.__index__() > most:
             raise ValueError(f"samples_per_frequency must be at most {most} "
                              f"for {frequencies.size} frequencies")
-        if not isinstance(shadow := self.include_shadow_fading, (bool, np.bool_)):
-            raise ValueError(f"include_shadow_fading must be a bool, got {type(shadow).__name__}")
-        object.__setattr__(self, "include_shadow_fading", bool(shadow))
         if error := _seed_and_mode_error(_seed_text(self.seed), str(self.distance_sampling)):
             raise ValueError(error)
         if not isinstance(self.params, RmaParams):
@@ -265,9 +261,6 @@ def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
             np.power(10.0, rng.uniform(log_bounds[0], log_bounds[1], n), out=d2d)
         d3d[:] = distance_3d(d2d, params.h_bs, params.h_ut)
         mean_pl = (rma_los if los else rma_nlos)(params, d3d, fc)
-        if not config.include_shadow_fading:
-            pl[:] = mean_pl
-            continue
         sigma = SIGMA_NLOS_DB
         if los:
             second = los_second_slope(params, d3d, fc)

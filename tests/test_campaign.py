@@ -27,6 +27,7 @@ from rmapath import (
     pathloss_from_power,
     read_campaign_csv,
 )
+from rmapath.campaign import CAMPAIGN_TAGS
 
 HEADER = ("location_id,environment,d2d_m,tx_height_m,rx_height_m,"
           "fc_ghz,p_rx_dbm,pl_db,outage")
@@ -515,11 +516,18 @@ class TestBlockPath:
         assert parse_and_read(tmp_path, quoted_twin(text)) == f"line 3: {message}"
 
     def test_a_long_tag_is_named_in_full(self, tmp_path):
-        # np.loadtxt cuts the tag to its field width; the row loop keeps it whole.
-        tag = "LOS-DIFFRACTION" + "X" * 25
-        text = HEADER + "\n" + f"A,{tag},100.0,110.0,1.8,73.5,,120.0,false\n"
-        assert parse_and_read(tmp_path, text) == (
-            f"line 2: environment {tag!r} not one of LOS/NLOS/LOS-DIFFRACTION")
+        # np.loadtxt cuts a field to its width; the row loop keeps it whole. Each
+        # accepted tag and outage flag with one more character must fail on the
+        # block path, not pass cut back to the accepted value.
+        cases = [("LOS-DIFFRACTION" + "X" * 25, "false")]
+        cases += [(f"{tag}X", "false") for tag in CAMPAIGN_TAGS]
+        cases += [("LOS", f"{flag}X") for flag in ("true", "false")]
+        for tag, outage in cases:
+            text = HEADER + "\n" + f"A,{tag},100.0,110.0,1.8,73.5,,120.0,{outage}\n"
+            message = (f"environment {tag!r} not one of LOS/NLOS/LOS-DIFFRACTION"
+                       if outage == "false" else
+                       f"outage must be 'true' or 'false', got {outage!r}")
+            assert parse_and_read(tmp_path, text) == f"line 2: {message}"
 
     def test_bad_row_past_the_first_block_names_its_physical_line(self, tmp_path):
         lines = [f"R{i},LOS,100.0,110.0,1.8,73.5,,120.0,false" for i in range(10_000)]

@@ -24,6 +24,7 @@ from rmapath import (
     rma_nlos,
 )
 from rmapath.cli import build_parser, main
+from rmapath.simulate import SAMPLING_MODES
 
 
 def run(capsys, *argv):
@@ -285,6 +286,14 @@ class TestSimulate:
         assert len(lines) == 1 + 9 * 10
         assert "90 samples" in err
 
+    @pytest.mark.parametrize("mode", SAMPLING_MODES)
+    def test_every_sampling_mode_is_a_choice(self, capsys, tmp_path, mode):
+        out = tmp_path / "data.csv"
+        status, _, err = run(capsys, "simulate", "--env", "los", "--samples", "2",
+                             "--sampling", mode, "--out", str(out))
+        assert (status, err) == (0, f"wrote 18 samples to {out}\n")
+        assert out.read_text().splitlines()[1].endswith(f",0,{mode}")
+
     def test_byte_identical_for_same_seed(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -469,6 +478,17 @@ class TestFit:
         assert (status, out) == (1, "")
         assert err == ("0 of 5 records fitted (5 outage, 0 diffraction dropped)\n"
                        f"error: {data}: no fittable samples\n")
+
+    def test_an_environment_too_small_to_fit_is_named(self, capsys, tmp_path):
+        data = tmp_path / "campaign.csv"
+        data.write_text(",".join(CAMPAIGN_CSV_HEADER) + "\n"
+                        + "".join(f"L{i},LOS,{100 + i},110,1.8,73.5,,120.0,false\n"
+                                  for i in range(10))
+                        + "N0,NLOS,100,110,1.8,73.5,,150.0,false\n")
+        status, out, err = run(capsys, "fit", "--input", str(data))
+        assert (status, out) == (1, "")
+        assert err == ("11 of 11 records fitted (0 outage, 0 diffraction dropped)\n"
+                       "error: need at least 2 NLOS samples to fit an exponent\n")
 
     @pytest.mark.filterwarnings("error")
     def test_header_only_dataset_has_nothing_to_fit(self, capsys, tmp_path):

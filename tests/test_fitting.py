@@ -59,6 +59,16 @@ class TestFitCi:
         with pytest.raises(DegenerateFitError):
             fit_ci(ci_samples(2.0, [1.0, 1.0, 1.0], [1.0, 28.0, 73.5]))
 
+    @pytest.mark.parametrize("environment", list(Environment))
+    def test_a_degenerate_fit_names_its_environment(self, environment):
+        with pytest.raises(DegenerateFitError) as err:
+            fit_ci_arrays(28.0, [100.0], [120.0], environment)
+        assert str(err.value) == f"need at least 2 {environment.value} samples to fit an exponent"
+        with pytest.raises(DegenerateFitError) as err:
+            fit_ci_arrays(28.0, [1.0, 1.0], [60.0, 61.0], environment)
+        assert str(err.value) == (f"all {environment.value} samples at the 1 m reference "
+                                  "distance; exponent unidentifiable")
+
     def test_sub_reference_distance_rejected(self):
         with pytest.raises(ValueError):
             fit_ci(dataset([28.0, 28.0], [0.5, 5.0], [60.0, 80.0]))

@@ -1,8 +1,8 @@
 """The package has one float state for its results: ``models.float_errors``.
 
 Every function that returns a number runs under that one ``np.errstate``
-and reports an overflow through ``models.finite_result``. The one row rule
-that does float arithmetic, ``campaign._slant_overflows``, runs under it too.
+and reports an overflow through ``models.finite_result``. The campaign
+reader's view, which forms each row's slant distance, runs under it too.
 """
 
 import ast

@@ -143,7 +143,6 @@ CONFIG_FIELDS = (
     (0, st.one_of(st.sampled_from((2**64 - 1, 2**64, -1, True, None, "7", 7.0, 10**400)),
                   st.integers())),
     ("linear", st.sampled_from(("log", "Log", "", None, 28.0, True))),
-    (True, st.sampled_from(("False", "", "True", None, 0, 1.0, False, np.False_))),
 )
 # The generator's entry draws only tiny sample counts.
 TINY_CONFIG_FIELDS = (*CONFIG_FIELDS[:2], (3, st.integers(1, 4)), *CONFIG_FIELDS[3:])

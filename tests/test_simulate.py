@@ -25,6 +25,7 @@ from rmapath import (
     rma_los,
     rma_nlos,
 )
+from rmapath.simulate import SAMPLING_MODES
 
 PARAMS = RmaParams()
 HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
@@ -144,9 +145,6 @@ class TestSimulationConfig:
         (dict(samples_per_frequency=10**400), SAMPLES_PAST_A_DIMENSION),
         (dict(samples_per_frequency=2**62), SAMPLES_PAST_A_DIMENSION),
         (dict(samples_per_frequency=np.iinfo(np.intp).max // 96 + 1), SAMPLES_PAST_A_DIMENSION),
-        (dict(include_shadow_fading="False"), "include_shadow_fading must be a bool, got str"),
-        (dict(include_shadow_fading=None), "include_shadow_fading must be a bool, got NoneType"),
-        (dict(include_shadow_fading=0), "include_shadow_fading must be a bool, got int"),
         (dict(params=None), "params must be an RmaParams, got NoneType"),
         (dict(params=(35.0, 1.5, 20.0, 5.0)), "params must be an RmaParams, got tuple"),
         (dict(samples_per_frequency=np.int64(3), frequencies_ghz=(np.float64(2.0), 6)), None),
@@ -155,7 +153,7 @@ class TestSimulationConfig:
             "frequency-None", "frequency-nested", "frequency-scalar", "frequency-2d-array",
             "frequency-empty", "frequency-empty-array", "frequency-nan-array",
             "samples-10**400", "samples-2**62", "samples-one-past-the-bound",
-            "shadow-str", "shadow-None", "shadow-int", "params-None", "params-tuple",
+            "params-None", "params-tuple",
             "numpy-numbers-accepted", "numpy-array-accepted"])
     def test_config_input_types(self, overrides, message):
         if message is None:
@@ -168,11 +166,6 @@ class TestSimulationConfig:
     def test_the_largest_sample_count_is_accepted(self):
         count = np.iinfo(np.intp).max // 96  # four 8-byte float rows of three frequencies
         assert small_config(samples_per_frequency=count).samples_per_frequency == count
-
-    def test_a_numpy_bool_shadow_flag_is_held_as_a_bool(self):
-        config = small_config(include_shadow_fading=np.False_)
-        assert config.include_shadow_fading is False
-        assert config == small_config(include_shadow_fading=False)
 
     def test_frequencies_are_held_as_a_tuple_of_floats(self):
         by_array = small_config(frequencies_ghz=np.array([1, 28, 73]))
@@ -207,20 +200,27 @@ def per_frequency_columns(config):
             sigma = np.where(los_second_slope(params, d3d, fc), 6.0, 4.0)
         else:
             mean_pl, sigma = rma_nlos(params, d3d, fc), 8.0
-        pl = mean_pl + rng.normal(0.0, sigma, n) if config.include_shadow_fading else mean_pl
-        blocks.append((np.full(n, fc), d2d, d3d, pl))
+        blocks.append((np.full(n, fc), d2d, d3d, mean_pl + rng.normal(0.0, sigma, n)))
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
+def mean_model(dataset):
+    """The RMa mean model at a dataset's 3D distances, one frequency at a time."""
+    model = rma_los if dataset.environment is Environment.LOS else rma_nlos
+    mean = np.empty_like(dataset.pl_db)
+    for fc in np.unique(dataset.fc_ghz):
+        at = dataset.fc_ghz == fc
+        mean[at] = model(PARAMS, dataset.d3d_m[at], float(fc))
+    return mean
+
+
 class TestGenerate:
-    @pytest.mark.parametrize("shadow", [True, False], ids=["shadow", "mean"])
-    @pytest.mark.parametrize("mode", ["linear", "log"])
+    @pytest.mark.parametrize("mode", ["linear", "log"], ids=["linear-shadow", "log-shadow"])
     @pytest.mark.parametrize("environment", list(Environment))
-    def test_columns_equal_the_per_frequency_generator(self, environment, mode, shadow):
+    def test_columns_equal_the_per_frequency_generator(self, environment, mode):
         # 1, 6 and 9 GHz have a LOS breakpoint inside the 10 km span, 9.2 and 28 GHz past it
         config = small_config(environment, frequencies_ghz=(1.0, 6.0, 9.0, 9.2, 28.0),
-                              samples_per_frequency=2_000, seed=73, distance_sampling=mode,
-                              include_shadow_fading=shadow)
+                              samples_per_frequency=2_000, seed=73, distance_sampling=mode)
         dataset = generate_3gpp_dataset(config)
         columns = [dataset.fc_ghz, dataset.d2d_m, dataset.d3d_m, dataset.pl_db]
         for column, expected in zip(columns, per_frequency_columns(config), strict=True):
@@ -256,22 +256,22 @@ class TestGenerate:
     def test_no_shadowing_equals_mean_model_exactly(self):
         # ground distances over the whole closed NLOS span: the public model
         # admits every 3D distance they map to
-        config = small_config(include_shadow_fading=False)
+        config = small_config()
         assert config.d2d_max_m == 5_000.0
         dataset = generate_3gpp_dataset(config)
-        for fc, d3d, pl in zip(dataset.fc_ghz, dataset.d3d_m, dataset.pl_db):
+        for fc, d3d, pl in zip(dataset.fc_ghz, dataset.d3d_m, mean_model(dataset)):
             assert pl == rma_nlos(PARAMS, float(d3d), float(fc))
 
     @pytest.mark.parametrize("environment", list(Environment))
     def test_generates_at_the_span_end(self, environment):
         span_end = 10_000.0 if environment is Environment.LOS else 5_000.0
-        config = small_config(environment, d2d_min_m=span_end - 1.0,
-                              include_shadow_fading=False)
+        config = small_config(environment, d2d_min_m=span_end - 1.0)
         assert config.d2d_max_m == span_end
         dataset = generate_3gpp_dataset(config)
         assert dataset.d3d_m.max() > span_end
         model = rma_los if environment is Environment.LOS else rma_nlos
-        assert np.array_equal(dataset.pl_db, model(PARAMS, dataset.d3d_m, dataset.fc_ghz))
+        assert np.array_equal(mean_model(dataset),
+                              model(PARAMS, dataset.d3d_m, dataset.fc_ghz))
 
     def test_deterministic_for_equal_config(self):
         a = generate_3gpp_dataset(small_config())
@@ -298,11 +298,7 @@ class TestGenerate:
                                   frequencies_ghz=(1.0,),
                                   samples_per_frequency=40_000, seed=5)
         noisy = generate_3gpp_dataset(config)
-        clean = generate_3gpp_dataset(
-            SimulationConfig(environment=Environment.LOS, frequencies_ghz=(1.0,),
-                             samples_per_frequency=40_000, seed=5,
-                             include_shadow_fading=False))
-        chi = noisy.pl_db - clean.pl_db
+        chi = noisy.pl_db - mean_model(noisy)
         dbp = 2 * math.pi * 35.0 * 1.5 * 1e9 / 3e8
         before = chi[noisy.d3d_m <= dbp]
         after = chi[noisy.d3d_m > dbp]
@@ -312,23 +308,21 @@ class TestGenerate:
     def test_nlos_shadow_fading_moments_at_sigma_8(self):
         # seeded, so these large-sample bounds are deterministic
         noisy = generate_3gpp_dataset(small_config(samples_per_frequency=40_000, seed=7))
-        clean = generate_3gpp_dataset(small_config(samples_per_frequency=40_000, seed=7,
-                                                   include_shadow_fading=False))
-        chi = noisy.pl_db - clean.pl_db
+        chi = noisy.pl_db - mean_model(noisy)
         assert abs(chi.mean()) < 0.1 and abs(chi.std() - 8.0) < 0.1
 
     def test_high_frequency_los_is_single_log_distance_line(self):
-        # shadow fading off, above 9.1 GHz: removing the small linear-in-d
+        # the mean model above 9.1 GHz: removing the small linear-in-d
         # term leaves an exact line in log10(d)
         config = SimulationConfig(environment=Environment.LOS,
                                   frequencies_ghz=(15.0, 73.0),
-                                  samples_per_frequency=2_000, seed=11,
-                                  include_shadow_fading=False)
+                                  samples_per_frequency=2_000, seed=11)
         dataset = generate_3gpp_dataset(config)
+        mean = mean_model(dataset)
         for fc in (15.0, 73.0):
             mask = dataset.fc_ghz == fc
             x = np.log10(dataset.d3d_m[mask])
-            y = dataset.pl_db[mask] - 0.002 * math.log10(PARAMS.h) * dataset.d3d_m[mask]
+            y = mean[mask] - 0.002 * math.log10(PARAMS.h) * dataset.d3d_m[mask]
             slope, intercept = np.polyfit(x, y, 1)
             residual = y - (slope * x + intercept)
             assert np.max(np.abs(residual)) < 0.5
@@ -339,16 +333,16 @@ class TestGenerate:
         fc = 9.0945955
         dbp = breakpoint_distance(PARAMS.h_bs, PARAMS.h_ut, fc)
         config = SimulationConfig(environment=Environment.LOS, frequencies_ghz=(fc,),
-                                  samples_per_frequency=200, d2d_min_m=9_990.0,
-                                  seed=3, include_shadow_fading=False)
+                                  samples_per_frequency=200, d2d_min_m=9_990.0, seed=3)
         dataset = generate_3gpp_dataset(config)
         d, h = dataset.d3d_m, PARAMS.h
         assert 10_000.0 <= dbp < d.max()
+        assert not los_second_slope(PARAMS, d, fc).any()  # so 4 dB of noise throughout
         pl1 = (20 * np.log10(40 * math.pi * d * fc / 3)
                + min(0.03 * h**1.72, 10) * np.log10(d)
                - min(0.044 * h**1.72, 14.77)
                + 0.002 * math.log10(h) * d)
-        assert np.allclose(dataset.pl_db, pl1, rtol=0.0, atol=1e-9)
+        assert np.allclose(mean_model(dataset), pl1, rtol=0.0, atol=1e-9)
 
 
 class TestDatasetColumns:
@@ -654,14 +648,23 @@ class TestDatasetCsv:
             assert str(err.value) == f"line 3: {message}"
 
     def test_a_long_seed_is_named_in_full(self, tmp_path):
-        # np.loadtxt cuts the seed to its field width; the row loop keeps it whole.
+        # np.loadtxt cuts a field to its width; the row loop keeps it whole. Each
+        # accepted env and mode with one more character must fail on the block path,
+        # not pass cut back to the accepted value.
         seed = "1234567890" * 2 + "12345"
+        cases = [(2, seed, f"seed must be a plain decimal integer in [0, 2**64), got '{seed}'")]
+        cases += [(0, f"{env.value}X", f"env must be LOS or NLOS, got '{env.value}X'")
+                  for env in Environment]
+        cases += [(3, f"{mode}X", f"sampling_mode must be linear or log, got '{mode}X'")
+                  for mode in SAMPLING_MODES]
         path = tmp_path / "dataset.csv"
-        path.write_text(HEADER_LINE + f"1.0,100.0,105.0,LOS,80.0,{seed},linear\n")
-        with pytest.raises(ValueError) as err:
-            read_dataset_csv(path)
-        assert str(err.value) == (
-            f"line 2: seed must be a plain decimal integer in [0, 2**64), got '{seed}'")
+        for field, value, message in cases:
+            row = ["LOS", "80.0", "7", "linear"]
+            row[field] = value
+            path.write_text(HEADER_LINE + "1.0,100.0,105.0," + ",".join(row) + "\n")
+            with pytest.raises(ValueError) as err:
+                read_dataset_csv(path)
+            assert str(err.value) == f"line 2: {message}"
 
     @pytest.mark.parametrize("rows,blank", [(0, ""), (8192, ""), (3, "\n"), (8192, "\n")],
                              ids=["header-only", "one-whole-block", "blank-line",
