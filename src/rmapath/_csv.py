@@ -33,7 +33,8 @@ BLOCK_ROWS = 8192
 
 class CsvFormat(NamedTuple):
     """A CSV format: the ``np.loadtxt`` dtype of a block, whose names are the
-    header (the row loop keeps each text field whole, as an object); the type
+    header (the row loop keeps each text field whole, as an object; the block
+    path keeps whole those the dtype makes ``object``); the type
     of its errors; the rule table, run in report order after the field count
     and the float parses; ``view(block)``, what the rules and the column builder
     read, each value parsed once; the ``(view key, dtype)`` of each column a reader

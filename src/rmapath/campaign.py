@@ -61,15 +61,12 @@ DEFAULT_BUDGET = LinkBudget(tx_power_dbm=14.7, tx_gain_dbi=27.0,
 
 
 _RECORD_NUMBERS = ("d2d_m", "tx_height_m", "rx_height_m", "fc_ghz", "p_rx_dbm", "pl_db")
-# Each text field is one character wider than its longest accepted value
-# (LOS-DIFFRACTION, false, a float repr), so a longer one, cut, never passes;
-# a power that fills its width goes to the row loop, which gives a repr of at
-# most 24 characters. The location id is unused.
-_POWER_WIDTH = 25
+# The environment and outage are each one character wider than their longest
+# accepted value (LOS-DIFFRACTION, false), so a longer one, cut, never passes.
 _BLOCK_DTYPE = np.dtype([
-    ("location_id", "U1"), ("environment", "U16"), ("d2d_m", "f8"), ("tx_height_m", "f8"),
-    ("rx_height_m", "f8"), ("fc_ghz", "f8"), ("p_rx_dbm", f"U{_POWER_WIDTH}"),
-    ("pl_db", f"U{_POWER_WIDTH}"), ("outage", "U6")])
+    ("location_id", "O"), ("environment", "U16"), ("d2d_m", "f8"), ("tx_height_m", "f8"),
+    ("rx_height_m", "f8"), ("fc_ghz", "f8"), ("p_rx_dbm", "O"), ("pl_db", "O"),
+    ("outage", "U6")])
 CAMPAIGN_CSV_HEADER = _BLOCK_DTYPE.names
 
 
@@ -122,9 +119,8 @@ def pathloss_from_power(budget: LinkBudget, p_rx_dbm):
 def _view(block) -> dict:
     """A campaign block's columns by name, with a mask per literal of a text
     field (``view["outage", "true"]``), the mask of the rows a fit takes
-    (``view["kept"]``: neither an outage nor LOS-DIFFRACTION), and each power
-    parsed once (an empty one reads as 0) and marked in ``given``;
-    ValueError where a power fills its ``np.loadtxt`` width, which may have cut it.
+    (``view["kept"]``: neither an outage nor LOS-DIFFRACTION), and each power,
+    held whole, parsed once (an empty one reads as 0) and marked in ``given``.
     ``view["d3d_m"]`` is each row's slant distance, as ``distance_3d`` forms it,
     ``view["pl"]`` its path loss, or its received power where ``view["from_power"]``
     is set, and ``view["tally"]`` counts the dropped outage and diffraction rows."""
@@ -136,8 +132,6 @@ def _view(block) -> dict:
     view["given"] = []
     for name in _RECORD_NUMBERS[4:]:
         text = block[name]
-        if text.dtype.kind == "U" and (np.char.str_len(text) >= _POWER_WIDTH).any():
-            raise ValueError(f"{name} may have been cut")
         has = text != ""
         view[name] = np.zeros(len(block))
         view[name][has] = text[has].astype(float)  # parsed as float() parses it
@@ -191,8 +185,9 @@ def read_campaign_csv(path, budget: LinkBudget
 
     A plain file (exact header, no quote or NUL) whose rows all pass is split
     into fields 8192 rows at a time by ``np.loadtxt``, any other file one row
-    at a time by the csv module; both hold the rows to the one rule table,
-    ``_FORMAT``. No per-row object is kept.
+    at a time by the csv module; both read the location id and the powers
+    whole and hold the rows to the one rule table, ``_FORMAT``. No per-row
+    object is kept.
     Outage and LOS-DIFFRACTION rows are dropped (counted in the summary,
     never fitted). Path loss comes from the row directly or from its
     received power via the link budget; the fit distance is the 3D slant

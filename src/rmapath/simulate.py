@@ -180,7 +180,7 @@ class SimulatedDataset:
     """Path loss samples of one environment, held as parallel columns.
 
     The one sample type of the package: generated, read back from a
-    dataset CSV, or converted from campaign records. CI fits run against
+    dataset CSV, or read from a campaign CSV. CI fits run against
     ``d3d_m``. ``seed`` and ``sampling_mode`` are None when not known
     (campaign data) or not constant across the rows of a dataset CSV. The
     columns may be rows of one block (``generate_3gpp_dataset``) or views

@@ -474,6 +474,19 @@ class TestBlockPath:
         text = "\n".join(lines) + "\n"
         assert campaign_outcome(text) == campaign_outcome(quoted_twin(text))
 
+    def test_a_long_power_stays_on_the_block_path(self, campaign_outcome, monkeypatch):
+        powers = ["-80.5" + "0" * 20, "120.25" + "0" * 26, "-95." + "1234567890" * 3 + "123456"]
+        assert [len(power) for power in powers] == [25, 32, 40]
+        text = "\n".join([HEADER, f"B,NLOS,2500.5,35.0,1.5,73.5,{powers[0]},,false",
+                          f"A,LOS,100.0,110.0,1.8,73.5,,{powers[1]},false",
+                          f"{'L' * 40},LOS,300.0,110.0,1.8,73.5,{powers[2]},,false"]) + "\n"
+        by_rows = campaign_outcome(quoted_twin(text))
+        with monkeypatch.context() as patch:
+            patch.setattr("rmapath._csv.checked_csv_rows", None)  # the row loop would fail
+            by_blocks = campaign_outcome(text)
+        assert by_blocks == by_rows
+        assert by_blocks[1] == ConversionSummary(3, 3, 0, 0)
+
     def test_bundled_fixture_takes_the_block_path(self, monkeypatch):
         monkeypatch.setattr("rmapath._csv.checked_csv_rows", None)
         assert read_campaign_csv(bundled_campaign_path(), DEFAULT_BUDGET)[1].total == 38

@@ -166,6 +166,18 @@ class TestFitCi:
         assert fit_ci(generated) != fit_ci_arrays(generated.fc_ghz, generated.d2d_m,
                                                   generated.pl_db, Environment.NLOS)
 
+    @pytest.mark.parametrize("environment", list(Environment))
+    def test_agrees_with_exactly_rounded_sums_at_paper_scale(self, environment):
+        generated = generate_3gpp_dataset(SimulationConfig(environment, seed=73))
+        fit = fit_ci(generated)
+        a = generated.pl_db - 32.4 - 20.0 * np.log10(generated.fc_ghz)
+        b = 10.0 * np.log10(generated.d3d_m)
+        n = math.fsum((a * b).tolist()) / math.fsum((b * b).tolist())
+        r = (a - n * b).tolist()
+        expected = (n, math.sqrt(math.fsum(x * x for x in r) / len(r)), math.fsum(r) / len(r))
+        assert fit.count == len(r) == 450_000
+        assert (fit.n, fit.sigma_db, fit.mean_residual_db) == pytest.approx(expected, rel=1e-12)
+
 
 class TestFitInPlace:
     """``fit_ci_arrays`` computes its terms in place, with the operations of the

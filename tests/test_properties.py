@@ -399,7 +399,10 @@ def test_dataset_blocks_read_as_their_quoted_twin(rows, seed, mode, mutations):
 # Campaign CSV text: valid rows, with a few fields replaced or dropped and
 # blank lines added. "<both>" and "<none>" set both powers or neither.
 campaign_number = positive.map(repr)
-campaign_power = finite_db.map(repr)
+# A power is a float repr, or a numeric text of 25 to 60 characters, longer than any repr.
+campaign_power = st.one_of(finite_db.map(repr), st.builds(
+    lambda digits, point: f"{digits[:point]}.{digits[point:]}",
+    st.text("0123456789", min_size=24, max_size=59), st.integers(1, 3)))
 plain_campaign_rows = st.lists(st.builds(
     lambda fields, powers, outage: [*fields, *powers, outage],
     st.tuples(st.text("AZ09", max_size=4), st.sampled_from(["LOS", "NLOS", "LOS-DIFFRACTION"]),
