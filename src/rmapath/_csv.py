@@ -211,21 +211,23 @@ def read_csv_file(path, fmt: CsvFormat) -> tuple[list[np.ndarray], Counter]:
 
     The row bound sizes each column once. A plain file (``_row_bound``) with
     the header first is split by ``np.loadtxt``, one call per block of 8192
-    rows. When a row breaks a rule there, or ``loadtxt`` or ``fmt.view``
-    rejects or warns of a block, the row loop (``checked_csv_rows``) reads
-    the file; it raises the header error or the row errors once the good rows
-    have been taken.
+    rows, blank lines left out. When a row breaks a rule there, or ``loadtxt``
+    or ``fmt.view`` rejects or warns of a block (but for a blank line in it),
+    the row loop (``checked_csv_rows``) reads the file; it raises the header
+    error or the row errors once the good rows have been taken.
     """
     plain, rows = _row_bound(path, fmt.error)
     with open(path, encoding="utf-8", newline="") as f:
         if plain and first_record(csv.reader(f)) == fmt.dtype.names:
-            # Peeking at each block's first line means loadtxt never meets an
-            # empty input, which it warns of.
+            # Each block starts at a peeked line that is not blank, so loadtxt never
+            # meets an empty input, which it warns of. Both paths skip a blank line.
             blocks = (np.loadtxt(itertools.chain((first,), f), dtype=fmt.dtype, delimiter=",",
                                  comments=None, quotechar=None, max_rows=BLOCK_ROWS, ndmin=1)
-                      for first in iter(f.readline, ""))
+                      for first in iter(f.readline, "") if first not in ("\n", "\r\n", "\r"))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
+                # loadtxt warns of a blank line inside a block, which it leaves out of max_rows.
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
                 try:
                     return _take(_views(fmt, ((None, block) for block in blocks)), rows, fmt)
                 except (ValueError, Warning):

@@ -22,6 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,8 +243,9 @@ def max_range(fc_ghz, ple, max_pl_db):
     return finite_result(np.power(10.0, excess / (10.0 * n)))
 
 
-def _breakpoint(h_bs, h_ut, fc):
-    return 2.0 * np.pi * h_bs * h_ut * fc * 1e9 / SPEED_OF_LIGHT_M_S
+def _breakpoint(heights, fc):
+    """The breakpoint at ``fc`` from its height prefix ``2*pi*h_bs*h_ut``."""
+    return heights * fc * 1e9 / SPEED_OF_LIGHT_M_S
 
 
 @float_errors
@@ -255,7 +257,7 @@ def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
     which the dual-slope model degenerates to its first slope.
     """
     h_bs, h_ut = finite_positive("h_bs_m", h_bs_m), finite_positive("h_ut_m", h_ut_m)
-    return finite_result(_breakpoint(h_bs, h_ut, finite_positive("fc_ghz", fc_ghz)))
+    return finite_result(_breakpoint(2.0 * np.pi * h_bs * h_ut, finite_positive("fc_ghz", fc_ghz)))
 
 
 def slant(d2d, h_bs, h_ut):
@@ -277,59 +279,106 @@ def _second_slope(d3d, dbp):
     return (dbp < RMA_LOS_D2D_RANGE_M[1]) & (d3d > dbp)
 
 
+class _Terms(NamedTuple):
+    """The terms of the RMa formulas that depend on the geometry alone."""
+
+    los_d3d_max: np.float64   # 3D image of the upper end of the LOS 2D span
+    nlos_d3d_max: np.float64  # and of the NLOS one
+    heights: float            # 2*pi*h_bs*h_ut, the breakpoint's prefix
+    los_slope: float
+    los_offset: float
+    los_linear: np.float64
+    nlos_prefix: np.float64   # 161.04 - 7.1*log10(w) + 7.5*log10(h) - (...)*log10(h_bs)
+    nlos_slope: np.float64
+    nlos_tail: np.float64
+
+
+def _geometry_terms(params: RmaParams) -> _Terms:
+    """The ``_Terms`` of ``params``, each with the operations and order of the full
+    formula, so that the results are those of the formula written out in one."""
+    h, w, h_bs, h_ut = params.h, params.w, params.h_bs, params.h_ut
+    return _Terms(
+        slant(RMA_LOS_D2D_RANGE_M[1], h_bs, h_ut),
+        slant(RMA_NLOS_D2D_RANGE_M[1], h_bs, h_ut),
+        2.0 * np.pi * h_bs * h_ut,
+        # Both terms reach their caps below h = 100 m, so a larger h cannot overflow.
+        min(0.03 * min(h, 100.0)**1.72, 10.0),
+        min(0.044 * min(h, 100.0)**1.72, 14.77),
+        0.002 * np.log10(h),
+        (161.04
+         - 7.1 * np.log10(w)
+         + 7.5 * np.log10(h)
+         # From h / h_bs = 1e154 on the term overflows to inf, or is 0 if log10(h_bs) = 0
+         - (24.37 - (3.7 * (h / h_bs) ** 2 if h < 1e154 * h_bs
+                     else math.inf if h_bs != 1.0 else 0.0)) * np.log10(h_bs)),
+        43.42 - 3.1 * np.log10(h_bs),
+        3.2 * np.log10(11.75 * h_ut) ** 2 - 4.97)
+
+
+# The terms of the latest RmaParams objects, by identity: a dataclass hash of the four
+# fields cost most of what the table saves. Each entry holds its object, so its id is
+# not reused while the entry is there; the table is emptied when it is full.
+_TERMS_TABLE: dict[int, tuple[RmaParams, _Terms]] = {}
+_TERMS_TABLE_SIZE = 256
+
+
+def _terms(params: RmaParams) -> _Terms:
+    """The geometry terms of ``params``, computed on its first use (under the calling
+    kernel's ``float_errors``)."""
+    entry = _TERMS_TABLE.get(id(params))
+    if entry is None:
+        if len(_TERMS_TABLE) >= _TERMS_TABLE_SIZE:
+            _TERMS_TABLE.clear()
+        entry = _TERMS_TABLE[id(params)] = (params, _geometry_terms(params))
+    return entry[1]
+
+
 @float_errors
 def los_second_slope(params: RmaParams, d3d_m, fc_ghz):
     """Mask of the 3D distances where the RMa LOS model takes its second slope."""
     fc, d3d = finite_positive("fc_ghz", fc_ghz), finite_positive("d3d_m", d3d_m)
-    return _second_slope(d3d, _breakpoint(params.h_bs, params.h_ut, fc))
+    return _second_slope(d3d, _breakpoint(_terms(params).heights, fc))
 
 
-def _los_pl1(params: RmaParams, d3d, fc_ghz):
-    """First slope of the RMa LOS model (no range check)."""
-    h = params.h
-    # Both terms reach their caps below h = 100 m, so a larger h cannot overflow.
-    slope_term = min(0.03 * min(h, 100.0)**1.72, 10.0)
-    offset_term = min(0.044 * min(h, 100.0)**1.72, 14.77)
+def _los_pl1(terms: _Terms, d3d, log_d3d, fc_ghz):
+    """First slope of the RMa LOS model (no range check); ``log_d3d`` is log10(d3d)."""
     return (20.0 * np.log10(40.0 * np.pi * d3d * fc_ghz / 3.0)
-            + slope_term * np.log10(d3d)
-            - offset_term
-            + 0.002 * np.log10(h) * d3d)
+            + terms.los_slope * log_d3d
+            - terms.los_offset
+            + terms.los_linear * d3d)
 
 
-def _los_mean(params: RmaParams, d3d, fc):
-    """RMa LOS mean path loss of checked float arrays."""
-    dbp = _breakpoint(params.h_bs, params.h_ut, fc)
-    pl1 = _los_pl1(params, d3d, fc)
+def _los_mean(terms: _Terms, d3d, log_d3d, fc):
+    """RMa LOS mean path loss of checked float arrays; ``log_d3d`` is log10(d3d)."""
+    dbp = _breakpoint(terms.heights, fc)
+    pl1 = _los_pl1(terms, d3d, log_d3d, fc)
     second = _second_slope(d3d, dbp)
     if not _bounds(second)[1] > 0:  # no second slope: skip it, it costs as much as the first
         return pl1
-    pl2 = _los_pl1(params, dbp, fc) + 40.0 * np.log10(d3d / dbp)
+    pl2 = _los_pl1(terms, dbp, np.log10(dbp), fc) + 40.0 * np.log10(d3d / dbp)
     return np.where(second, pl2, pl1)
 
 
-def _nlos_mean(params: RmaParams, d3d, fc):
+def _nlos_mean(terms: _Terms, d3d, fc):
     """RMa NLOS mean path loss of checked float arrays."""
-    h, w, h_bs, h_ut = params.h, params.w, params.h_bs, params.h_ut
     # The distance term below enters additively; some transcriptions of the
     # model omit the "+" before (43.42 - 3.1*log10(h_bs)).
-    raw = (161.04
-           - 7.1 * np.log10(w)
-           + 7.5 * np.log10(h)
-           # From h / h_bs = 1e154 on the term overflows to inf, or is 0 if log10(h_bs) = 0
-           - (24.37 - (3.7 * (h / h_bs) ** 2 if h < 1e154 * h_bs
-                       else math.inf if h_bs != 1.0 else 0.0)) * np.log10(h_bs)
-           + (43.42 - 3.1 * np.log10(h_bs)) * (np.log10(d3d) - 3.0)
-           + 20.0 * np.log10(fc)
-           - (3.2 * np.log10(11.75 * h_ut) ** 2 - 4.97))
+    log_d3d = np.log10(d3d)  # once, for both terms
     # Lower bound: close in, the raw expression dips below the LOS model,
-    # which is unphysical, so the LOS value applies.
-    return np.maximum(_los_mean(params, d3d, fc), raw)
+    # which is unphysical, so the LOS value applies. It is taken first: with
+    # the raw term first, 50 000 distances ran up to 10 % slower.
+    floor = _los_mean(terms, d3d, log_d3d, fc)
+    raw = (terms.nlos_prefix
+           + terms.nlos_slope * (log_d3d - 3.0)
+           + 20.0 * np.log10(fc)
+           - terms.nlos_tail)
+    return np.maximum(floor, raw)
 
 
-def _checked(params: RmaParams, d3d_m, fc_ghz, span, label: str):
-    """Gated (d3d, fc) arrays, d3d from the span's lower end to the 3D image of its upper."""
+def _checked(d3d_m, fc_ghz, span, hi, label: str):
+    """Gated (d3d, fc) arrays, d3d from the 2D span's lower end to ``hi``, its upper in 3D."""
     d3d, fc = finite_positive("d3d_m", d3d_m), finite_positive("fc_ghz", fc_ghz)
-    lo, hi = span[0], slant(span[1], params.h_bs, params.h_ut)
+    lo = span[0]
     d3d_lo, d3d_hi = _bounds(d3d)
     if d3d_lo < lo or d3d_hi > hi:
         raise ApplicabilityError(
@@ -361,8 +410,9 @@ def rma_los(params: RmaParams, d3d_m, fc_ghz):
         ValueError: a distance or frequency that is not finite and positive.
         ApplicabilityError: distance outside the 3D span.
     """
-    d3d, fc = _checked(params, d3d_m, fc_ghz, RMA_LOS_D2D_RANGE_M, "RMa LOS")
-    return finite_result(_los_mean(params, d3d, fc))
+    terms = _terms(params)
+    d3d, fc = _checked(d3d_m, fc_ghz, RMA_LOS_D2D_RANGE_M, terms.los_d3d_max, "RMa LOS")
+    return finite_result(_los_mean(terms, d3d, np.log10(d3d), fc))
 
 
 @float_errors
@@ -378,8 +428,9 @@ def rma_nlos(params: RmaParams, d3d_m, fc_ghz):
         ValueError: a distance or frequency that is not finite and positive.
         ApplicabilityError: distance outside the 3D span.
     """
-    d3d, fc = _checked(params, d3d_m, fc_ghz, RMA_NLOS_D2D_RANGE_M, "RMa NLOS")
-    return finite_result(_nlos_mean(params, d3d, fc))
+    terms = _terms(params)
+    d3d, fc = _checked(d3d_m, fc_ghz, RMA_NLOS_D2D_RANGE_M, terms.nlos_d3d_max, "RMa NLOS")
+    return finite_result(_nlos_mean(terms, d3d, fc))
 
 
 def validate_applicability(params: RmaParams, d2d_m: float, fc_ghz: float,

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from rmapath import CAMPAIGN_CSV_HEADER, CampaignFormatError, LinkBudget, read_campaign_csv
+from rmapath._csv import checked_csv_rows
 
 
 @pytest.fixture(autouse=True)
@@ -53,3 +54,15 @@ def campaign_outcome(tmp_path_factory):
                    for env, ds in datasets.items()}
         return columns, summary, [str(w.message) for w in caught]
     return outcome
+
+
+@pytest.fixture
+def row_loop_calls(monkeypatch):
+    """The formats the CSV row loop is called with, one per call; it still reads."""
+    calls = []
+
+    def spy(f, fmt):
+        calls.append(fmt)
+        return checked_csv_rows(f, fmt)
+    monkeypatch.setattr("rmapath._csv.checked_csv_rows", spy)
+    return calls

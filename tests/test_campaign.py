@@ -453,6 +453,18 @@ class TestBlockPath:
         assert warned == ["path loss 158.7 dB exceeds the 150 dB measurable ceiling "
                           "(outage-equivalent)"]  # the last row's; the others are below it
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_blank_lines_stay_on_the_block_path(self, campaign_outcome, row_loop_calls, end):
+        lines = benchmark_shaped_text(20_000).split("\n")  # three blocks of rows
+        without = end.join(lines)
+        for at in (len(lines) - 1, 12_000, 8_193, 5, 1):  # end, middle, block edge, start
+            lines[at:at] = [""] * (2 if at in (1, 12_000) else 1)
+        by_blocks = campaign_outcome(end.join(lines))
+        assert row_loop_calls == []
+        assert by_blocks == campaign_outcome(without)
+        assert by_blocks == campaign_outcome(quoted_twin("\n".join(lines)).replace("\n", end))
+        assert row_loop_calls  # the quoted twin took the row loop
+
     @pytest.mark.parametrize("field,value", [
         ("location_id", ""), ("location_id", 'A"B'), ("environment", " LOS"),
         ("environment", "LOS-DIFFRACTIONX"), ("outage", "True"), ("outage", "true"),

@@ -697,6 +697,21 @@ class TestDatasetCsv:
         for field in ("fc_ghz", "d2d_m", "d3d_m", "pl_db"):
             assert np.array_equal(getattr(parsed, field), getattr(dataset, field))
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_blank_lines_stay_on_the_block_path(self, tmp_path, row_loop_calls, end):
+        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=3_000))
+        path = tmp_path / "dataset.csv"
+        dataset.write_csv(path)
+        lines = path.read_text().split("\n")  # 9 000 rows, two blocks
+        for at in (len(lines) - 1, 8_193, 4_000, 1):  # end, block edge, middle, start
+            lines[at:at] = [""] * (2 if at in (1, 4_000) else 1)
+        path.write_text(end.join(lines), newline="")
+        parsed = read_dataset_csv(path)[Environment.NLOS]
+        assert row_loop_calls == []
+        assert (parsed.seed, parsed.sampling_mode) == (99, "linear")
+        for field in ("fc_ghz", "d2d_m", "d3d_m", "pl_db"):
+            assert np.array_equal(getattr(parsed, field), getattr(dataset, field))
+
     def test_bad_row_in_a_later_block_names_its_line(self, tmp_path):
         dataset = generate_3gpp_dataset(small_config(samples_per_frequency=3_000))
         path = tmp_path / "dataset.csv"
