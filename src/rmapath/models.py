@@ -243,8 +243,13 @@ def max_range(fc_ghz, ple, max_pl_db):
     return finite_result(np.power(10.0, excess / (10.0 * n)))
 
 
+def _heights(h_bs, h_ut):
+    """2*pi*h_bs*h_ut, the part of the breakpoint distance that is of the geometry alone."""
+    return 2.0 * np.pi * h_bs * h_ut
+
+
 def _breakpoint(heights, fc):
-    """The breakpoint at ``fc`` from its height prefix ``2*pi*h_bs*h_ut``."""
+    """The breakpoint at ``fc`` from its height prefix ``_heights(h_bs, h_ut)``."""
     return heights * fc * 1e9 / SPEED_OF_LIGHT_M_S
 
 
@@ -257,7 +262,7 @@ def breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
     which the dual-slope model degenerates to its first slope.
     """
     h_bs, h_ut = finite_positive("h_bs_m", h_bs_m), finite_positive("h_ut_m", h_ut_m)
-    return finite_result(_breakpoint(2.0 * np.pi * h_bs * h_ut, finite_positive("fc_ghz", fc_ghz)))
+    return finite_result(_breakpoint(_heights(h_bs, h_ut), finite_positive("fc_ghz", fc_ghz)))
 
 
 def slant(d2d, h_bs, h_ut):
@@ -280,64 +285,72 @@ def _second_slope(d3d, dbp):
 
 
 class _Terms(NamedTuple):
-    """The terms of the RMa formulas that depend on the geometry alone."""
+    """The terms of one kernel's RMa formulas that depend on the geometry alone."""
 
-    los_d3d_max: np.float64   # 3D image of the upper end of the LOS 2D span
-    nlos_d3d_max: np.float64  # and of the NLOS one
-    heights: float            # 2*pi*h_bs*h_ut, the breakpoint's prefix
+    d3d_max: np.float64       # 3D image of the upper end of the kernel's 2D span
+    heights: float            # _heights(h_bs, h_ut), the breakpoint's prefix
     los_slope: float
     los_offset: float
     los_linear: np.float64
-    nlos_prefix: np.float64   # 161.04 - 7.1*log10(w) + 7.5*log10(h) - (...)*log10(h_bs)
-    nlos_slope: np.float64
-    nlos_tail: np.float64
+    # The NLOS kernel's alone.
+    nlos_prefix: np.float64 | None = None  # 161.04 - 7.1*log10(w) + ... *log10(h_bs)
+    nlos_slope: np.float64 | None = None
+    nlos_tail: np.float64 | None = None
 
 
-def _geometry_terms(params: RmaParams) -> _Terms:
-    """The ``_Terms`` of ``params``, each with the operations and order of the full
-    formula, so that the results are those of the formula written out in one."""
-    h, w, h_bs, h_ut = params.h, params.w, params.h_bs, params.h_ut
+def _geometry_terms(nlos: bool, h_bs: float, h_ut: float, w: float, h: float) -> _Terms:
+    """The ``_Terms`` of ``rma_nlos`` or ``rma_los`` at a geometry: that kernel's terms
+    alone, each with the operations and order of the full formula, so that the results
+    are those of the formula written out in one."""
+    log_h = np.log10(h)
+    grown = min(h, 100.0)**1.72  # both caps are reached below 100 m: no overflow past it
+    los = (slant((RMA_NLOS_D2D_RANGE_M if nlos else RMA_LOS_D2D_RANGE_M)[1], h_bs, h_ut),
+           _heights(h_bs, h_ut),
+           min(0.03 * grown, 10.0),
+           min(0.044 * grown, 14.77),
+           0.002 * log_h)
+    if not nlos:
+        return _Terms(*los)
+    log_h_bs = np.log10(h_bs)
     return _Terms(
-        slant(RMA_LOS_D2D_RANGE_M[1], h_bs, h_ut),
-        slant(RMA_NLOS_D2D_RANGE_M[1], h_bs, h_ut),
-        2.0 * np.pi * h_bs * h_ut,
-        # Both terms reach their caps below h = 100 m, so a larger h cannot overflow.
-        min(0.03 * min(h, 100.0)**1.72, 10.0),
-        min(0.044 * min(h, 100.0)**1.72, 14.77),
-        0.002 * np.log10(h),
+        *los,
         (161.04
          - 7.1 * np.log10(w)
-         + 7.5 * np.log10(h)
+         + 7.5 * log_h
          # From h / h_bs = 1e154 on the term overflows to inf, or is 0 if log10(h_bs) = 0
          - (24.37 - (3.7 * (h / h_bs) ** 2 if h < 1e154 * h_bs
-                     else math.inf if h_bs != 1.0 else 0.0)) * np.log10(h_bs)),
-        43.42 - 3.1 * np.log10(h_bs),
+                     else math.inf if h_bs != 1.0 else 0.0)) * log_h_bs),
+        43.42 - 3.1 * log_h_bs,
         3.2 * np.log10(11.75 * h_ut) ** 2 - 4.97)
 
 
-# The terms of the latest RmaParams objects, by identity: a dataclass hash of the four
-# fields cost most of what the table saves. Each entry holds its object, so its id is
-# not reused while the entry is there; the table is emptied when it is full.
-_TERMS_TABLE: dict[int, tuple[RmaParams, _Terms]] = {}
+# The terms of the latest geometries, keyed by the kernel and the four heights: a
+# tuple of floats hashes in C, where the dataclass's own hash and eq cost most of
+# what the table saves. Equal fields are equal bits (each is a finite positive
+# float), so an equal object, or a new one with the same geometry, finds the
+# terms. The table is emptied when it is full; a caller that cycles through more
+# geometries than it holds computes the terms on every call, and pays the entry.
+_TERMS_TABLE: dict[tuple[bool, float, float, float, float], _Terms] = {}
 _TERMS_TABLE_SIZE = 256
 
 
-def _terms(params: RmaParams) -> _Terms:
-    """The geometry terms of ``params``, computed on its first use (under the calling
-    kernel's ``float_errors``)."""
-    entry = _TERMS_TABLE.get(id(params))
-    if entry is None:
+def _terms(params: RmaParams, nlos: bool) -> _Terms:
+    """The geometry terms of ``params`` for one kernel, computed on the geometry's
+    first use by that kernel (under its ``float_errors``)."""
+    key = (nlos, params.h_bs, params.h_ut, params.w, params.h)
+    terms = _TERMS_TABLE.get(key)
+    if terms is None:
         if len(_TERMS_TABLE) >= _TERMS_TABLE_SIZE:
             _TERMS_TABLE.clear()
-        entry = _TERMS_TABLE[id(params)] = (params, _geometry_terms(params))
-    return entry[1]
+        terms = _TERMS_TABLE[key] = _geometry_terms(*key)
+    return terms
 
 
 @float_errors
 def los_second_slope(params: RmaParams, d3d_m, fc_ghz):
     """Mask of the 3D distances where the RMa LOS model takes its second slope."""
     fc, d3d = finite_positive("fc_ghz", fc_ghz), finite_positive("d3d_m", d3d_m)
-    return _second_slope(d3d, _breakpoint(_terms(params).heights, fc))
+    return _second_slope(d3d, _breakpoint(_heights(params.h_bs, params.h_ut), fc))
 
 
 def _los_pl1(terms: _Terms, d3d, log_d3d, fc_ghz):
@@ -410,8 +423,8 @@ def rma_los(params: RmaParams, d3d_m, fc_ghz):
         ValueError: a distance or frequency that is not finite and positive.
         ApplicabilityError: distance outside the 3D span.
     """
-    terms = _terms(params)
-    d3d, fc = _checked(d3d_m, fc_ghz, RMA_LOS_D2D_RANGE_M, terms.los_d3d_max, "RMa LOS")
+    terms = _terms(params, False)
+    d3d, fc = _checked(d3d_m, fc_ghz, RMA_LOS_D2D_RANGE_M, terms.d3d_max, "RMa LOS")
     return finite_result(_los_mean(terms, d3d, np.log10(d3d), fc))
 
 
@@ -428,8 +441,8 @@ def rma_nlos(params: RmaParams, d3d_m, fc_ghz):
         ValueError: a distance or frequency that is not finite and positive.
         ApplicabilityError: distance outside the 3D span.
     """
-    terms = _terms(params)
-    d3d, fc = _checked(d3d_m, fc_ghz, RMA_NLOS_D2D_RANGE_M, terms.nlos_d3d_max, "RMa NLOS")
+    terms = _terms(params, True)
+    d3d, fc = _checked(d3d_m, fc_ghz, RMA_NLOS_D2D_RANGE_M, terms.d3d_max, "RMa NLOS")
     return finite_result(_nlos_mean(terms, d3d, fc))
 
 

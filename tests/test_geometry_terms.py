@@ -1,10 +1,12 @@
-"""The RMa kernels compute their geometry terms once per ``RmaParams`` object.
+"""The RMa kernels compute their geometry terms once per geometry.
 
-``rma_los``, ``rma_nlos`` and ``los_second_slope`` read the terms that depend
-on the geometry alone from a private, bounded table keyed by object
-identity. Their results, warnings and errors must be those of the formulas
-written out in full, bit for bit: this file keeps that written-out form as
-the reference, and no second path of it exists in the package.
+``rma_los`` and ``rma_nlos`` read the terms that depend on the geometry alone
+from a private, bounded table keyed by the kernel and the four heights. Their
+results, warnings and errors, and those of ``los_second_slope`` and
+``breakpoint_distance``, which share the breakpoint's height prefix, must be
+those of the formulas written out in full, bit for bit: this file keeps that
+written-out form as the reference, and no second path of it exists in the
+package.
 """
 
 import math
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from rmapath import (
     ApplicabilityError,
     RmaParams,
+    breakpoint_distance,
     los_second_slope,
     models,
     rma_los,
@@ -107,6 +110,20 @@ def ref_los_second_slope(params, d3d_m, fc_ghz):
     return ref_second_slope(d3d, ref_breakpoint(params.h_bs, params.h_ut, fc))
 
 
+@reference_errors
+def ref_breakpoint_distance(h_bs_m, h_ut_m, fc_ghz):
+    h_bs, h_ut = finite_positive("h_bs_m", h_bs_m), finite_positive("h_ut_m", h_ut_m)
+    return finite_result(ref_breakpoint(h_bs, h_ut, finite_positive("fc_ghz", fc_ghz)))
+
+
+def breakpoint_at(params, _d3d, fc):
+    return breakpoint_distance(params.h_bs, params.h_ut, fc)
+
+
+def ref_breakpoint_at(params, _d3d, fc):
+    return ref_breakpoint_distance(params.h_bs, params.h_ut, fc)
+
+
 def bits(function, *args):
     """A call's result as (type, dtype, shape, bytes), or its error's type and text,
     with the warnings it gave."""
@@ -121,7 +138,7 @@ def bits(function, *args):
 
 
 KERNELS = [(rma_los, ref_rma_los), (rma_nlos, ref_rma_nlos),
-           (los_second_slope, ref_los_second_slope)]
+           (los_second_slope, ref_los_second_slope), (breakpoint_at, ref_breakpoint_at)]
 # Heights from the smallest float to the largest, with the ones the formulas
 # turn on: h_bs = 1 (log10 h_bs = 0), h past the 100 m cap, and pairs whose
 # h / h_bs reaches the 1e154 guard; and geometries whose heights are all of
@@ -156,42 +173,51 @@ def test_kernels_equal_the_written_out_formulas(kernel, reference, params, d3d, 
     assert bits(kernel, params, d3d, fc) == bits(reference, params, d3d, fc)
 
 
-def test_the_terms_are_computed_once_per_object(monkeypatch):
+def test_the_terms_are_computed_once_per_geometry_and_kernel(monkeypatch):
     calls = []
     compute = models._geometry_terms
-    monkeypatch.setattr(models, "_geometry_terms", lambda p: calls.append(p) or compute(p))
+    monkeypatch.setattr(models, "_geometry_terms", lambda *key: calls.append(key) or compute(*key))
+    models._TERMS_TABLE.clear()
     params = RmaParams(h_bs=33.0)
     for d3d, fc in ((100.0, 2.0), (np.array([50.0, 3_000.0]), 2.0), (1_000.0, np.array([28.0]))):
         for kernel, reference in KERNELS:
             assert bits(kernel, params, d3d, fc) == bits(reference, params, d3d, fc)
-    assert calls == [params]
-    equal = RmaParams(h_bs=33.0)  # equal fields, another object: terms of its own
-    rma_los(equal, 100.0, 2.0)
-    assert len(calls) == 2 and calls[1] is equal
+    # Each kernel computes its own terms alone: the LOS ones hold no NLOS term.
+    assert calls == [(False, 33.0, 1.5, 20.0, 5.0), (True, 33.0, 1.5, 20.0, 5.0)]
+    assert compute(*calls[0])[5:] == (None, None, None)
+    rma_los(RmaParams(h_bs=33.0), 100.0, 2.0)  # another object, equal fields: found
+    assert len(calls) == 2
+    other = RmaParams(h_bs=33.0, w=21.0)  # another geometry: terms of its own
+    assert bits(rma_los, other, 100.0, 2.0) == bits(ref_rma_los, other, 100.0, 2.0)
+    assert calls[2:] == [(False, 33.0, 1.5, 21.0, 5.0)]
 
 
-def test_a_reused_id_gets_the_terms_of_its_new_object():
-    # The table empties itself when full; a freed object's id may then go to a new one.
-    reused = 0
+def test_a_new_object_gets_the_terms_of_its_own_geometry():
+    # A freed object's id may go to the next object; the table does not look at ids.
     for i, h in enumerate((7.0, 40.0, 7.0, 12.5)):
         old = RmaParams(h_bs=20.0 + i, h=7.0)
         rma_nlos(old, 1_000.0, 28.0)
-        gone, old_id = weakref.ref(old), id(old)
         del old
-        assert gone() is not None  # its entry holds it, so its id stays in use
-        models._TERMS_TABLE.clear()
-        assert gone() is None
         new = RmaParams(h_bs=20.0 + i, h=h)  # equal fields to the old object, or other ones
-        reused += id(new) == old_id
         assert bits(rma_nlos, new, 1_000.0, 28.0) == bits(ref_rma_nlos, new, 1_000.0, 28.0)
+        assert bits(rma_los, new, 1_000.0, 28.0) == bits(ref_rma_los, new, 1_000.0, 28.0)
         del new
-    assert reused  # the case was met
+
+
+def test_the_table_holds_no_object():
+    params = RmaParams(h_bs=41.0)
+    for kernel, _ in KERNELS:
+        kernel(params, 1_000.0, 28.0)
+    gone = weakref.ref(params)
+    del params
+    assert gone() is None
 
 
 def test_distinct_geometries_keep_the_table_at_its_bound():
     kept = [RmaParams(h_bs=10.0 + k / 100.0) for k in range(10_000)]
     for k, params in enumerate(kept):
-        assert los_second_slope(params, 2_000.0, 3.0) == ref_los_second_slope(params, 2_000.0, 3.0)
+        kernel, reference = KERNELS[k % 2]
+        assert kernel(params, 2_000.0, 3.0) == reference(params, 2_000.0, 3.0)
         assert len(models._TERMS_TABLE) <= models._TERMS_TABLE_SIZE
     assert rma_los(kept[0], 2_000.0, 3.0) == ref_rma_los(kept[0], 2_000.0, 3.0)
 
@@ -202,4 +228,6 @@ def test_the_terms_are_not_fields_of_the_object():
     assert vars(params) == fields
     for kernel, _ in KERNELS:
         kernel(params, 1_000.0, 28.0)
-    assert vars(params) == fields and id(params) in models._TERMS_TABLE
+    assert vars(params) == fields
+    assert (False, *fields.values()) in models._TERMS_TABLE
+    assert (True, *fields.values()) in models._TERMS_TABLE
