@@ -18,6 +18,7 @@ overflows raises OverflowError (``finite_result``).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -298,10 +299,14 @@ class _Terms(NamedTuple):
     nlos_tail: np.float64 | None = None
 
 
+@functools.lru_cache(maxsize=256)
 def _geometry_terms(nlos: bool, h_bs: float, h_ut: float, w: float, h: float) -> _Terms:
     """The ``_Terms`` of ``rma_nlos`` or ``rma_los`` at a geometry: that kernel's terms
     alone, each with the operations and order of the full formula, so that the results
-    are those of the formula written out in one."""
+    are those of the formula written out in one. Kept for the latest 256 geometries,
+    keyed by the fields, not the dataclass, whose hash and eq cost most of the saving:
+    finite positive floats, so equal keys are equal bits. Computed under the
+    ``float_errors`` of the first kernel that asks for them."""
     log_h = np.log10(h)
     grown = min(h, 100.0)**1.72  # both caps are reached below 100 m: no overflow past it
     los = (slant((RMA_NLOS_D2D_RANGE_M if nlos else RMA_LOS_D2D_RANGE_M)[1], h_bs, h_ut),
@@ -322,28 +327,6 @@ def _geometry_terms(nlos: bool, h_bs: float, h_ut: float, w: float, h: float) ->
                      else math.inf if h_bs != 1.0 else 0.0)) * log_h_bs),
         43.42 - 3.1 * log_h_bs,
         3.2 * np.log10(11.75 * h_ut) ** 2 - 4.97)
-
-
-# The terms of the latest geometries, keyed by the kernel and the four heights: a
-# tuple of floats hashes in C, where the dataclass's own hash and eq cost most of
-# what the table saves. Equal fields are equal bits (each is a finite positive
-# float), so an equal object, or a new one with the same geometry, finds the
-# terms. The table is emptied when it is full; a caller that cycles through more
-# geometries than it holds computes the terms on every call, and pays the entry.
-_TERMS_TABLE: dict[tuple[bool, float, float, float, float], _Terms] = {}
-_TERMS_TABLE_SIZE = 256
-
-
-def _terms(params: RmaParams, nlos: bool) -> _Terms:
-    """The geometry terms of ``params`` for one kernel, computed on the geometry's
-    first use by that kernel (under its ``float_errors``)."""
-    key = (nlos, params.h_bs, params.h_ut, params.w, params.h)
-    terms = _TERMS_TABLE.get(key)
-    if terms is None:
-        if len(_TERMS_TABLE) >= _TERMS_TABLE_SIZE:
-            _TERMS_TABLE.clear()
-        terms = _TERMS_TABLE[key] = _geometry_terms(*key)
-    return terms
 
 
 @float_errors
@@ -423,7 +406,7 @@ def rma_los(params: RmaParams, d3d_m, fc_ghz):
         ValueError: a distance or frequency that is not finite and positive.
         ApplicabilityError: distance outside the 3D span.
     """
-    terms = _terms(params, False)
+    terms = _geometry_terms(False, params.h_bs, params.h_ut, params.w, params.h)
     d3d, fc = _checked(d3d_m, fc_ghz, RMA_LOS_D2D_RANGE_M, terms.d3d_max, "RMa LOS")
     return finite_result(_los_mean(terms, d3d, np.log10(d3d), fc))
 
@@ -441,7 +424,7 @@ def rma_nlos(params: RmaParams, d3d_m, fc_ghz):
         ValueError: a distance or frequency that is not finite and positive.
         ApplicabilityError: distance outside the 3D span.
     """
-    terms = _terms(params, True)
+    terms = _geometry_terms(True, params.h_bs, params.h_ut, params.w, params.h)
     d3d, fc = _checked(d3d_m, fc_ghz, RMA_NLOS_D2D_RANGE_M, terms.d3d_max, "RMa NLOS")
     return finite_result(_nlos_mean(terms, d3d, fc))
 

@@ -1,12 +1,13 @@
 """The RMa kernels compute their geometry terms once per geometry.
 
 ``rma_los`` and ``rma_nlos`` read the terms that depend on the geometry alone
-from a private, bounded table keyed by the kernel and the four heights. Their
-results, warnings and errors, and those of ``los_second_slope`` and
-``breakpoint_distance``, which share the breakpoint's height prefix, must be
-those of the formulas written out in full, bit for bit: this file keeps that
-written-out form as the reference, and no second path of it exists in the
-package.
+from ``models._geometry_terms``, a ``functools.lru_cache`` of the latest 256
+geometries keyed by the kernel and the four heights; these tests count its
+hits and misses with ``cache_info``. Their results, warnings and errors, and
+those of ``los_second_slope`` and ``breakpoint_distance``, which share the
+breakpoint's height prefix, must be those of the formulas written out in
+full, bit for bit: this file keeps that written-out form as the reference,
+and no second path of it exists in the package.
 """
 
 import math
@@ -173,27 +174,30 @@ def test_kernels_equal_the_written_out_formulas(kernel, reference, params, d3d, 
     assert bits(kernel, params, d3d, fc) == bits(reference, params, d3d, fc)
 
 
-def test_the_terms_are_computed_once_per_geometry_and_kernel(monkeypatch):
-    calls = []
-    compute = models._geometry_terms
-    monkeypatch.setattr(models, "_geometry_terms", lambda *key: calls.append(key) or compute(*key))
-    models._TERMS_TABLE.clear()
+def test_the_terms_are_computed_once_per_geometry_and_kernel():
+    memo = models._geometry_terms
+    memo.cache_clear()
     params = RmaParams(h_bs=33.0)
     for d3d, fc in ((100.0, 2.0), (np.array([50.0, 3_000.0]), 2.0), (1_000.0, np.array([28.0]))):
         for kernel, reference in KERNELS:
             assert bits(kernel, params, d3d, fc) == bits(reference, params, d3d, fc)
+    # One miss per kernel; rma_los and rma_nlos found their terms on the two later calls.
+    assert memo.cache_info()[:2] == (4, 2)
     # Each kernel computes its own terms alone: the LOS ones hold no NLOS term.
-    assert calls == [(False, 33.0, 1.5, 20.0, 5.0), (True, 33.0, 1.5, 20.0, 5.0)]
-    assert compute(*calls[0])[5:] == (None, None, None)
+    assert memo(False, 33.0, 1.5, 20.0, 5.0)[5:] == (None, None, None)
+    assert memo(True, 33.0, 1.5, 20.0, 5.0).nlos_prefix is not None
+    assert memo.cache_info()[:2] == (6, 2)  # both were the keys the kernels computed
     rma_los(RmaParams(h_bs=33.0), 100.0, 2.0)  # another object, equal fields: found
-    assert len(calls) == 2
+    assert memo.cache_info()[:2] == (7, 2)
     other = RmaParams(h_bs=33.0, w=21.0)  # another geometry: terms of its own
     assert bits(rma_los, other, 100.0, 2.0) == bits(ref_rma_los, other, 100.0, 2.0)
-    assert calls[2:] == [(False, 33.0, 1.5, 21.0, 5.0)]
+    assert memo.cache_info()[:2] == (7, 3)
+    memo(False, 33.0, 1.5, 21.0, 5.0)  # the key its terms were computed under
+    assert memo.cache_info()[:2] == (8, 3)
 
 
 def test_a_new_object_gets_the_terms_of_its_own_geometry():
-    # A freed object's id may go to the next object; the table does not look at ids.
+    # A freed object's id may go to the next object; the memo does not look at ids.
     for i, h in enumerate((7.0, 40.0, 7.0, 12.5)):
         old = RmaParams(h_bs=20.0 + i, h=7.0)
         rma_nlos(old, 1_000.0, 28.0)
@@ -218,8 +222,23 @@ def test_distinct_geometries_keep_the_table_at_its_bound():
     for k, params in enumerate(kept):
         kernel, reference = KERNELS[k % 2]
         assert kernel(params, 2_000.0, 3.0) == reference(params, 2_000.0, 3.0)
-        assert len(models._TERMS_TABLE) <= models._TERMS_TABLE_SIZE
+        info = models._geometry_terms.cache_info()
+        assert info.currsize <= info.maxsize == 256
     assert rma_los(kept[0], 2_000.0, 3.0) == ref_rma_los(kept[0], 2_000.0, 3.0)
+
+
+def test_a_hot_geometry_survives_a_long_tail(monkeypatch):
+    # Within a kernel only the terms call slant, so its calls count the terms computed.
+    computed = []
+    monkeypatch.setattr(models, "slant", lambda *args: computed.append(args) or slant(*args))
+    models._geometry_terms.cache_clear()
+    hot, tail = RmaParams(), [RmaParams(h_bs=10.0 + k / 100.0) for k in range(1_000)]
+    for params in tail:
+        for p in (hot, params):
+            assert bits(rma_nlos, p, 1_000.0, 28.0) == bits(ref_rma_nlos, p, 1_000.0, 28.0)
+    # The least recently used geometry goes first: the hot one, asked for on every
+    # other call, is computed once, and each geometry of the tail once.
+    assert len(computed) == 1 + len(tail)
 
 
 def test_the_terms_are_not_fields_of_the_object():
@@ -229,5 +248,7 @@ def test_the_terms_are_not_fields_of_the_object():
     for kernel, _ in KERNELS:
         kernel(params, 1_000.0, 28.0)
     assert vars(params) == fields
-    assert (False, *fields.values()) in models._TERMS_TABLE
-    assert (True, *fields.values()) in models._TERMS_TABLE
+    for kernel in (rma_los, rma_nlos):  # each kernel's terms are kept apart from the object
+        hits = models._geometry_terms.cache_info().hits
+        kernel(params, 1_000.0, 28.0)
+        assert models._geometry_terms.cache_info().hits == hits + 1
