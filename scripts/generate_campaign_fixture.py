@@ -65,7 +65,7 @@ def build_rows() -> list[tuple]:
         pl = ci_pathloss(FC_GHZ, d3d, RURAL_73GHZ_NLOS_PLE) \
             + rng.normal(0.0, RURAL_73GHZ_NLOS_SIGMA_DB)
         assert pl < budget.max_measurable_pl_db - 1.0, (d2d, pl)
-        p_rx = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl
+        p_rx = budget.eirp_dbm + budget.rx_gain_dbi - pl
         rows.append((f"N{i:02d}", "NLOS", d2d, TX_HEIGHT_M, RX_HEIGHT_M, FC_GHZ,
                      round(p_rx, 2), None, "false"))
 

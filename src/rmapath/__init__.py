@@ -30,7 +30,6 @@ from .models import (
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
-    fspl,
     los_second_slope,
     max_range,
     rma_los,

@@ -7,9 +7,10 @@ the anchor and frequency term moved to the left-hand side,
 
 the exponent minimizing sum((a_i - n*b_i)^2) is n = sum(a*b)/sum(b*b), and
 the shadow fading standard deviation is the RMS residual (population
-convention: divide by the count). The sums of products run BLAS ``ddot``, not
-numpy's pairwise summation; on path loss data their terms share one sign, which
-bounds the rounding (4e-16 against ``math.fsum`` sums at 450 000 samples).
+convention: divide by the count). The sums of products run ``np.einsum``, not
+BLAS, whose summation order depends on its thread count: the same input gives
+the same bits under any ``OPENBLAS_NUM_THREADS``. On path loss data the terms
+share one sign, which bounds the rounding.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ def fit_ci_arrays(fc_ghz: np.ndarray, d_m: np.ndarray, pl_db: np.ndarray,
     a -= b
     b = np.log10(d, out=b if b.shape == d.shape else None)
     b *= 10.0
-    bb = float(b @ b)
+    bb = float(np.einsum("i,i->", b, b))
     if bb == 0.0:
         raise DegenerateFitError(f"all {environment.value} samples at the "
                                  f"{CI_REFERENCE_DISTANCE_M:g} m reference distance; "
                                  "exponent unidentifiable")
-    n = float(a @ b) / bb
+    n = float(np.einsum("i,i->", a, b)) / bb
     b *= n
     r = np.subtract(a, b, out=b)
     # A finite sigma bounds every residual, so n and the mean are finite too.

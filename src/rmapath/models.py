@@ -1,8 +1,8 @@
 """Deterministic rural-macrocell (RMa) path loss models.
 
-Implements Friis free space path loss, the close-in (CI) reference distance
-model with a 1 m anchor and its inverse, the coverage range, and the 3GPP
-TR 38.900 RMa LOS/NLOS models with their breakpoint and applicability checks.
+Implements the close-in (CI) reference distance model with a 1 m anchor and
+its inverse, the coverage range, and the 3GPP TR 38.900 RMa LOS/NLOS models
+with their breakpoint and applicability checks.
 
 Unit conventions, used across the whole package: frequency in GHz, distance
 in meters, power in dBm, loss in dB. The 161.04 dB constant in the NLOS
@@ -179,17 +179,6 @@ def finite_result(x):
     if -math.inf < lo and hi < math.inf:  # NaN fails both
         return x if x.ndim else hi
     raise OverflowError("the result overflows a float")
-
-
-@float_errors
-def fspl(fc_ghz, d_m):
-    """Friis free space path loss in dB: 20*log10(4*pi*fc*d*1e9 / c).
-
-    This is the exact free space loss; the CI model instead uses the 32.4 dB
-    rounded 1 m anchor (the two differ by a constant 0.042 dB at n=2).
-    """
-    fc, d = finite_positive("fc_ghz", fc_ghz), finite_positive("d_m", d_m)
-    return finite_result(20.0 * np.log10(4.0 * np.pi * fc * d * 1e9 / SPEED_OF_LIGHT_M_S))
 
 
 @float_errors

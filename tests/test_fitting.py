@@ -1,6 +1,9 @@
 """CI model fitting: exact recovery, optimality, and the recalibration."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -179,6 +182,28 @@ class TestFitCi:
         assert (fit.n, fit.sigma_db, fit.mean_residual_db) == pytest.approx(expected, rel=1e-12)
 
 
+# OpenBLAS splits a long dot product across its threads, so the last bits of ``a @ b``
+# depend on the thread count. 9 * 1113 rows is the smallest seed-7 NLOS set on which
+# ``@`` gives other bits under 1 and 2 threads. The count is read at numpy's import.
+BLAS_THREADS_FIT = """
+from rmapath import Environment, SimulationConfig, fit_ci_arrays, generate_3gpp_dataset
+ds = generate_3gpp_dataset(SimulationConfig(Environment.NLOS, samples_per_frequency=1113, seed=7))
+fit = fit_ci_arrays(ds.fc_ghz, ds.d3d_m, ds.pl_db, Environment.NLOS)
+print(fit.n.hex(), fit.sigma_db.hex(), fit.mean_residual_db.hex())
+"""
+
+
+def test_the_fit_has_the_same_bits_under_one_and_two_blas_threads():
+    runs = [subprocess.Popen([sys.executable, "-c", BLAS_THREADS_FIT], text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                                  "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    (one, one_err), (two, two_err) = (run.communicate(timeout=60) for run in runs)
+    assert [run.returncode for run in runs] == [0, 0], one_err + two_err
+    assert one == two
+
+
 class TestFitInPlace:
     """``fit_ci_arrays`` computes its terms in place, with the operations of the
     expression below in the same order, and never in an input array."""
@@ -187,7 +212,7 @@ class TestFitInPlace:
     def expression(fc, d, pl):
         a = pl - 32.4 - 20.0 * np.log10(fc)
         b = 10.0 * np.log10(d)
-        n = float(a @ b) / float(b @ b)
+        n = float(np.einsum("i,i->", a, b)) / float(np.einsum("i,i->", b, b))
         r = a - n * b
         return n, float(np.sqrt(np.mean(r * r))), float(np.mean(r))
 

@@ -20,7 +20,6 @@ from rmapath import (
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
-    fspl,
     los_second_slope,
     max_range,
     rma_los,
@@ -29,31 +28,6 @@ from rmapath import (
 )
 
 DEFAULTS = RmaParams()
-
-
-class TestFspl:
-    def test_1ghz_1m(self):
-        # 20*log10(4*pi*1e9/3e8); the CI model rounds this to 32.4
-        assert fspl(1.0, 1.0) == pytest.approx(32.441772186048674, abs=1e-12)
-
-    def test_73_5ghz_1m(self):
-        assert fspl(73.5, 1.0) == pytest.approx(69.76751896773257, abs=1e-12)
-
-    @pytest.mark.parametrize("fc", [0.5, 1.0, 28.0, 73.5, 100.0])
-    @pytest.mark.parametrize("d", [1.0, 33.0, 1e4])
-    def test_doubling_distance_adds_6db(self, fc, d):
-        delta = fspl(fc, 2 * d) - fspl(fc, d)
-        assert delta == pytest.approx(20 * math.log10(2), abs=1e-9)
-
-    @pytest.mark.parametrize("fc,d", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -5.0)])
-    def test_rejects_non_positive(self, fc, d):
-        with pytest.raises(ValueError):
-            fspl(fc, d)
-
-    def test_vectorized_matches_scalar(self):
-        d = np.array([1.0, 10.0, 100.0])
-        expected = [fspl(73.5, float(x)) for x in d]
-        assert np.array_equal(fspl(73.5, d), expected)
 
 
 class TestCiPathloss:
@@ -79,7 +53,8 @@ class TestCiPathloss:
         for _ in range(50):
             fc = rng.uniform(0.5, 100.0)
             d = rng.uniform(1.0, 20_000.0)
-            assert fspl(fc, d) - ci_pathloss(fc, d, 2.0) == pytest.approx(delta, abs=1e-9)
+            friis = 20.0 * math.log10(4.0 * math.pi * fc * 1e9 * d / 3e8)
+            assert friis - ci_pathloss(fc, d, 2.0) == pytest.approx(delta, abs=1e-9)
 
     def test_strictly_increasing_in_distance_and_frequency(self):
         d = np.linspace(1.0, 20_000.0, 200)
@@ -257,8 +232,6 @@ class TestNonFiniteInputs:
                                      np.array([1.0, {}], dtype=object),
                                      10**400, -10**400, np.array([1.0, 10**400], dtype=object)])
     @pytest.mark.parametrize("call", [
-        lambda x: fspl(x, 100.0),
-        lambda x: fspl(28.0, x),
         lambda x: ci_pathloss(x, 100.0, 2.0),
         lambda x: ci_pathloss(28.0, x, 2.0),
         lambda x: ci_pathloss(28.0, 100.0, x),
@@ -305,7 +278,6 @@ class TestOverflow:
         lambda: breakpoint_distance(1e300, 1e300, 1),
         lambda: distance_3d(1e200, 35.0, 1.5),
         lambda: distance_3d(np.array([1e200]), 110, 1.8),
-        lambda: fspl(1e300, 1e300),
         lambda: rma_nlos(DEFAULTS, 100.0, 1e306),
     ])
     def test_non_finite_result_is_one_overflow_error(self, call):
@@ -353,7 +325,7 @@ class TestOutputType:
     @pytest.mark.parametrize("d", [100.0, np.float64(100.0), np.array(100.0)])
     def test_scalar_inputs_give_a_float(self, d):
         for value in (rma_los(DEFAULTS, d, 2.0), rma_nlos(DEFAULTS, d, 2.0),
-                      ci_pathloss(2.0, d, 2.0), fspl(2.0, d), distance_3d(d, 35.0, 1.5)):
+                      ci_pathloss(2.0, d, 2.0), distance_3d(d, 35.0, 1.5)):
             assert type(value) is float
 
     def test_array_input_gives_an_array(self):

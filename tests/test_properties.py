@@ -27,7 +27,6 @@ from rmapath import (
     ci_pathloss,
     distance_3d,
     fit_ci_arrays,
-    fspl,
     generate_3gpp_dataset,
     los_second_slope,
     max_range,
@@ -157,7 +156,6 @@ def config_fields(fields):
 
 
 CONTRACT = {
-    "fspl": (fspl, (kernel_numbers, kernel_numbers)),
     "ci_pathloss": (ci_pathloss, (kernel_numbers, kernel_numbers, kernel_numbers)),
     "breakpoint_distance": (breakpoint_distance, (kernel_numbers, kernel_numbers, kernel_numbers)),
     "distance_3d": (distance_3d, (kernel_numbers, kernel_numbers, kernel_numbers)),
@@ -185,7 +183,7 @@ CONTRACT = {
         params, *[st.one_of(number, st.sampled_from(TEXT_AND_NONE))] * 2,
         st.sampled_from([*Environment, "LOS", "NLOS", "los"]))),
 }
-FLOAT_RESULTS = {"fspl", "ci_pathloss", "breakpoint_distance", "distance_3d", "rma_los",
+FLOAT_RESULTS = {"ci_pathloss", "breakpoint_distance", "distance_3d", "rma_los",
                  "rma_nlos", "max_range", "pathloss_from_power"}
 
 
@@ -231,7 +229,7 @@ def test_finite_result_or_one_error(name, data):
         assert type(value) is float
 
 
-KERNELS = ("fspl", "ci_pathloss", "breakpoint_distance", "distance_3d", "los_second_slope",
+KERNELS = ("ci_pathloss", "breakpoint_distance", "distance_3d", "los_second_slope",
            "rma_los", "rma_nlos", "max_range")
 
 
