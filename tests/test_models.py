@@ -232,6 +232,8 @@ class TestNonFiniteInputs:
                                      np.array([1.0, {}], dtype=object),
                                      10**400, -10**400, np.array([1.0, 10**400], dtype=object)])
     @pytest.mark.parametrize("call", [
+        lambda x: max_range(x, 2.0, 120.0),
+        lambda x: max_range(28.0, x, 120.0),
         lambda x: ci_pathloss(x, 100.0, 2.0),
         lambda x: ci_pathloss(28.0, x, 2.0),
         lambda x: ci_pathloss(28.0, 100.0, x),
@@ -278,6 +280,7 @@ class TestOverflow:
         lambda: breakpoint_distance(1e300, 1e300, 1),
         lambda: distance_3d(1e200, 35.0, 1.5),
         lambda: distance_3d(np.array([1e200]), 110, 1.8),
+        lambda: max_range(1.0, 1e-300, 1000.0),
         lambda: rma_nlos(DEFAULTS, 100.0, 1e306),
     ])
     def test_non_finite_result_is_one_overflow_error(self, call):
