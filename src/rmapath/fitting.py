@@ -102,9 +102,9 @@ def fit_ci(dataset: SimulatedDataset) -> CiFitResult:
 def reproduce_3gpp_ci(environment: Environment, seed: int = 0) -> CiFitResult:
     """Recast the TR 38.900 RMa model in CI form by Monte Carlo.
 
-    Runs the default recalibration configuration (nine frequencies from
-    1 to 100 GHz, 50 000 instances each, default geometry, full distance
-    span, uniform-linear distance sampling) and fits the pooled samples.
+    Runs the default configuration (50 000 instances at each of the nine
+    ``DEFAULT_FREQUENCIES_GHZ``, default geometry, uniform-linear distances
+    over the full span) and fits the pooled samples.
     Expected results: n close to 2.31 with sigma close to 5.9 dB in LOS,
     n close to 3.04 with sigma close to 8.3 dB in NLOS.
     """

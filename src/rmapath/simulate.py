@@ -20,22 +20,21 @@ from ._csv import CsvFormat, column_block, finite_rule, read_csv_file, write_blo
 from .models import (
     Environment,
     RmaParams,
-    ApplicabilityError,
     RMA_LOS_D2D_RANGE_M,
     RMA_NLOS_D2D_RANGE_M,
     distance_3d,
     finite,
-    finite_positive,
-    hold_floats,
     los_second_slope,
     rma_los,
     rma_nlos,
 )
 
-# Recalibration defaults: nine carrier frequencies spanning 1-100 GHz with
-# 50 000 instances each (450 000 samples per environment).
+# The recalibration's nine carrier frequencies, 1-100 GHz, each dataset draws
+# at; 50 000 instances each by default (450 000 samples per environment).
 DEFAULT_FREQUENCIES_GHZ = (1.0, 2.0, 6.0, 15.0, 28.0, 38.0, 60.0, 73.0, 100.0)
 DEFAULT_SAMPLES_PER_FREQUENCY = 50_000
+# The most samples per frequency whose generator block (four float64 rows) fits one array.
+_MOST_SAMPLES_PER_FREQUENCY = np.iinfo(np.intp).max // (32 * len(DEFAULT_FREQUENCIES_GHZ))
 
 # Shadow fading standard deviations of the RMa models (dB).
 SIGMA_LOS_PRE_BP_DB = 4.0
@@ -121,9 +120,9 @@ def _seed_text(seed) -> str:
 class SimulationConfig:
     """Configuration of one Monte Carlo dataset.
 
-    Defaults reproduce the recalibration setup: nine frequencies, 50 000
-    samples each, default RMa geometry, 2D distances drawn uniformly over
-    the environment's full span (10 m to 10 km LOS, 10 m to 5 km NLOS).
+    A dataset draws ``samples_per_frequency`` samples at each of the nine
+    ``DEFAULT_FREQUENCIES_GHZ`` over the environment's full 2D span. Defaults
+    reproduce the recalibration setup: 50 000 samples each, default geometry.
 
     ``distance_sampling`` selects uniform-linear ("linear") or uniform in
     log-distance ("log"); the mode is recorded in exported datasets since
@@ -132,47 +131,23 @@ class SimulationConfig:
     """
 
     environment: Environment
-    frequencies_ghz: tuple[float, ...] = DEFAULT_FREQUENCIES_GHZ
     samples_per_frequency: int = DEFAULT_SAMPLES_PER_FREQUENCY
-    d2d_min_m: float = 10.0
-    d2d_max_m: float | None = None
     params: RmaParams = field(default_factory=RmaParams)
     seed: int = 0
     distance_sampling: str = "linear"
 
     def __post_init__(self):
         object.__setattr__(self, "environment", Environment(self.environment))
-        span = (RMA_LOS_D2D_RANGE_M if self.environment is Environment.LOS
-                else RMA_NLOS_D2D_RANGE_M)
-        if self.d2d_max_m is None:
-            object.__setattr__(self, "d2d_max_m", span[1])
-        frequencies = finite_positive("frequencies", self.frequencies_ghz)
-        if frequencies.ndim != 1:
-            raise ValueError("frequencies_ghz must be a flat sequence of numbers")
-        if not frequencies.size:
-            raise ValueError("frequencies_ghz must not be empty")
-        # Floats in a tuple, so that equal configs compare equal and hash.
-        object.__setattr__(self, "frequencies_ghz", tuple(frequencies.tolist()))
-        count = self.samples_per_frequency  # an integer, numpy's too, but not a bool
-        if isinstance(count, bool) or not hasattr(count, "__index__") or count <= 0:
+        count = self.samples_per_frequency  # an integer, numpy's too, but not a bool or array
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count <= 0:
             raise ValueError("samples_per_frequency must be a positive integer")
-        # The generator's (4, rows) float64 block must fit one numpy array.
-        most = np.iinfo(np.intp).max // (32 * frequencies.size)
-        if count.__index__() > most:
-            raise ValueError(f"samples_per_frequency must be at most {most} "
-                             f"for {frequencies.size} frequencies")
+        if count > _MOST_SAMPLES_PER_FREQUENCY:
+            raise ValueError(f"samples_per_frequency must be at most {_MOST_SAMPLES_PER_FREQUENCY} "
+                             f"for {len(DEFAULT_FREQUENCIES_GHZ)} frequencies")
         if error := _seed_and_mode_error(_seed_text(self.seed), str(self.distance_sampling)):
             raise ValueError(error)
         if not isinstance(self.params, RmaParams):
             raise ValueError(f"params must be an RmaParams, got {type(self.params).__name__}")
-        hold_floats(self, ("d2d_min_m", "d2d_max_m"))
-        if not self.d2d_min_m < self.d2d_max_m:
-            raise ValueError("d2d_min_m must be less than d2d_max_m")
-        if self.d2d_min_m < span[0] or self.d2d_max_m > span[1]:
-            raise ApplicabilityError(
-                f"d2d bounds [{self.d2d_min_m:g}, {self.d2d_max_m:g}] m outside the "
-                f"[{span[0]:g}, {span[1]:g}] m RMa {self.environment.value} span"
-            )
 
 
 @dataclass(frozen=True)
@@ -233,32 +208,32 @@ def _frequency_rng(seed: int, freq_index: int) -> np.random.Generator:
 def generate_3gpp_dataset(config: SimulationConfig) -> SimulatedDataset:
     """Generate one Monte Carlo dataset from the RMa models.
 
-    Per frequency: draw 2D distances, convert to 3D, evaluate the mean
-    model, then add a shadow fading draw (LOS: 4 dB before the breakpoint,
-    6 dB after, 4 dB throughout when the breakpoint exceeds the 10 km
-    ceiling; NLOS: 8 dB). The 2D span was validated against the model's
-    applicability range at config construction; ``rma_los``/``rma_nlos``
-    admit the 3D distances that span maps to.
+    Per frequency of ``DEFAULT_FREQUENCIES_GHZ``: draw 2D distances over
+    the environment's span (``RMA_LOS_D2D_RANGE_M`` or
+    ``RMA_NLOS_D2D_RANGE_M``), convert to 3D, evaluate the mean model, then
+    add a shadow fading draw (LOS: 4 dB before the breakpoint, 6 dB after,
+    4 dB throughout when the breakpoint exceeds the 10 km ceiling; NLOS:
+    8 dB). ``rma_los``/``rma_nlos`` admit the 3D distances the span maps to.
 
     The dataset's four columns are the rows of one ``(4, N)`` float block,
     each frequency's samples one slice of it.
     """
     params = config.params
     n = config.samples_per_frequency
-    log_bounds = (np.log10(config.d2d_min_m), np.log10(config.d2d_max_m))
     los = config.environment is Environment.LOS
+    d2d_min, d2d_max = RMA_LOS_D2D_RANGE_M if los else RMA_NLOS_D2D_RANGE_M
 
-    block = column_block(4, n * len(config.frequencies_ghz), float)  # fc, d2d, d3d, pl rows
-    for index, fc in enumerate(config.frequencies_ghz):
+    block = column_block(4, n * len(DEFAULT_FREQUENCIES_GHZ), float)  # fc, d2d, d3d, pl rows
+    for index, fc in enumerate(DEFAULT_FREQUENCIES_GHZ):
         rng = _frequency_rng(config.seed, index)
         fc_column, d2d, d3d, pl = block[:, index * n:(index + 1) * n]
         fc_column.fill(fc)
         # Generator.uniform, not random(out=) and arithmetic, whose rounding a
         # compiler may change by fusing the multiply and add.
         if config.distance_sampling == "linear":
-            d2d[:] = rng.uniform(config.d2d_min_m, config.d2d_max_m, n)
+            d2d[:] = rng.uniform(d2d_min, d2d_max, n)
         else:
-            np.power(10.0, rng.uniform(log_bounds[0], log_bounds[1], n), out=d2d)
+            np.power(10.0, rng.uniform(np.log10(d2d_min), np.log10(d2d_max), n), out=d2d)
         d3d[:] = distance_3d(d2d, params.h_bs, params.h_ut)
         mean_pl = (rma_los if los else rma_nlos)(params, d3d, fc)
         sigma = SIGMA_NLOS_DB

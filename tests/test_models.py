@@ -16,7 +16,6 @@ from rmapath import (
     LinkBudget,
     ModelRangeWarning,
     RmaParams,
-    SimulationConfig,
     breakpoint_distance,
     ci_pathloss,
     distance_3d,
@@ -178,6 +177,21 @@ class TestRmaLos:
         assert np.array_equal(rma_los(DEFAULTS, d, fc), expected)
         assert los_second_slope(DEFAULTS, d, fc).tolist() == [True, False]
 
+    def test_first_slope_past_a_breakpoint_on_the_ceiling(self):
+        # the breakpoint sits just above 10 km, and the 3D distance of a
+        # 10 km ground distance just above the breakpoint: still one slope
+        fc = 9.0945955
+        dbp = breakpoint_distance(DEFAULTS.h_bs, DEFAULTS.h_ut, fc)
+        d = distance_3d(np.linspace(9_990.0, 10_000.0, 200), DEFAULTS.h_bs, DEFAULTS.h_ut)
+        h = DEFAULTS.h
+        assert 10_000.0 <= dbp < d.max()
+        assert not los_second_slope(DEFAULTS, d, fc).any()  # so 4 dB of shadow fading throughout
+        pl1 = (20 * np.log10(40 * math.pi * d * fc / 3)
+               + min(0.03 * h**1.72, 10) * np.log10(d)
+               - min(0.044 * h**1.72, 14.77)
+               + 0.002 * math.log10(h) * d)
+        assert np.allclose(rma_los(DEFAULTS, d, fc), pl1, rtol=0.0, atol=1e-9)
+
     @pytest.mark.parametrize("d", [9.0, 10_001.0])
     def test_out_of_span_rejected(self, d):
         with pytest.raises(ApplicabilityError):
@@ -254,11 +268,12 @@ class TestNonFiniteInputs:
 
     # An int past the float range is the gate's ValueError, not "int too large to convert".
     @pytest.mark.parametrize("call,text", [
-        (lambda: RmaParams(h=10**400), "h must be finite and positive"),
-        (lambda: max_range(28.0, 2.0, 10**400), "max_pl_db must be finite"),
-        (lambda: LinkBudget(10**400, 1.0, 1.0, 190.0), "tx_power_dbm must be finite"),
-        (lambda: SimulationConfig("LOS", frequencies_ghz=(10**400,)),
-         "frequencies must be finite and positive"),
+        pytest.param(lambda: RmaParams(h=10**400), "h must be finite and positive",
+                     id="RmaParams-h"),
+        pytest.param(lambda: max_range(28.0, 2.0, 10**400), "max_pl_db must be finite",
+                     id="max_range-max_pl_db"),
+        pytest.param(lambda: LinkBudget(10**400, 1.0, 1.0, 190.0), "tx_power_dbm must be finite",
+                     id="LinkBudget-tx_power_dbm"),
     ])
     def test_int_past_the_float_range_is_the_gates_value_error(self, call, text):
         with pytest.raises(ValueError) as err:
@@ -273,15 +288,18 @@ class TestNonFiniteInputs:
 
 class TestOverflow:
     @pytest.mark.parametrize("call", [
-        lambda: ci_pathloss(1.0, 1e300, 1e307),
-        lambda: ci_pathloss(1.0, 1.0, 1.7e308),  # an infinite 10*n times log10(1) is NaN
-        lambda: breakpoint_distance(1e10, 1.5, 1e300),
-        lambda: breakpoint_distance(1e10, 1.5, [1.0, 1e300]),
-        lambda: breakpoint_distance(1e300, 1e300, 1),
-        lambda: distance_3d(1e200, 35.0, 1.5),
-        lambda: distance_3d(np.array([1e200]), 110, 1.8),
-        lambda: max_range(1.0, 1e-300, 1000.0),
-        lambda: rma_nlos(DEFAULTS, 100.0, 1e306),
+        pytest.param(lambda: ci_pathloss(1.0, 1e300, 1e307), id="ci_pathloss-d-and-ple"),
+        # an infinite 10*n times log10(1) is NaN
+        pytest.param(lambda: ci_pathloss(1.0, 1.0, 1.7e308), id="ci_pathloss-ple-at-1m"),
+        pytest.param(lambda: breakpoint_distance(1e10, 1.5, 1e300), id="breakpoint_distance-fc"),
+        pytest.param(lambda: breakpoint_distance(1e10, 1.5, [1.0, 1e300]),
+                     id="breakpoint_distance-fc-array"),
+        pytest.param(lambda: breakpoint_distance(1e300, 1e300, 1),
+                     id="breakpoint_distance-heights"),
+        pytest.param(lambda: distance_3d(1e200, 35.0, 1.5), id="distance_3d-d2d"),
+        pytest.param(lambda: distance_3d(np.array([1e200]), 110, 1.8), id="distance_3d-d2d-array"),
+        pytest.param(lambda: max_range(1.0, 1e-300, 1000.0), id="max_range-tiny-ple"),
+        pytest.param(lambda: rma_nlos(DEFAULTS, 100.0, 1e306), id="rma_nlos-fc"),
     ])
     def test_non_finite_result_is_one_overflow_error(self, call):
         # The suite turns warnings into errors, so a numpy warning fails here.

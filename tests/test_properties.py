@@ -128,23 +128,20 @@ budgets = st.builds(LinkBudget, *[st.one_of(st.sampled_from(EDGE_VALUES[3:]),
                                             st.floats(allow_nan=False, allow_infinity=False))] * 3,
                     st.one_of(st.sampled_from((5e-324, 28.0, 1e308)), positive_floats))
 # Every SimulationConfig field, in field order: a value the config takes, and
-# what is drawn in its place: edge numbers, counts past a numpy dimension,
-# text, None and bools, and geometry that is no RmaParams.
+# what is drawn in its place: counts past a numpy dimension, text, None, bools
+# and floats, and geometry that is no RmaParams.
+SAMPLE_COUNTS = st.one_of(
+    st.sampled_from((np.int64(3), 10**400, 2**62, 0, -1, True, None, "3", 3.0)), st.integers())
 CONFIG_FIELDS = (
     (Environment.LOS, st.sampled_from(["LOS", "NLOS", Environment.NLOS, "los", None, 28.0, True])),
-    ((28.0,), st.one_of(numbers, st.lists(number, max_size=4).map(tuple),
-                        st.sampled_from(TEXT_AND_NONE))),
-    (3, st.one_of(st.sampled_from((np.int64(3), 10**400, 2**62, 0, -1, True, None, "3", 3.0)),
-                  st.integers())),
-    (10.0, st.one_of(number, st.sampled_from(TEXT_AND_NONE))),
-    (None, st.one_of(number, st.sampled_from(TEXT_AND_NONE))),
+    (3, SAMPLE_COUNTS),
     (RmaParams(), st.one_of(params, st.none(), st.just((35.0, 1.5, 20.0, 5.0)))),
     (0, st.one_of(st.sampled_from((2**64 - 1, 2**64, -1, True, None, "7", 7.0, 10**400)),
                   st.integers())),
     ("linear", st.sampled_from(("log", "Log", "", None, 28.0, True))),
 )
 # The generator's entry draws only tiny sample counts.
-TINY_CONFIG_FIELDS = (*CONFIG_FIELDS[:2], (3, st.integers(1, 4)), *CONFIG_FIELDS[3:])
+TINY_CONFIG_FIELDS = (CONFIG_FIELDS[0], (3, st.integers(1, 4)), *CONFIG_FIELDS[2:])
 
 
 def config_fields(fields):
@@ -164,11 +161,8 @@ CONTRACT = {
     "rma_nlos": (rma_nlos, (params, kernel_numbers, kernel_numbers)),
     "RmaParams": (RmaParams, (number, number, number, number)),
     "LinkBudget": (LinkBudget, (db_values, db_values, db_values, db_values)),
-    "SimulationConfig": (lambda fcs: SimulationConfig(Environment.LOS, frequencies_ghz=fcs),
-                         (st.one_of(numbers, st.lists(number, max_size=4).map(tuple)),)),
-    "SimulationConfig bounds": (
-        lambda lo, hi: SimulationConfig(Environment.LOS, d2d_min_m=lo, d2d_max_m=hi),
-        (st.one_of(numbers, st.sampled_from(TEXT_AND_NONE)),) * 2),
+    "SimulationConfig": (lambda count: SimulationConfig(Environment.LOS, count),
+                         (st.one_of(SAMPLE_COUNTS, numbers),)),
     "SimulationConfig fields": (lambda fields: SimulationConfig(*fields),
                                 (config_fields(CONFIG_FIELDS),)),
     "generate_3gpp_dataset": (lambda fields: generate_3gpp_dataset(SimulationConfig(*fields)),

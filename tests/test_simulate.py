@@ -5,19 +5,19 @@ import dataclasses
 import io
 import math
 import warnings
-from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from rmapath import (
     DATASET_CSV_HEADER,
-    ApplicabilityError,
+    DEFAULT_FREQUENCIES_GHZ,
+    RMA_LOS_D2D_RANGE_M,
+    RMA_NLOS_D2D_RANGE_M,
     Environment,
     RmaParams,
     SimulatedDataset,
     SimulationConfig,
-    breakpoint_distance,
     distance_3d,
     generate_3gpp_dataset,
     los_second_slope,
@@ -30,13 +30,12 @@ from rmapath.simulate import SAMPLING_MODES
 PARAMS = RmaParams()
 HEADER_LINE = ",".join(DATASET_CSV_HEADER) + "\n"
 SAMPLES_PAST_A_DIMENSION = (f"samples_per_frequency must be at most "
-                            f"{np.iinfo(np.intp).max // 96} for 3 frequencies")
+                            f"{np.iinfo(np.intp).max // 288} for 9 frequencies")
 
 
 def small_config(environment=Environment.NLOS, **overrides):
     defaults = dict(
         environment=environment,
-        frequencies_ghz=(1.0, 28.0, 73.0),
         samples_per_frequency=200,
         seed=99,
     )
@@ -46,57 +45,16 @@ def small_config(environment=Environment.NLOS, **overrides):
 
 class TestSimulationConfig:
     def test_defaults_are_recalibration_setup(self):
+        assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+            "environment", "samples_per_frequency", "params", "seed", "distance_sampling"]
         config = SimulationConfig(environment=Environment.LOS)
-        assert len(config.frequencies_ghz) == 9
         assert config.samples_per_frequency == 50_000
-        assert (config.d2d_min_m, config.d2d_max_m) == (10.0, 10_000.0)
-        assert config.distance_sampling == "linear"
+        assert (config.params, config.seed, config.distance_sampling) == (PARAMS, 0, "linear")
 
     def test_environment_is_taken_by_its_value(self):
         assert SimulationConfig(environment="LOS").environment is Environment.LOS
         with pytest.raises(ValueError):
             SimulationConfig(environment="los")
-
-    @pytest.mark.parametrize("low,high", [(Decimal("20.5"), Decimal(500)),
-                                          (np.float32(20.5), np.int64(500))],
-                             ids=["Decimal", "numpy"])
-    def test_bounds_are_held_as_floats(self, low, high):
-        config = SimulationConfig(environment=Environment.LOS, d2d_min_m=low, d2d_max_m=high)
-        assert (config.d2d_min_m, config.d2d_max_m) == (20.5, 500.0)
-        assert type(config.d2d_min_m) is type(config.d2d_max_m) is float
-
-    def test_nlos_span_default(self):
-        assert SimulationConfig(environment=Environment.NLOS).d2d_max_m == 5_000.0
-
-    def test_bounds_outside_span_rejected(self):
-        with pytest.raises(ApplicabilityError):
-            SimulationConfig(environment=Environment.NLOS, d2d_max_m=6_000.0)
-        with pytest.raises(ApplicabilityError):
-            SimulationConfig(environment=Environment.LOS, d2d_min_m=5.0)
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(environment=Environment.LOS, d2d_min_m=100.0, d2d_max_m=50.0)
-
-    @pytest.mark.parametrize("bounds,message", [
-        (dict(d2d_min_m="20"), "d2d_min_m must be finite and positive"),
-        (dict(d2d_min_m=None), "d2d_min_m must be finite and positive"),
-        (dict(d2d_max_m=math.nan), "d2d_max_m must be finite and positive"),
-        (dict(d2d_min_m=math.nan), "d2d_min_m must be finite and positive"),
-        (dict(d2d_max_m=b"500"), "d2d_max_m must be finite and positive"),
-        (dict(d2d_min_m=np.array([20.0, 30.0])), "d2d_min_m must be a number"),
-        (dict(d2d_max_m=[500.0]), "d2d_max_m must be a number"),
-    ], ids=["min-str", "min-None", "max-nan", "min-nan", "max-bytes", "min-array",
-            "max-list"])
-    def test_bad_bound_is_one_line_value_error(self, bounds, message):
-        with pytest.raises(ValueError) as err:
-            SimulationConfig(environment=Environment.LOS, **bounds)
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize("fc", [math.nan, math.inf, -math.inf, 0.0])
-    def test_non_finite_or_non_positive_frequency_rejected(self, fc):
-        with pytest.raises(ValueError, match="^frequencies must be finite and positive$"):
-            SimulationConfig(environment=Environment.LOS, frequencies_ghz=(1.0, fc))
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -131,51 +89,29 @@ class TestSimulationConfig:
         (dict(samples_per_frequency=True), "samples_per_frequency must be a positive integer"),
         (dict(samples_per_frequency=np.int64(-3)),
          "samples_per_frequency must be a positive integer"),
-        (dict(frequencies_ghz=("1",)), "frequencies must be finite and positive"),
-        (dict(frequencies_ghz=(1.0, None)), "frequencies must be finite and positive"),
-        (dict(frequencies_ghz=((1.0, 2.0),)), "frequencies_ghz must be a flat sequence of numbers"),
-        (dict(frequencies_ghz=28.0), "frequencies_ghz must be a flat sequence of numbers"),
-        (dict(frequencies_ghz=np.array([[1.0, 2.0]])),
-         "frequencies_ghz must be a flat sequence of numbers"),
-        (dict(frequencies_ghz=()), "frequencies_ghz must not be empty"),
-        (dict(frequencies_ghz=np.array([])), "frequencies_ghz must not be empty"),
-        (dict(frequencies_ghz=np.array([1.0, math.nan])),
-         "frequencies must be finite and positive"),
+        (dict(samples_per_frequency=np.array([3])),
+         "samples_per_frequency must be a positive integer"),
         # Past one numpy array of four float64 rows of all samples, not numpy's own late error.
         (dict(samples_per_frequency=10**400), SAMPLES_PAST_A_DIMENSION),
         (dict(samples_per_frequency=2**62), SAMPLES_PAST_A_DIMENSION),
-        (dict(samples_per_frequency=np.iinfo(np.intp).max // 96 + 1), SAMPLES_PAST_A_DIMENSION),
+        (dict(samples_per_frequency=np.iinfo(np.intp).max // 288 + 1), SAMPLES_PAST_A_DIMENSION),
         (dict(params=None), "params must be an RmaParams, got NoneType"),
         (dict(params=(35.0, 1.5, 20.0, 5.0)), "params must be an RmaParams, got tuple"),
-        (dict(samples_per_frequency=np.int64(3), frequencies_ghz=(np.float64(2.0), 6)), None),
-        (dict(samples_per_frequency=3, frequencies_ghz=np.array([2.0, 6.0])), None),
-    ], ids=["samples-float", "samples-bool", "samples-negative-numpy", "frequency-str",
-            "frequency-None", "frequency-nested", "frequency-scalar", "frequency-2d-array",
-            "frequency-empty", "frequency-empty-array", "frequency-nan-array",
+        (dict(samples_per_frequency=np.int64(3)), None),
+    ], ids=["samples-float", "samples-bool", "samples-negative-numpy", "samples-array",
             "samples-10**400", "samples-2**62", "samples-one-past-the-bound",
-            "params-None", "params-tuple",
-            "numpy-numbers-accepted", "numpy-array-accepted"])
+            "params-None", "params-tuple", "numpy-numbers-accepted"])
     def test_config_input_types(self, overrides, message):
         if message is None:
-            assert len(generate_3gpp_dataset(small_config(**overrides))) == 6
+            assert len(generate_3gpp_dataset(small_config(**overrides))) == 27
             return
         with pytest.raises(ValueError) as err:
             small_config(**overrides)
         assert str(err.value) == message
 
     def test_the_largest_sample_count_is_accepted(self):
-        count = np.iinfo(np.intp).max // 96  # four 8-byte float rows of three frequencies
+        count = np.iinfo(np.intp).max // 288  # four 8-byte float rows of nine frequencies
         assert small_config(samples_per_frequency=count).samples_per_frequency == count
-
-    def test_frequencies_are_held_as_a_tuple_of_floats(self):
-        by_array = small_config(frequencies_ghz=np.array([1, 28, 73]))
-        assert by_array == small_config() and hash(by_array) == hash(small_config())
-        assert [type(fc) for fc in by_array.frequencies_ghz] == [float] * 3
-        assert type(by_array.frequencies_ghz) is tuple
-        by_tuple = generate_3gpp_dataset(small_config())
-        dataset = generate_3gpp_dataset(by_array)
-        for field in ("fc_ghz", "d2d_m", "d3d_m", "pl_db"):
-            assert np.array_equal(getattr(dataset, field), getattr(by_tuple, field))
 
     def test_numpy_integer_seed_is_accepted(self):
         dataset = generate_3gpp_dataset(small_config(seed=np.uint64(5)))
@@ -187,13 +123,15 @@ def per_frequency_columns(config):
     """The dataset columns as a generator of fresh arrays per frequency makes them:
     ``rng.normal`` with a sigma array for the shadow fading, then ``np.concatenate``."""
     params, n = config.params, config.samples_per_frequency
+    low, high = (RMA_LOS_D2D_RANGE_M if config.environment is Environment.LOS
+                 else RMA_NLOS_D2D_RANGE_M)
     blocks = []
-    for index, fc in enumerate(config.frequencies_ghz):
+    for index, fc in enumerate(DEFAULT_FREQUENCIES_GHZ):
         rng = np.random.default_rng([config.seed, index])
         if config.distance_sampling == "linear":
-            d2d = rng.uniform(config.d2d_min_m, config.d2d_max_m, n)
+            d2d = rng.uniform(low, high, n)
         else:
-            d2d = 10.0 ** rng.uniform(np.log10(config.d2d_min_m), np.log10(config.d2d_max_m), n)
+            d2d = 10.0 ** rng.uniform(np.log10(low), np.log10(high), n)
         d3d = distance_3d(d2d, params.h_bs, params.h_ut)
         if config.environment is Environment.LOS:
             mean_pl = rma_los(params, d3d, fc)
@@ -218,9 +156,9 @@ class TestGenerate:
     @pytest.mark.parametrize("mode", ["linear", "log"], ids=["linear-shadow", "log-shadow"])
     @pytest.mark.parametrize("environment", list(Environment))
     def test_columns_equal_the_per_frequency_generator(self, environment, mode):
-        # 1, 6 and 9 GHz have a LOS breakpoint inside the 10 km span, 9.2 and 28 GHz past it
-        config = small_config(environment, frequencies_ghz=(1.0, 6.0, 9.0, 9.2, 28.0),
-                              samples_per_frequency=2_000, seed=73, distance_sampling=mode)
+        # 1, 2 and 6 GHz have a LOS breakpoint inside the 10 km span, 15 GHz and up past it
+        config = small_config(environment, samples_per_frequency=2_000, seed=73,
+                              distance_sampling=mode)
         dataset = generate_3gpp_dataset(config)
         columns = [dataset.fc_ghz, dataset.d2d_m, dataset.d3d_m, dataset.pl_db]
         for column, expected in zip(columns, per_frequency_columns(config), strict=True):
@@ -229,24 +167,25 @@ class TestGenerate:
     def test_columns_are_rows_of_one_block(self):
         dataset = generate_3gpp_dataset(small_config())
         block = dataset.fc_ghz.base
-        assert block.shape == (4, 600)
+        assert block.shape == (4, 1_800)
         for row, field in enumerate(("fc_ghz", "d2d_m", "d3d_m", "pl_db")):
             assert getattr(dataset, field).base is block
             assert np.shares_memory(getattr(dataset, field), block[row])
 
     def test_sample_count(self):
         dataset = generate_3gpp_dataset(small_config())
-        assert len(dataset) == 3 * 200
+        assert len(dataset) == 9 * 200
 
     def test_full_count_is_450k(self):
         config = SimulationConfig(environment=Environment.LOS, seed=1)
-        assert len(config.frequencies_ghz) * config.samples_per_frequency == 450_000
+        assert len(DEFAULT_FREQUENCIES_GHZ) * config.samples_per_frequency == 450_000
 
     @pytest.mark.parametrize("mode", ["linear", "log"])
     def test_distances_within_bounds(self, mode):
-        config = small_config(d2d_min_m=50.0, d2d_max_m=3_000.0, distance_sampling=mode)
-        dataset = generate_3gpp_dataset(config)
-        assert np.all(dataset.d2d_m >= 50.0) and np.all(dataset.d2d_m <= 3_000.0)
+        for environment, (low, high) in ((Environment.LOS, RMA_LOS_D2D_RANGE_M),
+                                         (Environment.NLOS, RMA_NLOS_D2D_RANGE_M)):
+            dataset = generate_3gpp_dataset(small_config(environment, distance_sampling=mode))
+            assert np.all(dataset.d2d_m >= low) and np.all(dataset.d2d_m <= high)
 
     def test_d3d_matches_geometry(self):
         dataset = generate_3gpp_dataset(small_config())
@@ -256,22 +195,9 @@ class TestGenerate:
     def test_no_shadowing_equals_mean_model_exactly(self):
         # ground distances over the whole closed NLOS span: the public model
         # admits every 3D distance they map to
-        config = small_config()
-        assert config.d2d_max_m == 5_000.0
-        dataset = generate_3gpp_dataset(config)
+        dataset = generate_3gpp_dataset(small_config())
         for fc, d3d, pl in zip(dataset.fc_ghz, dataset.d3d_m, mean_model(dataset)):
             assert pl == rma_nlos(PARAMS, float(d3d), float(fc))
-
-    @pytest.mark.parametrize("environment", list(Environment))
-    def test_generates_at_the_span_end(self, environment):
-        span_end = 10_000.0 if environment is Environment.LOS else 5_000.0
-        config = small_config(environment, d2d_min_m=span_end - 1.0)
-        assert config.d2d_max_m == span_end
-        dataset = generate_3gpp_dataset(config)
-        assert dataset.d3d_m.max() > span_end
-        model = rma_los if environment is Environment.LOS else rma_nlos
-        assert np.array_equal(mean_model(dataset),
-                              model(PARAMS, dataset.d3d_m, dataset.fc_ghz))
 
     def test_deterministic_for_equal_config(self):
         a = generate_3gpp_dataset(small_config())
@@ -287,7 +213,7 @@ class TestGenerate:
     def test_frequency_substreams_independent_of_sample_count(self):
         short = generate_3gpp_dataset(small_config(samples_per_frequency=100))
         long = generate_3gpp_dataset(small_config(samples_per_frequency=300))
-        for k in range(3):
+        for k in range(len(DEFAULT_FREQUENCIES_GHZ)):
             expected = long.d2d_m[k * 300:k * 300 + 100]
             assert np.array_equal(short.d2d_m[k * 100:(k + 1) * 100], expected)
 
@@ -295,13 +221,14 @@ class TestGenerate:
         # at 1 GHz the breakpoint is ~1.1 km; with the mean removed, the
         # shadow draws must show sigma ~4 before and ~6 after
         config = SimulationConfig(environment=Environment.LOS,
-                                  frequencies_ghz=(1.0,),
                                   samples_per_frequency=40_000, seed=5)
         noisy = generate_3gpp_dataset(config)
-        chi = noisy.pl_db - mean_model(noisy)
+        at_1ghz = noisy.fc_ghz == 1.0
+        chi = (noisy.pl_db - mean_model(noisy))[at_1ghz]
+        d3d = noisy.d3d_m[at_1ghz]
         dbp = 2 * math.pi * 35.0 * 1.5 * 1e9 / 3e8
-        before = chi[noisy.d3d_m <= dbp]
-        after = chi[noisy.d3d_m > dbp]
+        before = chi[d3d <= dbp]
+        after = chi[d3d > dbp]
         assert before.std() == pytest.approx(4.0, abs=0.15)
         assert after.std() == pytest.approx(6.0, abs=0.15)
 
@@ -315,7 +242,6 @@ class TestGenerate:
         # the mean model above 9.1 GHz: removing the small linear-in-d
         # term leaves an exact line in log10(d)
         config = SimulationConfig(environment=Environment.LOS,
-                                  frequencies_ghz=(15.0, 73.0),
                                   samples_per_frequency=2_000, seed=11)
         dataset = generate_3gpp_dataset(config)
         mean = mean_model(dataset)
@@ -327,22 +253,6 @@ class TestGenerate:
             residual = y - (slope * x + intercept)
             assert np.max(np.abs(residual)) < 0.5
 
-    def test_first_slope_past_a_breakpoint_on_the_ceiling(self):
-        # the breakpoint sits just above 10 km, and the 3D distance of a
-        # 10 km ground distance just above the breakpoint: still one slope
-        fc = 9.0945955
-        dbp = breakpoint_distance(PARAMS.h_bs, PARAMS.h_ut, fc)
-        config = SimulationConfig(environment=Environment.LOS, frequencies_ghz=(fc,),
-                                  samples_per_frequency=200, d2d_min_m=9_990.0, seed=3)
-        dataset = generate_3gpp_dataset(config)
-        d, h = dataset.d3d_m, PARAMS.h
-        assert 10_000.0 <= dbp < d.max()
-        assert not los_second_slope(PARAMS, d, fc).any()  # so 4 dB of noise throughout
-        pl1 = (20 * np.log10(40 * math.pi * d * fc / 3)
-               + min(0.03 * h**1.72, 10) * np.log10(d)
-               - min(0.044 * h**1.72, 14.77)
-               + 0.002 * math.log10(h) * d)
-        assert np.allclose(mean_model(dataset), pl1, rtol=0.0, atol=1e-9)
 
 
 class TestDatasetColumns:
@@ -415,7 +325,7 @@ class TestDatasetCsv:
         path.write_text(nlos_path.read_text() + los_path.read_text().split("\n", 1)[1])
         datasets = read_dataset_csv(path)
         assert list(datasets) == [Environment.LOS, Environment.NLOS]
-        assert [len(ds) for ds in datasets.values()] == [12, 9]
+        assert [len(ds) for ds in datasets.values()] == [36, 27]
         assert np.array_equal(datasets[Environment.LOS].pl_db, los.pl_db)
         # the seed column is not constant across the file
         assert all(ds.seed is None and ds.sampling_mode == "linear"
@@ -446,7 +356,7 @@ class TestDatasetCsv:
         # more rows than one write block, and a None seed: still the same bytes
         # as formatting each row on its own
         dataset = dataclasses.replace(
-            generate_3gpp_dataset(small_config(samples_per_frequency=3_000)), seed=None)
+            generate_3gpp_dataset(small_config(samples_per_frequency=1_000)), seed=None)
         path = tmp_path / "dataset.csv"
         dataset.write_csv(path)
         rows = [f"{fc!r},{d2d!r},{d3d!r},NLOS,{pl!r},,linear\n" for fc, d2d, d3d, pl in zip(
@@ -686,7 +596,7 @@ class TestDatasetCsv:
                              ids=["LF", "CRLF", "CR", "quoted-CR"])
     def test_written_dataset_reads_back_with_any_line_end(self, tmp_path, monkeypatch,
                                                           end, new_end):
-        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=3_000))
+        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=1_000))
         path = tmp_path / "dataset.csv"
         dataset.write_csv(path)
         path.write_text(path.read_text().replace(end, new_end), newline="")
@@ -699,7 +609,7 @@ class TestDatasetCsv:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     def test_blank_lines_stay_on_the_block_path(self, tmp_path, row_loop_calls, end):
-        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=3_000))
+        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=1_000))
         path = tmp_path / "dataset.csv"
         dataset.write_csv(path)
         lines = path.read_text().split("\n")  # 9 000 rows, two blocks
@@ -713,7 +623,7 @@ class TestDatasetCsv:
             assert np.array_equal(getattr(parsed, field), getattr(dataset, field))
 
     def test_bad_row_in_a_later_block_names_its_line(self, tmp_path):
-        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=3_000))
+        dataset = generate_3gpp_dataset(small_config(samples_per_frequency=1_000))
         path = tmp_path / "dataset.csv"
         dataset.write_csv(path)
         parsed = read_dataset_csv(path)[Environment.NLOS]
