@@ -86,7 +86,7 @@ def build_rows() -> list[tuple]:
 
 def write_fixture(path) -> None:
     """Write the fixture's header and rows to ``path``."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CAMPAIGN_CSV_HEADER)
         writer.writerows(build_rows())

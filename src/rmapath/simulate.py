@@ -200,8 +200,8 @@ class SimulatedDataset:
 
 
 def _frequency_rng(seed: int, freq_index: int) -> np.random.Generator:
-    # Independent substream per (seed, frequency index): draws for one
-    # frequency never move when another frequency's sample count changes.
+    # Independent substream per (seed, frequency index): a frequency's first
+    # m distances are the same at any sample count of m or more.
     return np.random.default_rng([seed, freq_index])
 
 
